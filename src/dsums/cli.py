@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -28,21 +28,24 @@ from .unitgroups import kernel_subgroup, subgroup_from_elements, subgroup_from_g
 from .verify import run_suite
 
 _TABLE_N = {"rho5": 5, "rho7": 7, "rho9": 9, "rho11": 11, "rho13": 13, "rho15": 15}
+_INTEXPR = re.compile(r"(\d+)(?:([eE]|\*\*)(\d{1,4}))?")
 
 
 def _intexpr(text: str) -> int:
-    """Accept 100000, 1e5 or 10**5 on the command line."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    if "**" in text:
-        base, expo = text.split("**")
-        return int(base) ** int(expo)
-    value = float(text)
-    if value != int(value):
-        raise argparse.ArgumentTypeError(f"not an integer: {text}")
-    return int(value)
+    """Accept 100000, 1e5 or 10**5 on the command line, parsed exactly."""
+    m = _INTEXPR.fullmatch(text.strip())
+    if m is None:
+        raise argparse.ArgumentTypeError(f"want an integer like 100000, 1e5 or 10**5, got {text!r}")
+    a, op, k = m.groups()
+    if op is None:
+        return int(a)
+    return int(a) ** int(k) if op == "**" else int(a) * 10 ** int(k)
+
+
+def _threads(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ValueError(f"--threads and DSUMS_THREADS need a positive integer, got {text!r}")
+    return int(text)
 
 
 def _decimal(fr: Fraction, digits: int) -> str:
@@ -53,10 +56,6 @@ def _decimal(fr: Fraction, digits: int) -> str:
 def _fmt_limit(v: int) -> str:
     k = len(str(v)) - 1
     return f"10^{k}" if v == 10**k else str(v)
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("DSUMS_THREADS", "1"))
 
 
 def cmd_dedekind(args) -> int:
@@ -85,8 +84,6 @@ def cmd_survey(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.table == "rho9-window":
-        if args.window_from is None or args.span is None:
-            raise SystemExit("rho9-window needs --from and --span")
         rep = survey_mod.scan_window(9, args.window_from, args.span, threads=args.threads)
         print(f"{_fmt_limit(args.window_from)} | {_fmt_limit(args.span)} | "
               f"{rep.c_prime} | {rep.c_leq0} | {rep.rho}...")
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_intexpr, default=10**5)
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
     p.add_argument("--span", type=_intexpr, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
     p.add_argument("--out", choices=("json", "csv"), default="json")
     p.add_argument("--records", default=None, help="CSV path for per-prime records")
     p.add_argument("--checkpoint", default=None, help="JSON checkpoint path (resume-aware)")
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_intexpr, default=None)
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
     p.add_argument("--span", type=_intexpr, default=None)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("verify", help="run an identity-verification suite")
@@ -243,7 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.fn is cmd_tables and args.table == "rho9-window" and None in (args.window_from, args.span):
+        ap.error("rho9-window needs --from and --span")
+    if args.fn is cmd_survey and args.all_odd and any(
+        v is not None for v in (args.records, args.checkpoint, args.threads, args.window_from, args.span)
+    ):
+        ap.error("--all-odd takes no --records, --checkpoint, --threads, --from or --span")
+    if args.fn is cmd_survey and not args.all_odd and (args.window_from is None) != (args.span is None):
+        ap.error("--from and --span go together")
     try:
+        if getattr(args, "threads", 1) is None:  # survey or tables without --threads
+            args.threads = _threads(os.environ.get("DSUMS_THREADS", "1"))
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

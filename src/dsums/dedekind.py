@@ -1,9 +1,10 @@
 """Dedekind sums in exact rational arithmetic.
 
 Two routes to s(c,d): a provably-correct O(d) sawtooth-sum oracle and an
-O(log d) reciprocity descent; the test-suite proves them equal on a dense
-grid. The coprime-restricted sum (Moebius combination of ordinary sums over
-divisors) and the closed forms used elsewhere in the package live here too.
+O(log d) integer kernel on the continued fraction of c/d, through which
+every exact s(c,d) in the package goes; the test-suite proves them equal on
+a dense grid. The coprime-restricted sum (Moebius combination of ordinary
+sums over divisors) and the closed forms used elsewhere live here too.
 
 Conventions: s(c,1) = 0 for every c; evaluation depends on c mod d only, so
 negative or out-of-range c is reduced first (this also realizes
@@ -59,36 +60,34 @@ def dedekind_sum_naive(c: int, d: int) -> Fraction:
 
 
 def dedekind_sum_parts(c: int, d: int) -> tuple[int, int]:
-    """s(c,d) as a reduced (numerator, denominator) pair in O(log d) steps.
+    """s(c,d) as the unreduced integer pair (12*d*s(c,d), 12*d).
 
-    Reciprocity descent: s(c,d) = (c^2+d^2-3cd+1)/(12cd) - s(d mod c, c),
-    with s(1,d) = (d-1)(d-2)/(12d) as the base. Integer-pair accumulation
-    keeps this hot path free of Fraction overhead for the prime surveys.
+    Continued-fraction form (Hickerson 1977, Knuth 1977): with
+    c/d = [0; a_1, ..., a_r] and c* = c^-1 mod d,
+    12*d*s(c,d) = c + c* + d*sum (-1)^(i+1) a_i - d*(1 if r even, else 3).
+    One Euclid pass yields the a_i and, through the convergent
+    denominators, c*; the numerator is an integer, so no gcd is taken.
     """
     c = _check_args(c, d)
-    num, den, sign = 0, 1, 1
-    while d > 1:
-        if c == 1:
-            n2, d2 = (d - 1) * (d - 2), 12 * d
-            num = num * d2 + sign * n2 * den
-            den *= d2
-            break
-        n2 = c * c + d * d - 3 * c * d + 1
-        d2 = 12 * c * d
-        num = num * d2 + sign * n2 * den
-        den *= d2
-        g = gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
+    if d == 1:
+        return 0, 12
+    a, b = d, c
+    alt, sign = 0, 1
+    q_prev, q = 0, 1  # convergent denominators q_{i-1}, q_i
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        alt += sign * k
         sign = -sign
-        c, d = d % c, c
-    g = gcd(num, den)
-    return (num // g, den // g) if g > 1 else (num, den)
+        q_prev, q = q, k * q + q_prev
+    # c * q_{r-1} = (-1)^(r-1) (mod d), and sign = (-1)^r
+    if sign < 0:
+        return c + q_prev + d * (alt - 3), 12 * d
+    return c + d - q_prev + d * (alt - 1), 12 * d
 
 
 def dedekind_sum(c: int, d: int) -> Fraction:
-    """Exact s(c,d) via the fast reciprocity descent."""
+    """Exact s(c,d) via the integer continued-fraction kernel."""
     return Fraction(*dedekind_sum_parts(c, d))
 
 
@@ -99,34 +98,25 @@ def s_one(d: int) -> Fraction:
     return Fraction((d - 1) * (d - 2), 12 * d)
 
 
+def _moebius_combination(c: int, f: int, s) -> Fraction:
+    if f < 2:
+        raise ValueError(f"restricted sum needs modulus >= 2, got {f}")
+    _check_args(c, f)
+    return sum((Fraction(mu, e) * s(c, f // e) for e in divisors(f) if (mu := mobius(e))), Fraction(0))
+
+
 def dedekind_sum_tilde(c: int, f: int) -> Fraction:
     """Restricted sum over residues coprime to f.
 
     tilde s(c,f) = sum_{delta | f} mu(delta)/delta * s(c, f/delta); every
     term goes through the fast engine.
     """
-    if f < 2:
-        raise ValueError(f"restricted sum needs modulus >= 2, got {f}")
-    _check_args(c, f)
-    total = Fraction(0)
-    for delta in divisors(f):
-        mu = mobius(delta)
-        if mu:
-            total += Fraction(mu, delta) * dedekind_sum(c, f // delta)
-    return total
+    return _moebius_combination(c, f, dedekind_sum)
 
 
 def dedekind_sum_tilde_naive(c: int, f: int) -> Fraction:
     """Same Moebius combination but over the naive sawtooth oracle (tests)."""
-    if f < 2:
-        raise ValueError(f"restricted sum needs modulus >= 2, got {f}")
-    _check_args(c, f)
-    total = Fraction(0)
-    for delta in divisors(f):
-        mu = mobius(delta)
-        if mu:
-            total += Fraction(mu, delta) * dedekind_sum_naive(c, f // delta)
-    return total
+    return _moebius_combination(c, f, dedekind_sum_naive)
 
 
 def tilde_s_one(f: int) -> Fraction:

@@ -24,6 +24,7 @@ __all__ = [
     "factorize",
     "is_prime",
     "mobius",
+    "order_n_element",
     "primes_in_progression",
     "sieve_upto",
     "totient",
@@ -164,6 +165,21 @@ def divisors(n: int) -> tuple[int, ...]:
     for p, e in factorize(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return tuple(sorted(ds))
+
+
+def order_n_element(p: int, n: int) -> int:
+    """A generator of the unique order-n subgroup of (Z/pZ)*, p prime, n | p-1:
+    the first h = x^((p-1)/n), x = 1, 2, ..., whose order passes the test
+    against the primes dividing n (p-1 is never factored)."""
+    if n < 1 or (p - 1) % n:
+        raise ValueError(f"{n} does not divide {p} - 1")
+    qs = [q for q, _ in factorize(n)]
+    e = (p - 1) // n
+    for x in range(1, p):
+        h = pow(x, e, p)
+        if all(pow(h, n // q, p) != 1 for q in qs):
+            return h
+    raise ValueError(f"no element of order {n} mod {p}")
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,29 @@
 """Prime scans for the sign of N(H_n,p) = 12*S(H_n,p) - p.
 
 For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
-(Z/pZ)* (smallest primitive root, then one power), evaluates the n Dedekind
-sums with the O(log p) descent in pure integer arithmetic, and records the
-exact integers 2S and N. No float ever enters the N <= 0 decision, and
-every record passes the parity audit (2S = (p-1)/2 mod 2, N odd) or the
-scan aborts: a violation would mean the engine is broken, not the data.
+(Z/pZ)* (the first power x^((p-1)/n) of exact order n), sums the n integers
+12*p*s(h,p) from the Dedekind kernel, and records the exact integers 2S and
+N. No float or fraction enters the N <= 0 decision, and every record passes
+the integrality and parity audits (2S = (p-1)/2 mod 2, N odd) or the scan
+aborts: a violation would mean the engine is broken, not the data.
 
-Scans checkpoint at segment boundaries (atomic JSON rename) and can resume;
-segments may also fan out to worker processes, with counts merged in
-ascending order so reports are identical for any worker count.
+Scans checkpoint at segment boundaries (records flushed to disk first, then
+an atomic JSON rename that stores the records' byte length) and can resume
+after a kill at any point; segments may fan out to worker processes, with
+counts merged in ascending order so reports are identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from .dedekind import dedekind_sum_parts
-from .numkernel import divisors, primes_in_progression
-from .unitgroups import primitive_root
+from .numkernel import divisors, is_prime, order_n_element, primes_in_progression
 
 __all__ = [
     "DensityReport",
@@ -89,25 +90,21 @@ def n_record(p: int, n: int) -> SurveyRecord:
     """Exact record for the order-n subgroup of (Z/pZ)*; needs n > 1, n | p-1."""
     if n <= 1:
         raise ValueError("n_record needs n > 1")
-    g = primitive_root(p)
-    h0 = pow(g, (p - 1) // n, p)
-    num, den = 0, 1
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    h0 = order_n_element(p, n)
+    total = 0  # sum over H of 12*p*s(h,p)
     h = 1
     for _ in range(n):
-        a, b = dedekind_sum_parts(h, p)
-        num = num * b + a * den
-        den *= b
-        gg = math.gcd(num, den)
-        if gg > 1:
-            num //= gg
-            den //= gg
+        total += dedekind_sum_parts(h, p)[0]
         h = h * h0 % p
-    if den not in (1, 2):
-        raise ArithmeticError(f"2*S(H_{n},{p}) is not an integer (den={den})")
-    two_s = 2 * num // den
+    twelve_s, rem = divmod(total, p)
+    if rem or twelve_s % 6:
+        raise ArithmeticError(f"2*S(H_{n},{p}) is not an integer (12*p*S = {total})")
+    two_s = twelve_s // 6
     if (two_s - (p - 1) // 2) % 2:
         raise ArithmeticError(f"parity audit failed at p={p}, n={n}: 2S={two_s}")
-    big_n = 6 * two_s - p
+    big_n = twelve_s - p
     if big_n % 2 == 0:
         raise ArithmeticError(f"N(H_{n},{p}) = {big_n} is even")
     return SurveyRecord(p, n, two_s, big_n, big_n <= 0)
@@ -126,6 +123,7 @@ class _Checkpoint:
     last_p: int
     c_prime: int
     c_leq0: int
+    records_offset: int | None = None  # bytes of the records file covered; absent in version 1
 
 
 def _load_checkpoint(path: str) -> _Checkpoint | None:
@@ -133,33 +131,50 @@ def _load_checkpoint(path: str) -> _Checkpoint | None:
         return None
     with open(path) as fh:
         data = json.load(fh)
-    data.pop("version", None)
+    if data.pop("version", 1) not in (1, 2):
+        raise ValueError(f"unsupported checkpoint version in {path}")
     return _Checkpoint(**data)
 
 
 def _save_checkpoint(path: str, ck: _Checkpoint) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"version": 1, **asdict(ck)}, fh)
+        json.dump({"version": 2, **asdict(ck)}, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
 class _RecordSink:
-    """CSV sink for record streams; appends on resume, headers once."""
+    """CSV sink for record streams. A fresh scan writes the header; a resumed
+    one appends after cutting the file back to the byte length its checkpoint
+    vouches for (a version-1 checkpoint holds none: plain append)."""
 
-    def __init__(self, path: str | None, fresh: bool):
-        self.path = path
+    def __init__(self, path: str | None, fresh: bool, offset: int | None = None):
         self.fh = None
-        if path is not None:
-            exists = os.path.exists(path) and os.path.getsize(path) > 0
-            self.fh = open(path, "w" if fresh or not exists else "a")
-            if fresh or not exists:
-                self.fh.write(CSV_HEADER + "\n")
+        if path is None:
+            return
+        if fresh or not (os.path.exists(path) and os.path.getsize(path) > 0):
+            self.fh = open(path, "w")
+            self.fh.write(CSV_HEADER + "\n")
+        elif offset is not None and offset > os.path.getsize(path):
+            raise ValueError(f"records file {path} is shorter than its checkpoint says")
+        else:
+            self.fh = open(path, "a")
+            self.fh.truncate(offset)  # None: at the current position, the end
 
     def write(self, records) -> None:
         if self.fh is not None:
             for rec in records:
                 self.fh.write(rec.csv_row() + "\n")
+
+    def sync(self) -> int | None:
+        """Flush the rows to disk; the file's byte length, or None without a file."""
+        if self.fh is None:
+            return None
+        self.fh.flush()
+        os.fsync(self.fh.fileno())
+        return os.fstat(self.fh.fileno()).st_size
 
     def close(self) -> None:
         if self.fh is not None:
@@ -191,60 +206,41 @@ def _scan(
     span_or_b: int,
     *,
     threads: int = 1,
-    segment_size: int = 1 << 20,
     checkpoint: str | None = None,
     records: str | None = None,
 ) -> DensityReport:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
+    if threads < 1:
+        raise ValueError(f"need threads >= 1, got {threads}")
+    if upper >= 1 << 63:
+        raise ValueError("the segment sieve works in int64: need scan bounds below 2^63")
     start = max(lower, 2)
     c_p = c_le = 0
-    fresh = True
-    if checkpoint:
-        ck = _load_checkpoint(checkpoint)
-        if ck is not None:
-            if (ck.mode, ck.n, ck.A, ck.span_or_B) != (mode, n, lower, span_or_b):
-                raise ValueError(
-                    f"checkpoint mismatch: file has {(ck.mode, ck.n, ck.A, ck.span_or_B)}, "
-                    f"scan wants {(mode, n, lower, span_or_b)}"
-                )
-            start = ck.last_p + 1
-            c_p, c_le = ck.c_prime, ck.c_leq0
-            fresh = False
-    sink = _RecordSink(records, fresh)
+    ck = _load_checkpoint(checkpoint) if checkpoint else None
+    if ck is not None:
+        if (ck.mode, ck.n, ck.A, ck.span_or_B) != (mode, n, lower, span_or_b):
+            raise ValueError(
+                f"checkpoint mismatch: file has {(ck.mode, ck.n, ck.A, ck.span_or_B)}, "
+                f"scan wants {(mode, n, lower, span_or_b)}"
+            )
+        start = ck.last_p + 1
+        c_p, c_le = ck.c_prime, ck.c_leq0
+    sink = _RecordSink(records, ck is None, ck.records_offset if ck else None)
+    size = max(1, min(1 << 20, -(-(upper - start + 1) // (4 * threads))))
+    segments = [(n, lo, min(lo + size - 1, upper), records is not None) for lo in range(start, upper + 1, size)]
     try:
-        if start <= upper:
-            segments = []
-            lo = start
-            while lo <= upper:
-                hi = min(lo + segment_size - 1, upper)
-                segments.append((n, lo, hi, records is not None))
-                lo = hi + 1
-            if threads > 1:
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    results = pool.map(_segment_worker, segments, chunksize=1)
-                    for (seg_n, seg_lo, seg_hi, _), (dp, dl, rows) in zip(segments, results):
-                        c_p += dp
-                        c_le += dl
-                        sink.write(rows)
-                        if checkpoint:
-                            _save_checkpoint(
-                                checkpoint,
-                                _Checkpoint(mode, n, lower, span_or_b, seg_hi, c_p, c_le),
-                            )
-            else:
-                for seg in segments:
-                    dp, dl, rows = _segment_worker(seg)
-                    c_p += dp
-                    c_le += dl
-                    sink.write(rows)
-                    if checkpoint:
-                        _save_checkpoint(
-                            checkpoint,
-                            _Checkpoint(mode, n, lower, span_or_b, seg[2], c_p, c_le),
-                        )
-        if checkpoint:
-            _save_checkpoint(checkpoint, _Checkpoint(mode, n, lower, span_or_b, upper, c_p, c_le))
+        with ProcessPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+            results = pool.map(_segment_worker, segments, chunksize=1) if pool else map(_segment_worker, segments)
+            for (_, _, seg_hi, _), (dp, dl, rows) in zip(segments, results):
+                c_p += dp
+                c_le += dl
+                sink.write(rows)
+                if checkpoint:  # rows reach the disk before the checkpoint that counts them
+                    ck = _Checkpoint(mode, n, lower, span_or_b, seg_hi, c_p, c_le, sink.sync())
+                    _save_checkpoint(checkpoint, ck)
+        if checkpoint and ck is None:  # an empty fresh range still leaves a checkpoint
+            _save_checkpoint(checkpoint, _Checkpoint(mode, n, lower, span_or_b, upper, c_p, c_le, sink.sync()))
     finally:
         sink.close()
     desc = f"p <= {upper}" if mode == "fixed" else f"{lower} <= p <= {upper}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .numkernel import divisors, factorize, is_prime, totient
+from .numkernel import divisors, factorize, is_prime, order_n_element, totient
 
 __all__ = [
     "DirichletCharacter",
@@ -48,19 +48,12 @@ def primitive_root(p: int) -> int:
         return 1
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    qs = [q for q, _ in factorize(p - 1)]
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-        g += 1
+    return _primitive_root_prime_power(p, 1)
 
 
 @lru_cache(maxsize=1 << 12)
 def _primitive_root_prime_power(p: int, e: int) -> int:
     """Smallest generator of the cyclic group (Z/p^eZ)*, p an odd prime."""
-    if e == 1:
-        return primitive_root(p)
     q = p**e
     phi = q // p * (p - 1)
     qs = [r for r, _ in factorize(phi)]
@@ -217,14 +210,11 @@ def subgroup_from_elements(f: int, elements, generators: tuple[int, ...] = ()) -
 def subgroup_of_order(n: int, p: int) -> Subgroup:
     """The unique order-n subgroup of the cyclic group (Z/pZ)*, p odd prime.
 
-    Constructed as <g^((p-1)/n)> for the smallest primitive root g.
+    Generated by the first power x^((p-1)/n) of exact order n.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    if n < 1 or (p - 1) % n != 0:
-        raise ValueError(f"{n} does not divide {p} - 1")
-    g = primitive_root(p)
-    return subgroup_from_generator(p, pow(g, (p - 1) // n, p))
+    return subgroup_from_generator(p, order_n_element(p, n))
 
 
 @lru_cache(maxsize=1 << 12)

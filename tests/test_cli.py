@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dsums.cli import main
+from dsums.cli import _intexpr, main
 
 
 def run(capsys, *argv):
@@ -123,3 +123,31 @@ def test_mean_square_kernel(capsys):
     blob = json.loads(out)
     assert code == 0 and blob["M"] == {"coef_num": 1, "coef_den": 27,
                                        "approx_decimal": blob["M"]["approx_decimal"]}
+
+
+@pytest.mark.parametrize("text, value", [("1e23", 10**23), ("10**5", 10**5), ("25e4", 250000), ("7", 7)])
+def test_intexpr_is_exact(text, value):
+    assert _intexpr(text) == value
+
+
+@pytest.mark.parametrize("argv, threads_env", [
+    (["survey", "--limit", "10**-1"], None),
+    (["survey", "--limit", "1e400"], None),
+    (["survey", "--limit", "100"], "x"),
+    (["survey", "--limit", "100", "--threads", "0"], None),
+    (["tables", "--table", "rho9-window"], None),
+    (["survey", "--from", "100"], None),
+    (["survey", "--all-odd", "--limit", "7", "--records", "r.csv"], None),
+    (["survey", "--all-odd", "--limit", "7", "--checkpoint", "c.json"], None),
+    (["survey", "--all-odd", "--limit", "7", "--threads", "2"], None),
+])
+def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
+    monkeypatch.chdir(tmp_path)
+    if threads_env is not None:
+        monkeypatch.setenv("DSUMS_THREADS", threads_env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2 and "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

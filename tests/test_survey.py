@@ -1,8 +1,16 @@
 import json
 import os
+import signal
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dsums
+from dsums.dedekind import dedekind_sum_naive
+from dsums.numkernel import divisors, is_prime
 from dsums.survey import (
     n_record,
     ratio_decimal,
@@ -67,8 +75,8 @@ def test_scan_all_odd_subgroups():
 
 
 def test_threads_deterministic():
-    seq = scan_fixed_n(5, 40000, segment_size=1 << 12)
-    par = scan_fixed_n(5, 40000, threads=2, segment_size=1 << 12)
+    seq = scan_fixed_n(5, 40000)
+    par = scan_fixed_n(5, 40000, threads=2)
     assert seq == par
 
 
@@ -126,7 +134,7 @@ def test_checkpoint_mismatch_errors(tmp_path):
 
 def test_checkpoint_written_during_scan(tmp_path):
     ck = str(tmp_path / "ck.json")
-    scan_fixed_n(9, 20000, checkpoint=ck, segment_size=1 << 12)
+    scan_fixed_n(9, 20000, checkpoint=ck)
     data = json.load(open(ck))
     assert data["mode"] == "fixed" and data["n"] == 9
     assert data["last_p"] == 20000
@@ -138,3 +146,77 @@ def test_scan_rejects_even_n():
         scan_fixed_n(4, 1000)
     with pytest.raises(ValueError):
         scan_fixed_n(1, 1000)
+
+
+def test_n_record_rejects_bad_input():
+    with pytest.raises(ValueError):
+        n_record(15, 7)  # 15 is not prime
+    with pytest.raises(ValueError):
+        n_record(13, 5)  # 5 does not divide 12
+
+
+def test_n_record_matches_naive_oracle_for_every_odd_n():
+    # H_n is the set of ((p-1)/n)-th powers, built without a generator search.
+    for p in range(3, 300):
+        if not is_prime(p):
+            continue
+        for n in divisors(p - 1):
+            if n == 1 or n % 2 == 0:
+                continue
+            sub = {pow(x, (p - 1) // n, p) for x in range(1, p)}
+            assert len(sub) == n
+            two_s = 2 * sum((dedekind_sum_naive(h, p) for h in sub), Fraction(0))
+            rec = n_record(p, n)
+            assert (rec.two_S, rec.N) == (two_s, 6 * two_s - p), (p, n)
+
+
+def test_scan_rejects_bad_threads_and_bounds():
+    with pytest.raises(ValueError):
+        scan_fixed_n(9, 1000, threads=0)
+    with pytest.raises(ValueError):
+        scan_fixed_n(9, 1 << 63)
+
+
+def test_checkpoint_carries_records_offset(tmp_path):
+    ck, rc = str(tmp_path / "ck.json"), str(tmp_path / "r.csv")
+    scan_fixed_n(9, 5000, checkpoint=ck, records=rc)
+    data = json.load(open(ck))
+    assert data["version"] == 2 and data["records_offset"] == os.path.getsize(rc)
+
+
+# A scan killed with SIGKILL, worker processes and all, at its second
+# checkpoint: either just before the checkpoint file is replaced (its rows
+# already flushed) or just after. It runs in its own session, so the kill
+# reaches nothing else.
+_KILLED_SCAN = """
+import os, signal, sys
+from dsums import survey
+save, calls = survey._save_checkpoint, []
+def dying_save(path, ck):
+    calls.append(ck)
+    if len(calls) == 2 and sys.argv[1] == "before":
+        os.killpg(0, signal.SIGKILL)
+    save(path, ck)
+    if len(calls) == 2:
+        os.killpg(0, signal.SIGKILL)
+survey._save_checkpoint = dying_save
+survey.scan_fixed_n(9, 10**5, threads=int(sys.argv[2]), records=sys.argv[3], checkpoint=sys.argv[4])
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_kill_and_resume_keeps_records_consistent(tmp_path, threads, when):
+    rc, ck = str(tmp_path / "r.csv"), str(tmp_path / "ck.json")
+    env = dict(os.environ, PYTHONPATH=str(Path(dsums.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _KILLED_SCAN, when, str(threads), rc, ck],
+                          env=env, timeout=120, start_new_session=True)
+    assert proc.returncode == -signal.SIGKILL
+    rep = resume(ck, threads=threads, records=rc)
+    assert (rep.c_prime, rep.c_leq0) == (1592, 838)
+    lines = open(rc).read().splitlines()
+    assert lines[0] == "p,n,two_S,N,nonpositive"
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert len(rows) == rep.c_prime
+    assert sum(r[4] == "true" for r in rows) == rep.c_leq0
+    assert len({r[0] for r in rows}) == len(rows)
