@@ -97,11 +97,12 @@ def cmd_tables(args) -> int:
 
 def cmd_verify(args) -> int:
     reports = run_suite(args.suite, args.max_modulus, args.seed)
-    failed = False
-    for rep in reports:
-        print(rep.summary())
-        failed = failed or not rep.ok
-    return 1 if failed else 0
+    if args.json:
+        print(json.dumps([rep.to_json() for rep in reports]))
+    else:
+        for rep in reports:
+            print(rep.summary())
+    return 0 if all(rep.ok for rep in reports) else 1
 
 
 def cmd_ef(args) -> int:
@@ -214,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--max-modulus", type=_intexpr, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true", help="print the reports, with cases and seconds, as JSON")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("ef", help="representations f=a^2+ab+b^2 and their subgroups")

@@ -11,13 +11,17 @@ Scans checkpoint at segment boundaries (records flushed to disk first, then
 an atomic JSON rename that stores the records' byte length) and can resume
 after a kill at any point; segments may fan out to worker processes, with
 counts merged in ascending order so reports are identical for any worker
-count.
+count, and each worker exits once the scan process that started it is gone.
+Primes come from a sieve, so the scans call n_record with sieved=True and
+skip its primality test.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -86,11 +90,14 @@ def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
     return "".join(out)
 
 
-def n_record(p: int, n: int) -> SurveyRecord:
-    """Exact record for the order-n subgroup of (Z/pZ)*; needs n > 1, n | p-1."""
+def n_record(p: int, n: int, *, sieved: bool = False) -> SurveyRecord:
+    """Exact record for the order-n subgroup of (Z/pZ)*; needs n > 1, n | p-1.
+
+    sieved=True skips the primality test, for a p the segment sieve already
+    proved prime."""
     if n <= 1:
         raise ValueError("n_record needs n > 1")
-    if not is_prime(p):
+    if not sieved and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     h0 = order_n_element(p, n)
     total = 0  # sum over H of 12*p*s(h,p)
@@ -185,12 +192,29 @@ class _RecordSink:
 # scan drivers
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker once the process that
+    started it is gone, so a scan killed on its own leaves no orphans.
+
+    It waits for EOF on the parent's sentinel pipe, which holds under every
+    start method; os.getppid() would name the fork server under 'forkserver'.
+    Under 'fork' a later worker inherits an earlier one's pipe, so the
+    workers exit one after the other, last started first."""
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _segment_worker(args: tuple[int, int, int, bool]):
     n, lo, hi, want_records = args
     c_p = c_le = 0
     rows: list[SurveyRecord] = []
     for p in primes_in_progression(lo, hi - lo, 2 * n, 1):
-        rec = n_record(p, n)
+        rec = n_record(p, n, sieved=True)
         c_p += 1
         c_le += rec.nonpositive
         if want_records:
@@ -230,7 +254,9 @@ def _scan(
     size = max(1, min(1 << 20, -(-(upper - start + 1) // (4 * threads))))
     segments = [(n, lo, min(lo + size - 1, upper), records is not None) for lo in range(start, upper + 1, size)]
     try:
-        with ProcessPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        with (
+            ProcessPoolExecutor(threads, initializer=_exit_with_parent) if threads > 1 else nullcontext()
+        ) as pool:
             results = pool.map(_segment_worker, segments, chunksize=1) if pool else map(_segment_worker, segments)
             for (_, _, seg_hi, _), (dp, dl, rows) in zip(segments, results):
                 c_p += dp
@@ -283,6 +309,6 @@ def scan_all_odd_subgroups(limit: int) -> DensityReport:
             if d % 2 == 0:
                 continue
             pairs += 1
-            if d == 1 or n_record(p, d).nonpositive:
+            if d == 1 or n_record(p, d, sieved=True).nonpositive:
                 nonpos += 1
     return DensityReport(None, f"p <= {limit}", pairs, nonpos, ratio_decimal(nonpos, pairs))

@@ -5,7 +5,9 @@ traces, kernels of reduction maps), and the Dirichlet character group with
 exact parity, subgroup-triviality tests, conductors and primitive values.
 
 Character values are complex floats; every *decision* (parity, triviality,
-conductor) is made on exact rational phases, never on floats.
+conductor) is made on exact phases, never on floats: rational angles for one
+character, or int64 residues mod the group exponent for the whole grid of
+exponent vectors at once (odd_character_mask).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .numkernel import divisors, factorize, is_prime, order_n_element, totient
 
@@ -30,6 +34,7 @@ __all__ = [
     "element_order",
     "elements_of_order",
     "kernel_subgroup",
+    "odd_character_mask",
     "odd_characters_trivial_on",
     "primitive_root",
     "primitive_value",
@@ -107,37 +112,52 @@ class UnitGroup:
         self.orders = tuple(orders)
         self.phi = math.prod(self.orders)
         self.exponent = math.lcm(*self.orders) if self.orders else 1
-        self._dlog: dict[int, tuple[int, ...]] | None = None
+        self._grid: np.ndarray | None = None
+        self._index: np.ndarray | None = None
 
-    def _table(self) -> dict[int, tuple[int, ...]]:
-        if self._dlog is None:
+    def grid(self) -> np.ndarray:
+        """The units as a read-only int64 array of shape orders: entry l is
+        prod generators[i]^l[i] mod f, so C order runs through the exponent
+        vectors lexicographically."""
+        if self._grid is None:
             f = self.modulus
-            pows = []
+            if f >= 1 << 31:
+                raise ValueError(f"modulus {f} too large for the int64 unit grid")
+            units = np.ones((), dtype=np.int64)
             for g, s in zip(self.generators, self.orders):
-                row = [1] * s
-                for e in range(1, s):
-                    row[e] = row[e - 1] * g % f
-                pows.append(row)
-            table = {}
-            for combo in itertools.product(*(range(s) for s in self.orders)):
-                v = 1
-                for row, e in zip(pows, combo):
-                    v = v * row[e] % f
-                table[v] = combo
-            self._dlog = table
-        return self._dlog
+                pows = np.ones(s, dtype=np.int64)
+                k = 1
+                while k < s:  # g^(k..2k-1) = g^(0..k-1) * g^k; products stay below f^2 < 2^62
+                    m = min(k, s - k)
+                    pows[k : k + m] = pows[:m] * pow(g, k, f) % f
+                    k *= 2
+                units = np.multiply.outer(units, pows) % f
+            units.flags.writeable = False
+            self._grid = units
+        return self._grid
+
+    def _flat_index(self) -> np.ndarray:
+        """For each residue mod f, its flat position in grid(); -1 off the units."""
+        if self._index is None:
+            index = np.full(self.modulus, -1, dtype=np.int64)
+            index[self.grid().ravel()] = np.arange(self.phi, dtype=np.int64)
+            self._index = index
+        return self._index
 
     @property
     def units(self) -> tuple[int, ...]:
-        return tuple(sorted(self._table()))
+        return tuple(np.flatnonzero(self._flat_index() >= 0).tolist())
 
     def dlog(self, x: int) -> tuple[int, ...]:
         """Exponent vector of x against the generators."""
-        x %= self.modulus
-        try:
-            return self._table()[x]
-        except KeyError:
-            raise ValueError(f"{x} is not a unit mod {self.modulus}") from None
+        k = int(self._flat_index()[x % self.modulus])
+        if k < 0:
+            raise ValueError(f"{x} is not a unit mod {self.modulus}")
+        logs = []
+        for s in reversed(self.orders):
+            k, e = divmod(k, s)
+            logs.append(e)
+        return tuple(reversed(logs))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"UnitGroup({self.modulus}, orders={self.orders})"
@@ -230,20 +250,14 @@ def kernel_subgroup(f: int, f_prime: int) -> Subgroup:
 
 @lru_cache(maxsize=256)
 def _units_by_order(f: int) -> dict[int, tuple[int, ...]]:
+    """Units mod f grouped by order: the unit at grid position l has order
+    lcm_i s_i/gcd(s_i, l_i)."""
     g = unit_group(f)
-    buckets: dict[int, list[int]] = {}
-    if len(g.generators) <= 1:
-        # cyclic case: orders drop out of exponents, no modexp needed
-        gen = g.generators[0] if g.generators else 1
-        phi = g.phi
-        val = 1
-        for k in range(phi):
-            buckets.setdefault(phi // math.gcd(phi, k), []).append(val)
-            val = val * gen % f
-    else:
-        for x in g.units:
-            buckets.setdefault(element_order(x, f), []).append(x)
-    return {o: tuple(sorted(v)) for o, v in buckets.items()}
+    order = np.ones((), dtype=np.int64)
+    for s in g.orders:
+        order = np.lcm.outer(order, s // np.gcd(np.arange(s), s))
+    units, order = g.grid().ravel(), order.ravel()
+    return {int(o): tuple(np.sort(units[order == o]).tolist()) for o in np.unique(order)}
 
 
 def elements_of_order(q: int, f: int) -> tuple[int, ...]:
@@ -351,21 +365,41 @@ def characters(f: int) -> tuple[DirichletCharacter, ...]:
     )
 
 
-@lru_cache(maxsize=512)
-def odd_characters_trivial_on(sub: Subgroup) -> tuple[DirichletCharacter, ...]:
-    """X_f^-(H): the phi(f)/(2n) odd characters trivial on H; needs -1 not in H."""
+def _phases(g: UnitGroup, x: int) -> np.ndarray:
+    """phase_j(x) = sum_i j_i * dlog_i(x) * E/s_i mod E for every exponent vector j,
+    as an array of shape g.orders (each term below E^2, their sum below r*E)."""
+    big = g.exponent
+    axes = [np.arange(s, dtype=np.int64) * (l * (big // s) % big) % big for l, s in zip(g.dlog(x), g.orders)]
+    return sum(np.ix_(*axes)) % big
+
+
+@lru_cache(maxsize=64)
+def odd_character_mask(sub: Subgroup) -> np.ndarray:
+    """X_f^-(H) as a read-only boolean array over the exponent grid unit_group(f).orders.
+
+    Entry j is set when chi_j is odd (phase_j(-1) = E/2) and trivial on H
+    (phase_j(h) = 0 mod E for each generator h), E the group exponent; the
+    test is exact int64 index arithmetic. Needs -1 not in H.
+    """
     if sub.contains_minus_one:
         raise ValueError("-1 in H: no odd character is trivial on H")
-    probe = sub.generators if sub.generators else sub.elements
-    out = tuple(
-        ch for ch in characters(sub.modulus) if ch.is_odd and ch.is_trivial_on(probe)
-    )
-    expected = totient(sub.modulus) // (2 * sub.order)
-    if len(out) != expected:
-        raise ArithmeticError(
-            f"character count mismatch mod {sub.modulus}: got {len(out)}, expected {expected}"
-        )
-    return out
+    g = unit_group(sub.modulus)
+    mask = _phases(g, sub.modulus - 1) * 2 == g.exponent
+    for h in sub.generators if sub.generators else sub.elements:
+        mask &= _phases(g, h) == 0
+    got, expected = int(mask.sum()), totient(sub.modulus) // (2 * sub.order)
+    if got != expected:
+        raise ArithmeticError(f"character count mismatch mod {sub.modulus}: got {got}, expected {expected}")
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=512)
+def odd_characters_trivial_on(sub: Subgroup) -> tuple[DirichletCharacter, ...]:
+    """X_f^-(H): the phi(f)/(2n) odd characters trivial on H, in the order of
+    characters(f); needs -1 not in H."""
+    f = sub.modulus
+    return tuple(DirichletCharacter(f, tuple(map(int, j))) for j in np.argwhere(odd_character_mask(sub)))
 
 
 @lru_cache(maxsize=1 << 12)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .classnumber import b1_chi_mp, relative_class_number, upper_bound_h3_field, upper_bound_subfield
@@ -57,10 +58,14 @@ class VerifyReport:
     run: int
     passed: int
     first_failure: str | None
+    seconds: float
 
     @property
     def ok(self) -> bool:
         return self.passed == self.run
+
+    def to_json(self) -> dict:
+        return {**asdict(self), "ok": self.ok}
 
     def summary(self) -> str:
         line = f"suite {self.suite}: {self.passed}/{self.run} checks passed"
@@ -75,6 +80,7 @@ class _Tally:
         self.run = 0
         self.passed = 0
         self.first_failure: str | None = None
+        self.start = time.perf_counter()
 
     def check(self, ok: bool, detail: str) -> None:
         self.run += 1
@@ -87,7 +93,7 @@ class _Tally:
         self.check(got == expected, f"{label}: expected {expected}, got {got}")
 
     def report(self) -> VerifyReport:
-        return VerifyReport(self.suite, self.run, self.passed, self.first_failure)
+        return VerifyReport(self.suite, self.run, self.passed, self.first_failure, time.perf_counter() - self.start)
 
 
 def _coprime_pairs(rng: random.Random, count: int, dmax: int):

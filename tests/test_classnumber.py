@@ -41,16 +41,24 @@ def test_conductor_budget():
 
 
 def test_bernoulli_oracle():
-    # h^- = Q w prod(-B_{1,chi}/2) over the odd characters, independently
-    for p in (7, 23):
+    # h^- = Q w prod(-B_{1,chi}/2) over the odd characters trivial on the
+    # order-(p-1)/m subgroup H, independently; Q = 1, w = 2p for the full
+    # field, else 2
+    for p, m in ((7, 6), (23, 22), (181, 180), (191, 190), (199, 198), (181, 60), (199, 66)):
+        h_elements = {pow(x, m, p) for x in range(1, p)}
         with mp.workdps(60):
             prod = mp.mpc(1)
+            count = 0
             for ch in characters(p):
-                if ch.is_odd:
+                if ch.is_odd and ch.is_trivial_on(h_elements):
                     prod *= -b1_chi_mp(ch) / 2
-            h = 2 * p * prod
-            assert abs(h.imag) < mp.mpf("1e-30")
-            assert abs(h.real - relative_class_number(p, p - 1)) < mp.mpf("1e-6")
+                    count += 1
+            assert count == m // 2
+            h = (2 * p if m == p - 1 else 2) * prod
+            assert abs(h.imag) < mp.mpf("1e-30") * abs(h)  # h^- reaches 2e32 at p = 199
+            want = int(mp.nint(h.real))
+            assert abs(h.real - want) < mp.mpf("1e-6")
+        assert relative_class_number(p, m) == want
 
 
 def test_full_field_bound_chain():

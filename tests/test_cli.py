@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dsums import cli
 from dsums.cli import _intexpr, main
+from dsums.verify import VerifyReport
 
 
 def run(capsys, *argv):
@@ -82,6 +84,22 @@ def test_verify_suite_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernel-theorem")
     assert code == 0
     assert "kernel-theorem" in out and "passed" in out
+
+
+def test_verify_json(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--suite", "kernel-theorem", "--json")
+    assert code == 0
+    (rep,) = json.loads(out)
+    assert rep["suite"] == "kernel-theorem" and rep["ok"] and rep["passed"] == rep["run"] > 0
+    assert rep["first_failure"] is None and rep["seconds"] >= 0
+    failing = VerifyReport("demo", 2, 1, "case 2", 0.5)
+    monkeypatch.setattr(cli, "run_suite", lambda *args: [failing])
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == 1
+    assert json.loads(out) == [{"suite": "demo", "run": 2, "passed": 1, "first_failure": "case 2",
+                                "seconds": 0.5, "ok": False}]
+    code, out, _ = run(capsys, "verify")
+    assert code == 1 and out == "suite demo: 1/2 checks passed\n  first failure: case 2\n"
 
 
 def test_ef_json(capsys):

@@ -21,6 +21,7 @@ from dsums.meansquare import (
     subgroup_sum_tilde,
 )
 from dsums.dedekind import dedekind_sum, s_one
+from dsums.eisenstein import order3_subgroups_from_ef
 from dsums.numkernel import sieve_upto
 from dsums.unitgroups import (
     characters,
@@ -152,11 +153,16 @@ def test_l_one_against_series_oracle():
 
 
 def test_mean_square_numeric_matches_exact():
-    for f, sub in (
+    # 99463 = 7 * 13 * 1093 has a three-axis unit grid (6, 12, 1092)
+    cases = [
         (7, subgroup_of_order(3, 7)),
         (9, trivial_subgroup(9)),
         (91, subgroup_from_elements(91, (1, 9, 81))),
-    ):
+        (99991, subgroup_of_order(3, 99991)),
+    ]
+    cases += [(99463, sub) for sub in order3_subgroups_from_ef(99463)]
+    assert len(cases) == 8
+    for f, sub in cases:
         exact = float(mean_square_exact(f, sub))
         assert abs(mean_square_numeric(f, sub) - exact) / exact < 1e-9
 

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,3 +221,60 @@ def test_kill_and_resume_keeps_records_consistent(tmp_path, threads, when):
     assert len(rows) == rep.c_prime
     assert sum(r[4] == "true" for r in rows) == rep.c_leq0
     assert len({r[0] for r in rows}) == len(rows)
+
+
+# A threads = 2 scan whose workers log their pids, long enough to be killed
+# mid-run, under the start method given as argv[2]. Only the parent gets the
+# SIGKILL. It runs from a file so that 'forkserver' workers can import logged.
+_ORPHANING_SCAN = """
+import multiprocessing, os, sys
+from dsums import survey
+work = survey._segment_worker
+def logged(args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return work(args)
+survey._segment_worker = logged
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[2])
+    survey.scan_fixed_n(9, 10**9, threads=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_workers_exit_when_the_parent_is_killed(tmp_path, method):
+    log, script = tmp_path / "pids", tmp_path / "scan.py"
+    script.write_text(_ORPHANING_SCAN)
+    env = dict(os.environ, PYTHONPATH=str(Path(dsums.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, str(script), str(log), method], env=env, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        pids: set[int] = set()
+        while len(pids) < 2 and time.monotonic() < deadline:
+            time.sleep(0.1)
+            pids = {int(x) for x in log.read_text().split()} if log.exists() else set()
+        assert len(pids) == 2
+        time.sleep(1.5)  # the watch threads are up and the workers still work
+        assert proc.poll() is None and all(map(_running, pids))
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids))
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole session, should the workers live on
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)

@@ -169,6 +169,19 @@ def test_odd_characters_counts_general():
             assert ch.is_odd and ch.is_trivial_on(sub.elements)
 
 
+def test_odd_characters_index_arithmetic_matches_exact_filter():
+    cases = 0
+    for f in range(3, 201):
+        odd = [ch for ch in characters(f) if ch.is_odd]
+        for sub in cyclic_subgroups(f):
+            if sub.contains_minus_one:
+                continue
+            want = tuple(ch for ch in odd if ch.is_trivial_on(sub.elements))
+            assert odd_characters_trivial_on(sub) == want, (f, sub.generators)
+            cases += 1
+    assert cases == 1807
+
+
 def test_odd_characters_reject_minus_one():
     with pytest.raises(ValueError):
         odd_characters_trivial_on(subgroup_from_generator(7, 6))  # -1 in H
