@@ -19,6 +19,7 @@ from .classnumber import relative_class_number, upper_bound_h3_field, upper_boun
 from .dedekind import dedekind_sum, dedekind_sum_naive
 from .eisenstein import e_f, order3_subgroups_from_ef, representations
 from .meansquare import (
+    mean_square_closed_h3,
     mean_square_exact,
     mean_square_numeric,
     subgroup_sum_S,
@@ -88,10 +89,8 @@ def cmd_tables(args) -> int:
         print(f"{_fmt_limit(args.window_from)} | {_fmt_limit(args.span)} | "
               f"{rep.c_prime} | {rep.c_leq0} | {rep.rho}...")
         return 0
-    n = _TABLE_N[args.table]
-    limit = args.limit or 10**5
-    rep = survey_mod.scan_fixed_n(n, limit, threads=args.threads)
-    print(f"{_fmt_limit(limit)} | {rep.c_prime} | {rep.c_leq0} | {rep.rho}...")
+    rep = survey_mod.scan_fixed_n(_TABLE_N[args.table], args.limit, threads=args.threads)
+    print(f"{_fmt_limit(args.limit)} | {rep.c_prime} | {rep.c_leq0} | {rep.rho}...")
     return 0
 
 
@@ -110,12 +109,7 @@ def cmd_ef(args) -> int:
     reps = representations(f)
     ratios = e_f(f)
     subs = order3_subgroups_from_ef(f)
-    from .numkernel import factorize, totient
-
-    prod = Fraction(1)
-    for p, _ in factorize(f):
-        prod *= 1 + Fraction(1, p)
-    closed = Fraction(totient(f), 12) * (prod - Fraction(1, f))
+    closed = mean_square_closed_h3(f).coefficient * f / 2
     out = {
         "f": f,
         "representations": [[r.a, r.b] for r in reps],
@@ -132,7 +126,7 @@ def cmd_ef(args) -> int:
 
 def cmd_class_number(args) -> int:
     p = args.p
-    m = args.degree or (p - 1)
+    m = p - 1 if args.degree is None else args.degree
     h = relative_class_number(p, m, dps=args.dps)
     bound10 = upper_bound_subfield(p, m)
     if m == (p - 1) // 3 and p % 6 == 1:
@@ -205,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce the density table rows")
     p.add_argument("--table", choices=sorted(_TABLE_N) + ["rho9-window"], required=True)
-    p.add_argument("--limit", type=_intexpr, default=None)
+    p.add_argument("--limit", type=_intexpr, default=10**5)
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
     p.add_argument("--span", type=_intexpr, default=None)
     p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")

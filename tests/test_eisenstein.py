@@ -65,16 +65,6 @@ def test_order3_subgroups():
             assert s.is_closed()
 
 
-def test_closed_form_over_ef_subgroups():
-    for f in eisenstein_moduli(3000):
-        prod = Fraction(1)
-        for p, _ in factorize(f):
-            prod *= 1 + Fraction(1, p)
-        want = Fraction(totient(f), 12) * (prod - Fraction(1, f))
-        for sub in order3_subgroups_from_ef(f):
-            assert subgroup_sum_tilde(sub) == want
-
-
 def test_counterexample_at_91():
     want = Fraction(666, 91)
     assert subgroup_sum_tilde(subgroup_from_generator(91, 29)) == Fraction(610, 91) != want

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -121,13 +120,6 @@ def test_trace_examples():
     assert (t.residue, t.gcd) == (0, 7)
     t = trace(subgroup_from_elements(11, (1,)))
     assert (t.residue, t.gcd) == (1, 1)
-
-
-def test_trace_gcd_nontrivial():
-    for f in range(3, 500):
-        for sub in cyclic_subgroups(f):
-            if sub.order > 1:
-                assert trace(sub).gcd > 1
 
 
 def test_character_counts():
