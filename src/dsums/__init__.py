@@ -53,13 +53,11 @@ from .unitgroups import (
     DirichletCharacter,
     Subgroup,
     characters,
-    conductor,
     element_order,
     elements_of_order,
     kernel_subgroup,
     odd_characters_trivial_on,
     primitive_root,
-    primitive_value,
     subgroup_from_elements,
     subgroup_from_generator,
     subgroup_of_order,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .meansquare import char_value_mp, euler_correction_pi, mean_square_exact
-from .numkernel import is_prime
+from .numkernel import is_prime, totient
 from .unitgroups import DirichletCharacter, Subgroup, odd_characters_trivial_on, subgroup_of_order, unit_group
 
 __all__ = [
@@ -131,36 +131,48 @@ def b1_chi_mp(chi: DirichletCharacter):
     return acc / f
 
 
+def _power_or_inf(base: Fraction, expo: float) -> float:
+    """float(base) ** expo, or math.inf where that is beyond the float range."""
+    try:
+        return float(base) ** expo
+    except OverflowError:
+        return math.inf
+
+
 def upper_bound_subfield(p: int, m: int) -> float:
-    """Bound h^- <= w_K * (p*M(p,H)/(4 pi^2))^(m/4) with exact M coefficient."""
+    """Bound h^- <= w_K * (p*M(p,H)/(4 pi^2))^(m/4) with exact M coefficient;
+    math.inf when the bound is beyond the float range."""
     ctx = field_context(p, m)
     coef = mean_square_exact(p, _galois_kernel(p, m)).coefficient
-    return ctx.w_k * float(Fraction(p, 4) * coef) ** (m / 4)
+    return ctx.w_k * _power_or_inf(Fraction(p, 4) * coef, m / 4)
 
 
 def upper_bound_h3_field(p: int) -> tuple[float, float]:
     """Bounds for the degree-(p-1)/3 subfield: the M(p,H_3)-based bound and
-    the simplified 2*(p/24)^((p-1)/12); returns (sharp, simple), sharp <= simple."""
+    the simplified 2*(p/24)^((p-1)/12); returns (sharp, simple), sharp <= simple.
+
+    The ordering is decided exactly, as coefficient <= 1/6; either bound is
+    math.inf when beyond the float range.
+    """
     if not is_prime(p) or p % 6 != 1:
         raise ValueError(f"need a prime p = 1 mod 6, got {p}")
     coef = mean_square_exact(p, subgroup_of_order(3, p)).coefficient
+    if coef > Fraction(1, 6):
+        raise ArithmeticError(f"bound ordering violated at p={p}: coefficient {coef} > 1/6")
     expo = (p - 1) / 12
-    sharp = 2 * float(Fraction(p, 4) * coef) ** expo
-    simple = 2 * (p / 24) ** expo
-    if sharp > simple * (1 + 1e-12):
-        raise ArithmeticError(f"bound ordering violated at p={p}: {sharp} > {simple}")
-    return sharp, simple
+    return 2 * _power_or_inf(Fraction(p, 4) * coef, expo), 2 * _power_or_inf(Fraction(p, 24), expo)
 
 
 def general_bound(f: int, sub: Subgroup, q_k: int, w_k: int, d_ratio_sqrt: float) -> float:
     """Arithmetic-geometric-mean bound for general modulus f:
 
     h^- <= (Q_K w_K / Pi(f,H)) * sqrt(d_K/d_{K+}) * (M(f,H)/(4 pi^2))^(n/2),
-    with n the number of odd characters trivial on H.
+    with n the number of odd characters trivial on H; the prefactor
+    Q_K w_K / Pi(f,H) is exact, since Pi(f,H) is an exact rational.
     """
     if q_k not in (1, 2):
         raise ValueError("Hasse unit index must be 1 or 2")
-    n = len(odd_characters_trivial_on(sub))
     coef = mean_square_exact(f, sub).coefficient
-    pi_corr = euler_correction_pi(f, sub)
-    return q_k * w_k / pi_corr * d_ratio_sqrt * float(coef / 4) ** (n / 2)
+    n = totient(f) // (2 * sub.order)
+    prefactor = q_k * w_k / euler_correction_pi(f, sub)
+    return float(prefactor) * d_ratio_sqrt * float(coef / 4) ** (n / 2)

@@ -83,14 +83,19 @@ def cmd_survey(args) -> int:
     return 0
 
 
+def _rho_cell(rep) -> str:
+    """rho as a table cell: truncated digits end in "...", an empty range has none."""
+    return f"{rep.rho}..." if rep.c_prime else rep.rho
+
+
 def cmd_tables(args) -> int:
     if args.table == "rho9-window":
         rep = survey_mod.scan_window(9, args.window_from, args.span, threads=args.threads)
         print(f"{_fmt_limit(args.window_from)} | {_fmt_limit(args.span)} | "
-              f"{rep.c_prime} | {rep.c_leq0} | {rep.rho}...")
+              f"{rep.c_prime} | {rep.c_leq0} | {_rho_cell(rep)}")
         return 0
     rep = survey_mod.scan_fixed_n(_TABLE_N[args.table], args.limit, threads=args.threads)
-    print(f"{_fmt_limit(args.limit)} | {rep.c_prime} | {rep.c_leq0} | {rep.rho}...")
+    print(f"{_fmt_limit(args.limit)} | {rep.c_prime} | {rep.c_leq0} | {_rho_cell(rep)}")
     return 0
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "s_near_one_closed",
     "s_one",
     "tilde_s_one",
+    "tilde_sum_numerator",
 ]
 
 
@@ -98,25 +99,34 @@ def s_one(d: int) -> Fraction:
     return Fraction((d - 1) * (d - 2), 12 * d)
 
 
-def _moebius_combination(c: int, f: int, s) -> Fraction:
+def tilde_sum_numerator(cs, f: int) -> int:
+    """12f * sum of tilde s(c,f) over the residues c coprime to f, an integer.
+
+    tilde s(c,f) = sum_{delta|f} mu(delta)/delta * s(c, f/delta), and
+    12(f/delta) s(c, f/delta) is the integer dedekind_sum_parts(c, f/delta)[0],
+    so each term is mu(delta) times one kernel numerator.
+    """
     if f < 2:
         raise ValueError(f"restricted sum needs modulus >= 2, got {f}")
-    _check_args(c, f)
-    return sum((Fraction(mu, e) * s(c, f // e) for e in divisors(f) if (mu := mobius(e))), Fraction(0))
+    return sum(mu * dedekind_sum_parts(c, f // e)[0] for e in divisors(f) if (mu := mobius(e)) for c in cs)
 
 
 def dedekind_sum_tilde(c: int, f: int) -> Fraction:
     """Restricted sum over residues coprime to f.
 
-    tilde s(c,f) = sum_{delta | f} mu(delta)/delta * s(c, f/delta); every
-    term goes through the fast engine.
+    tilde s(c,f) = sum_{delta | f} mu(delta)/delta * s(c, f/delta), taken as
+    one integer over 12f through the fast engine.
     """
-    return _moebius_combination(c, f, dedekind_sum)
+    return Fraction(tilde_sum_numerator((c,), f), 12 * f)
 
 
 def dedekind_sum_tilde_naive(c: int, f: int) -> Fraction:
-    """Same Moebius combination but over the naive sawtooth oracle (tests)."""
-    return _moebius_combination(c, f, dedekind_sum_naive)
+    """Same Moebius combination as one Fraction per divisor over the naive
+    sawtooth oracle (tests)."""
+    if f < 2:
+        raise ValueError(f"restricted sum needs modulus >= 2, got {f}")
+    _check_args(c, f)
+    return sum((Fraction(mu, e) * dedekind_sum_naive(c, f // e) for e in divisors(f) if (mu := mobius(e))), Fraction(0))
 
 
 def tilde_s_one(f: int) -> Fraction:

@@ -78,9 +78,10 @@ class DensityReport:
 
 
 def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
-    """Truncated decimal expansion of num/den to `digits` places."""
+    """Truncated decimal expansion of num/den to `digits` places; "undefined"
+    when den = 0, as for the density of an empty range."""
     if den == 0:
-        return "nan"
+        return "undefined"
     whole, rem = divmod(num, den)
     out = [str(whole), "."]
     for _ in range(digits):

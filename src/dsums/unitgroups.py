@@ -2,17 +2,17 @@
 
 CRT-factored generators for (Z/fZ)*, explicit subgroups (element lists,
 traces, kernels of reduction maps), and the Dirichlet character group with
-exact parity, subgroup-triviality tests, conductors and primitive values.
+exact parity and subgroup-triviality tests.
 
-Character values are complex floats; every *decision* (parity, triviality,
-conductor) is made on exact phases, never on floats: rational angles for one
-character, or int64 residues mod the group exponent for the whole grid of
-exponent vectors at once (odd_character_mask).
+Characters are evaluated on exact phases, never on floats: rational angles
+for one character (DirichletCharacter.angle, the term-by-term oracle), or
+int64 residues mod the group exponent for the whole grid of exponent vectors
+at once (odd_character_mask, and euler_phase_orders for the primitive values
+chi*(q) that make the Euler factor Pi(f,H) an exact rational).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkernel import divisors, factorize, is_prime, order_n_element, totient
+from .numkernel import factorize, is_prime, order_n_element, totient
 
 __all__ = [
     "DirichletCharacter",
@@ -29,15 +29,14 @@ __all__ = [
     "TraceValue",
     "UnitGroup",
     "characters",
-    "conductor",
     "cyclic_subgroups",
     "element_order",
     "elements_of_order",
+    "euler_phase_orders",
     "kernel_subgroup",
     "odd_character_mask",
     "odd_characters_trivial_on",
     "primitive_root",
-    "primitive_value",
     "subgroup_from_elements",
     "subgroup_from_generator",
     "subgroup_of_order",
@@ -84,7 +83,8 @@ class UnitGroup:
     every other prime-power component, so exponent vectors against
     (generators, orders) parameterize the whole group. For odd prime powers
     the component generator is the smallest primitive root; for 2^k (k>=3)
-    the components are <-1> and <5>.
+    the components are <-1> and <5>. axis_primes[i] is the prime whose
+    component generators[i] generates.
     """
 
     def __init__(self, modulus: int):
@@ -93,6 +93,7 @@ class UnitGroup:
         self.modulus = modulus
         gens: list[int] = []
         orders: list[int] = []
+        axis_primes: list[int] = []
         for p, e in factorize(modulus):
             q = p**e
             rest = modulus // q
@@ -108,8 +109,10 @@ class UnitGroup:
             for g, order in comps:
                 gens.append(_crt_lift(g, q, rest))
                 orders.append(order)
+                axis_primes.append(p)
         self.generators = tuple(gens)
         self.orders = tuple(orders)
+        self.axis_primes = tuple(axis_primes)
         self.phi = math.prod(self.orders)
         self.exponent = math.lcm(*self.orders) if self.orders else 1
         self._grid: np.ndarray | None = None
@@ -331,12 +334,6 @@ class DirichletCharacter:
         t = sum(e * l * (big // s) for e, l, s in zip(self.exponents, logs, g.orders)) % big
         return Fraction(t, big)
 
-    def __call__(self, x: int) -> complex:
-        if math.gcd(x, self.modulus) != 1:
-            return 0j
-        a = self.angle(x)
-        return cmath.exp(2j * cmath.pi * (a.numerator / a.denominator))
-
     @property
     def is_odd(self) -> bool:
         return self.angle(self.modulus - 1) == Fraction(1, 2)
@@ -401,36 +398,26 @@ def odd_characters_trivial_on(sub: Subgroup) -> tuple[DirichletCharacter, ...]:
     return tuple(DirichletCharacter(f, tuple(map(int, j))) for j in np.argwhere(odd_character_mask(sub)))
 
 
-@lru_cache(maxsize=1 << 12)
-def conductor(chi: DirichletCharacter) -> int:
-    """Smallest d | f such that chi is trivial on the kernel of f -> d."""
-    f = chi.modulus
-    for d in divisors(f):
-        if chi.is_trivial_on(kernel_subgroup(f, d).elements):
-            return d
-    return f  # pragma: no cover - d = f always matches
+def euler_phase_orders(sub: Subgroup) -> dict[int, dict[int, int]]:
+    """{q: {d: c_d}} over the primes q | f, c_d the number of chi in X_f^-(H)
+    whose primitive value chi*(q) is a primitive d-th root of unity.
 
-
-def _unit_lift(f: int, d: int, q: int) -> int:
-    """A unit x mod f with x = q (mod d); q must be coprime to d, d | f."""
-    x, mod = 0, 1
-    for p, e in factorize(f):
-        pe = p**e
-        target = q % pe if d % p == 0 else 1
-        k = (target - x) * pow(mod, -1, pe) % pe
-        x, mod = x + mod * k, mod * pe
-    return x % f
-
-
-def primitive_value(chi: DirichletCharacter, q: int) -> complex:
-    """chi*(q) for the primitive character chi* inducing chi.
-
-    Zero when q shares a factor with the conductor; otherwise chi evaluated
-    at any unit mod f congruent to q modulo the conductor.
+    chi*(q) = 0 exactly when q divides the conductor of chi, that is when chi
+    is nontrivial on q's own axes of the grid; those chi are left out. For the
+    others the conductor divides f/q^e, so chi*(q) = chi(x) at the unit
+    x = q (mod f/q^e), x = 1 (mod q^e), read off the same int64 phase grid
+    as odd_character_mask.
     """
-    d = conductor(chi)
-    if d == 1:
-        return 1 + 0j
-    if math.gcd(q, d) != 1:
-        return 0j
-    return chi(_unit_lift(chi.modulus, d, q))
+    f = sub.modulus
+    g = unit_group(f)
+    big = g.exponent
+    out = {}
+    for q, e in factorize(f):
+        kept = odd_character_mask(sub).copy()
+        for axis, p in enumerate(g.axis_primes):
+            if p == q:
+                kept[(slice(None),) * axis + (slice(1, None),)] = False
+        phases = _phases(g, _crt_lift(q, f // q**e, q**e))[kept]
+        orders, counts = np.unique(big // np.gcd(phases, big), return_counts=True)
+        out[q] = dict(zip(orders.tolist(), counts.tolist()))
+    return out

@@ -13,6 +13,8 @@ import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+from mpmath import mp
+
 from .classnumber import b1_chi_mp, relative_class_number, upper_bound_h3_field, upper_bound_subfield
 from .dedekind import (
     dedekind_sum,
@@ -40,6 +42,7 @@ from .numkernel import divisors, factorize, sieve_upto
 from .survey import n_record
 from .unitgroups import (
     Subgroup,
+    characters,
     cyclic_subgroups,
     elements_of_order,
     kernel_subgroup,
@@ -429,13 +432,10 @@ def suite_class_number(max_modulus: int | None = None, seed: int = 0) -> VerifyR
         t.check(h <= sharp <= simple * (1 + 1e-12), f"order-3 bound chain at p={p}: {h} vs {sharp} vs {simple}")
 
     # independent generalized-Bernoulli route
-    from mpmath import mp
-
     for p in (7, 23):
         with mp.workdps(60):
-            chars = _odd_primitive_chars(p)
             prod = mp.mpf(1)
-            for ch in chars:
+            for ch in (ch for ch in characters(p) if ch.is_odd):
                 prod *= -b1_chi_mp(ch) / 2
             h_bern = 2 * p * prod
             t.check(
@@ -444,21 +444,12 @@ def suite_class_number(max_modulus: int | None = None, seed: int = 0) -> VerifyR
             )
 
     # Euler correction factor: 1 at prime powers, 100/91 at the worked case
-    for f, sub in ((49, trivial_subgroup(49)), (121, trivial_subgroup(121)), (169, subgroup_of_order_mod_169())):
-        t.check(abs(euler_correction_pi(f, sub) - 1) < 1e-9, f"Pi({f},H) != 1")
+    # 22 = 9 mod 13 lifted; order 3 mod 169
+    for f, sub in ((49, trivial_subgroup(49)), (121, trivial_subgroup(121)), (169, subgroup_from_generator(169, 22))):
+        t.equal(euler_correction_pi(f, sub), Fraction(1), f"Pi({f},H)")
     h91 = subgroup_from_elements(91, (1, 9, 81))
-    t.check(abs(euler_correction_pi(91, h91) - 100 / 91) < 1e-9, "Pi(91,H3) != 100/91")
+    t.equal(euler_correction_pi(91, h91), Fraction(100, 91), "Pi(91,H3)")
     return t.report()
-
-
-def _odd_primitive_chars(p: int):
-    from .unitgroups import characters
-
-    return [ch for ch in characters(p) if ch.is_odd]
-
-
-def subgroup_of_order_mod_169():
-    return subgroup_from_generator(169, 22)  # 22 = 9 mod 13 lifted; order 3 mod 169
 
 
 SUITES = {

@@ -79,6 +79,12 @@ def test_order3_subfield_bound_chain():
         upper_bound_h3_field(11)
 
 
+def test_bounds_beyond_float_range():
+    # the full-field bound at p = 1009 exceeds 1e308; p = 4003 = 1 mod 6 puts both order-3 bounds there
+    assert upper_bound_subfield(1009, 1008) == math.inf
+    assert upper_bound_h3_field(4003) == (math.inf, math.inf)
+
+
 def test_expected_heuristic_form():
     # replacing M by pi^2/6 in the bound_eq10 formula gives w*(p/24)^(m/4)
     for p, m in ((13, 4), (31, 10), (23, 22)):

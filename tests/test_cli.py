@@ -1,7 +1,10 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import dsums
 from dsums import cli
 from dsums.cli import _intexpr, main
 from dsums.verify import VerifyReport
@@ -54,6 +57,14 @@ def test_survey_csv_out(capsys):
     assert row.startswith("5,p <= 3000,")
 
 
+def test_survey_empty_range(capsys):
+    code, out, _ = run(capsys, "survey", "--n", "9", "--limit", "0")
+    assert code == 0
+    assert json.loads(out) == {"n": 9, "range": "p <= 0", "c_prime": 0, "c_leq0": 0, "rho": "undefined"}
+    code, out, _ = run(capsys, "survey", "--n", "9", "--limit", "0", "--out", "csv")
+    assert code == 0 and out.strip().splitlines()[1] == "9,p <= 0,0,0,undefined"
+
+
 def test_survey_records_and_checkpoint(tmp_path, capsys):
     rc = str(tmp_path / "r.csv")
     ck = str(tmp_path / "c.json")
@@ -74,7 +85,9 @@ def test_tables_row(capsys):
     code, out, _ = run(capsys, "tables", "--table", "rho9", "--limit", "1e4")
     assert code == 0 and out.strip() == "10^4 | 203 | 116 | 0.57142..."
     code, out, _ = run(capsys, "tables", "--table", "rho9", "--limit", "0")  # an empty range, not the default
-    assert code == 0 and out.strip() == "0 | 0 | 0 | nan..."
+    assert code == 0 and out.strip() == "0 | 0 | 0 | undefined"
+    code, out, _ = run(capsys, "tables", "--table", "rho9-window", "--from", "1e6", "--span", "0")
+    assert code == 0 and out.strip() == "10^6 | 0 | 0 | 0 | undefined"
 
 
 def test_tables_window_requires_bounds(capsys):
@@ -175,3 +188,10 @@ def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv
         code = exc.code
     assert code == 2 and "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_export_resolves():
+    modules = [importlib.import_module(f"dsums.{m.name}") for m in pkgutil.iter_modules(dsums.__path__)]
+    exported = [(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]
+    assert len({mod.__name__ for mod, _ in exported}) == 8
+    assert [(mod.__name__, name) for mod, name in exported if not hasattr(mod, name)] == []

@@ -50,13 +50,6 @@ def test_rejects_non_coprime():
         dedekind_sum(1, 0)
 
 
-def test_oracle_equivalence_small():
-    for d in range(1, 121):
-        for c in range(d):
-            if math.gcd(c, d) == 1:
-                assert dedekind_sum(c, d) == dedekind_sum_naive(c, d)
-
-
 def test_cotangent_definition_matches():
     """The sawtooth oracle agrees with the defining cotangent sum."""
     with mp.workdps(40):

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -21,10 +23,12 @@ from dsums.meansquare import (
 )
 from dsums.dedekind import dedekind_sum, s_one
 from dsums.eisenstein import order3_subgroups_from_ef
+from dsums.numkernel import divisors, factorize
 from dsums.unitgroups import (
     characters,
     elements_of_order,
     kernel_subgroup,
+    odd_characters_trivial_on,
     subgroup_from_elements,
     subgroup_from_generator,
     subgroup_of_order,
@@ -166,25 +170,53 @@ def test_mean_square_numeric_matches_exact():
         assert abs(mean_square_numeric(f, sub) - exact) / exact < 1e-9
 
 
-def test_cross_check_pair_suite_small():
-    for f, sub in cross_check_pairs(300):
-        exact = float(mean_square_exact(f, sub))
-        assert abs(mean_square_numeric(f, sub) - exact) / exact < 1e-8
+@lru_cache(maxsize=1 << 14)
+def conductor_oracle(chi):
+    """Smallest d | f such that chi is trivial on the kernel of (Z/fZ)* -> (Z/dZ)*."""
+    f = chi.modulus
+    return next(d for d in divisors(f) if chi.is_trivial_on(kernel_subgroup(f, d).elements))
 
 
-def test_kernel_remark_identity():
-    # characters trivial on the kernel are induced mod f', so M(f,ker) = M(f',{1})
-    for p, n, fp in ((3, 1, 3), (3, 2, 3), (5, 1, 5), (7, 1, 21), (3, 2, 9)):
-        f = p**n * fp
-        got = mean_square_exact(f, kernel_subgroup(f, fp)).coefficient
-        assert got == mean_square_closed_trivial(fp).coefficient
+def primitive_value_oracle(chi, q):
+    """chi*(q) for the primitive character inducing chi: 0 when q shares a
+    factor with the conductor d, else chi at a unit x = q (mod d)."""
+    d = conductor_oracle(chi)
+    if math.gcd(q, d) != 1:
+        return 0j
+    f = chi.modulus
+    x = next(x for x in range(q % d, f, d) if math.gcd(x, f) == 1)
+    return cmath.exp(2j * math.pi * float(chi.angle(x)))
+
+
+def euler_pi_oracle(f, sub):
+    """Pi(f,H) as a float product of (1 - chi*(q)/q), one character and one prime at a time."""
+    prod = 1 + 0j
+    for q, _ in factorize(f):
+        for ch in odd_characters_trivial_on(sub):
+            prod *= 1 - primitive_value_oracle(ch, q) / q
+    assert abs(prod.imag) < 1e-9
+    return prod.real
 
 
 def test_euler_correction():
     h91 = subgroup_from_elements(91, (1, 9, 81))
-    assert abs(euler_correction_pi(91, h91) - 100 / 91) < 1e-9
+    assert euler_correction_pi(91, h91) == Fraction(100, 91)
     for f in (49, 121, 343):
-        assert abs(euler_correction_pi(f, trivial_subgroup(f)) - 1) < 1e-10
+        assert euler_correction_pi(f, trivial_subgroup(f)) == 1
+    assert euler_correction_pi(169, subgroup_from_generator(169, 22)) == 1
+    # 2^k || f with k >= 3: the 2-part has two axes, <-1> and <5>
+    for f, want in ((48, Fraction(40, 27)), (80, Fraction(156, 125)), (120, Fraction(1024, 1215))):
+        assert euler_correction_pi(f, trivial_subgroup(f)) == want
+
+
+def test_euler_correction_matches_oracle():
+    cases = cross_check_pairs(2000)
+    assert len(cases) == 123 and not any(sub.contains_minus_one for _, sub in cases)
+    cases += [(f, sub) for f in (91, 1729, 9919) for sub in order3_subgroups_from_ef(f)]
+    cases += [(f, trivial_subgroup(f)) for f in (48, 80, 120)]
+    for f, sub in cases:
+        want = euler_pi_oracle(f, sub)
+        assert abs(euler_correction_pi(f, sub) - want) <= 1e-12 * want, (f, sub.elements[:4])
 
 
 def test_pisquared_rendering():

@@ -26,7 +26,7 @@ def test_ratio_decimal():
     assert ratio_decimal(838, 1592) == "0.52638"
     assert ratio_decimal(4, 4) == "1.00000"
     assert ratio_decimal(1, 3, digits=7) == "0.3333333"
-    assert ratio_decimal(1, 0) == "nan"
+    assert ratio_decimal(1, 0) == "undefined"
 
 
 def test_n_record_examples():
