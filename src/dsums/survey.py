@@ -1,19 +1,29 @@
 """Prime scans for the sign of N(H_n,p) = 12*S(H_n,p) - p.
 
 For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
-(Z/pZ)* (the first power x^((p-1)/n) of exact order n), sums the n integers
-12*p*s(h,p) from the Dedekind kernel, and records the exact integers 2S and
-N. No float or fraction enters the N <= 0 decision, and every record passes
-the integrality and parity audits (2S = (p-1)/2 mod 2, N odd) or the scan
-aborts: a violation would mean the engine is broken, not the data.
+(Z/pZ)* from its generator h0 (the first power x^((p-1)/n) of exact order
+n) and records the exact integers 2S and N. No float or fraction enters the
+N <= 0 decision.
+
+H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
+12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts,
+    12*p*S(H_n,p) = (p-1)(p-2) + 2*sum_{j=1}^{(n-1)/2} 12*p*s(h0^j,p).
+The scans take these sums for a batch of primes at once: the powers h0^j
+are Python ints, one int64 numpy Euclid runs over every (p, h0^j) lane (its
+intermediates stay <= p < 2^63), and each prime's lanes are combined with
+exact ints. Every record passes the audits or the scan aborts, since a
+violation would mean the engine is broken, not the data: the Euclid's
+inverse of h0^j is h0^(n-j) and no h0^j is 1 (h0 has order n), p divides
+12*p*S, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd. n_record
+computes one record the plain way, with n kernel calls and no pairing; it
+is the oracle the batched records are tested against.
 
 Scans checkpoint at segment boundaries (records flushed to disk first, then
 an atomic JSON rename that stores the records' byte length) and can resume
 after a kill at any point; segments may fan out to worker processes, with
 counts merged in ascending order so reports are identical for any worker
 count, and each worker exits once the scan process that started it is gone.
-Primes come from a sieve, so the scans call n_record with sieved=True and
-skip its primality test.
+Primes come from a sieve, so the scans skip primality tests.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from .dedekind import dedekind_sum_parts
 from .numkernel import divisors, is_prime, order_n_element, primes_in_progression
@@ -91,14 +103,15 @@ def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
     return "".join(out)
 
 
-def n_record(p: int, n: int, *, sieved: bool = False) -> SurveyRecord:
-    """Exact record for the order-n subgroup of (Z/pZ)*; needs n > 1, n | p-1.
+def n_record(p: int, n: int) -> SurveyRecord:
+    """Exact record for the order-n subgroup of (Z/pZ)*; needs p prime, n > 1, n | p-1.
 
-    sieved=True skips the primality test, for a p the segment sieve already
-    proved prime."""
+    The single-prime form: one dedekind_sum_parts call for each of the n
+    elements of H_n, with no pairing of h and h^-1. The scans do not call it;
+    it is the oracle their batched records are tested against."""
     if n <= 1:
         raise ValueError("n_record needs n > 1")
-    if not sieved and not is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     h0 = order_n_element(p, n)
     total = 0  # sum over H of 12*p*s(h,p)
@@ -106,6 +119,11 @@ def n_record(p: int, n: int, *, sieved: bool = False) -> SurveyRecord:
     for _ in range(n):
         total += dedekind_sum_parts(h, p)[0]
         h = h * h0 % p
+    return _audited_record(p, n, total)
+
+
+def _audited_record(p: int, n: int, total: int) -> SurveyRecord:
+    """The record for 12*p*S(H_n,p) = total, once the integrality and parity audits pass."""
     twelve_s, rem = divmod(total, p)
     if rem or twelve_s % 6:
         raise ArithmeticError(f"2*S(H_{n},{p}) is not an integer (12*p*S = {total})")
@@ -116,6 +134,81 @@ def n_record(p: int, n: int, *, sieved: bool = False) -> SurveyRecord:
     if big_n % 2 == 0:
         raise ArithmeticError(f"N(H_{n},{p}) = {big_n} is even")
     return SurveyRecord(p, n, two_s, big_n, big_n <= 0)
+
+
+def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The continued-fraction kernel of dedekind_sum_parts on every lane at once.
+
+    For int64 arrays with 0 < c < d and gcd(c, d) = 1, c/d = [0; a_1, ..., a_r]:
+    returns alt = sum (-1)^(i+1) a_i, whether r is odd, and c* = c^-1 mod d
+    from the convergent denominators. All lanes start together, so step i
+    adds (-1)^(i+1) a_i on every lane still running; a lane leaves the
+    arrays when its remainder reaches 0. The partial quotients, their
+    alternating partial sums and the convergent denominators are all <= d.
+    """
+    alt_out, inv_out = np.empty_like(c), np.empty_like(c)
+    odd_out = np.empty(len(c), dtype=bool)
+    lane = np.arange(len(c))
+    a, b = d, c
+    alt = np.zeros_like(c)
+    q_prev, q = np.zeros_like(c), np.ones_like(c)  # convergent denominators q_{i-1}, q_i
+    odd = False  # whether the number of steps taken is odd
+    while len(lane):
+        k = a // b
+        a, b = b, a - k * b
+        if odd:
+            alt -= k
+        else:
+            alt += k
+        k *= q
+        k += q_prev
+        q_prev, q = q, k
+        odd = not odd
+        done = b == 0
+        if done.any():
+            out = lane[done]
+            alt_out[out], odd_out[out], inv_out[out] = alt[done], odd, q_prev[done]
+            keep = ~done
+            # one array at a time, so that each old array is freed before the next copy
+            lane = lane[keep]
+            a = a[keep]
+            b = b[keep]
+            alt = alt[keep]
+            q_prev = q_prev[keep]
+            q = q[keep]
+    # c * q_{r-1} = (-1)^(r-1) (mod d)
+    return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
+
+
+def _batch_records(n: int, primes: list[int]) -> list[SurveyRecord]:
+    """Audited records of H_n for each prime p = 1 (mod 2n), p < 2^63, of
+    `primes`, from one _euclid_lanes over all (p, h0^j), 1 <= j <= (n-1)/2."""
+    if not primes:
+        return []
+    m = (n - 1) // 2
+    powers = np.empty((len(primes), n - 1), dtype=np.int64)  # h0^1, ..., h0^(n-1) mod p
+    power_sums = []
+    for i, p in enumerate(primes):
+        h0 = h = order_n_element(p, n)
+        row = [h]
+        for _ in range(n - 2):
+            h = h * h0 % p
+            row.append(h)
+        powers[i] = row
+        power_sums.append(sum(row))
+    alt, odd, inv = _euclid_lanes(powers[:, :m].ravel(), np.repeat(np.array(primes, dtype=np.int64), m))
+    # the inverse of h0^j is h0^(n-j) (so h0^n = 1), and no h0^j with 0 < j < n is 1
+    bad = (inv.reshape(-1, m) != powers[:, : -m - 1 : -1]).any(axis=1) | (powers == 1).any(axis=1)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ArithmeticError(f"order audit failed at p={primes[i]}, n={n}: h0={powers[i, 0]}")
+    # sum over j of alt_j - (1 or 3) in Python ints, where no row sum can wrap
+    alt_sums = [sum(row) for row in (alt - np.where(odd, 3, 1)).reshape(-1, m).tolist()]
+    # the c* = h0^(n-j) are the rest of the row, so sum_j (c + c*) is the row sum
+    return [
+        _audited_record(p, n, (p - 1) * (p - 2) + 2 * power_sum + 2 * p * alt_sum)
+        for p, power_sum, alt_sum in zip(primes, power_sums, alt_sums)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +305,8 @@ def _exit_with_parent() -> None:
 
 def _segment_worker(args: tuple[int, int, int, bool]):
     n, lo, hi, want_records = args
-    c_p = c_le = 0
-    rows: list[SurveyRecord] = []
-    for p in primes_in_progression(lo, hi - lo, 2 * n, 1):
-        rec = n_record(p, n, sieved=True)
-        c_p += 1
-        c_le += rec.nonpositive
-        if want_records:
-            rows.append(rec)
-    return c_p, c_le, rows
+    rows = _batch_records(n, list(primes_in_progression(lo, hi - lo, 2 * n, 1)))
+    return len(rows), sum(rec.nonpositive for rec in rows), rows if want_records else []
 
 
 def _scan(
@@ -300,16 +386,19 @@ def scan_all_odd_subgroups(limit: int) -> DensityReport:
     """Pairs (p, n): p odd prime <= limit, n an odd divisor of p-1 (n = 1 included).
 
     The n = 1 pair carries N = (2-3p)/p < 0 and always counts as
-    nonpositive; pairs with n > 1 use the exact integer N.
+    nonpositive; pairs with n > 1 use the exact integer N, taken in one
+    batch per n for each sieve segment.
     """
     if limit < 3:
         raise ValueError("need limit >= 3")
     pairs = nonpos = 0
-    for p in primes_in_progression(3, limit - 3, 1, 0):
-        for d in divisors(p - 1):
-            if d % 2 == 0:
-                continue
-            pairs += 1
-            if d == 1 or n_record(p, d, sieved=True).nonpositive:
-                nonpos += 1
+    for _, _, primes in primes_in_progression(3, limit - 3, 1, 0).segments():
+        by_n: dict[int, list[int]] = {}
+        for p in primes:
+            for d in divisors(p - 1):
+                if d % 2:
+                    by_n.setdefault(d, []).append(p)
+        for d, ps in by_n.items():
+            pairs += len(ps)
+            nonpos += len(ps) if d == 1 else sum(rec.nonpositive for rec in _batch_records(d, ps))
     return DensityReport(None, f"p <= {limit}", pairs, nonpos, ratio_decimal(nonpos, pairs))

@@ -117,6 +117,7 @@ class UnitGroup:
         self.exponent = math.lcm(*self.orders) if self.orders else 1
         self._grid: np.ndarray | None = None
         self._index: np.ndarray | None = None
+        self._index_view: memoryview | None = None
 
     def grid(self) -> np.ndarray:
         """The units as a read-only int64 array of shape orders: entry l is
@@ -153,7 +154,9 @@ class UnitGroup:
 
     def dlog(self, x: int) -> tuple[int, ...]:
         """Exponent vector of x against the generators."""
-        k = int(self._flat_index()[x % self.modulus])
+        if self._index_view is None:  # reads Python ints off the array's buffer, with no numpy scalar
+            self._index_view = memoryview(self._flat_index())
+        k = self._index_view[x % self.modulus]
         if k < 0:
             raise ValueError(f"{x} is not a unit mod {self.modulus}")
         logs = []
@@ -326,17 +329,19 @@ class DirichletCharacter:
     def group(self) -> UnitGroup:
         return unit_group(self.modulus)
 
+    def _phase(self, x: int) -> int:
+        """The integer t in [0, E) with angle(x) = t/E, E the group exponent."""
+        g = self.group
+        big = g.exponent
+        return sum(e * l * (big // s) for e, l, s in zip(self.exponents, g.dlog(x), g.orders)) % big
+
     def angle(self, x: int) -> Fraction:
         """Exact phase in [0,1): chi(x) = exp(2*pi*i*angle(x))."""
-        g = self.group
-        logs = g.dlog(x)
-        big = g.exponent
-        t = sum(e * l * (big // s) for e, l, s in zip(self.exponents, logs, g.orders)) % big
-        return Fraction(t, big)
+        return Fraction(self._phase(x), self.group.exponent)
 
     @property
     def is_odd(self) -> bool:
-        return self.angle(self.modulus - 1) == Fraction(1, 2)
+        return 2 * self._phase(self.modulus - 1) == self.group.exponent
 
     @property
     def is_even(self) -> bool:
@@ -347,7 +352,7 @@ class DirichletCharacter:
         return math.lcm(*(s // math.gcd(s, e) for s, e in zip(self.group.orders, self.exponents))) if self.exponents else 1
 
     def is_trivial_on(self, elements) -> bool:
-        return all(self.angle(x) == 0 for x in elements)
+        return all(self._phase(x) == 0 for x in elements)
 
 
 @lru_cache(maxsize=64)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import dsums
+from dsums import survey
 from dsums.dedekind import dedekind_sum_naive
-from dsums.numkernel import divisors, is_prime
+from dsums.numkernel import divisors, is_prime, primes_in_progression
 from dsums.survey import (
     n_record,
     ratio_decimal,
@@ -75,10 +76,44 @@ def test_scan_all_odd_subgroups():
     assert rep31.to_json()["n"] == "all"
 
 
-def test_threads_deterministic():
-    seq = scan_fixed_n(5, 40000)
-    par = scan_fixed_n(5, 40000, threads=2)
+def test_threads_deterministic(tmp_path):
+    seq = scan_fixed_n(5, 40000, records=str(tmp_path / "seq.csv"))
+    par = scan_fixed_n(5, 40000, threads=2, records=str(tmp_path / "par.csv"))
     assert seq == par
+    assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
+
+
+def test_batched_records_match_the_oracle():
+    for lower, span in ((0, 4000), (10**10, 4000), (10**12, 3000), (10**13, 2000)):
+        primes = list(primes_in_progression(lower, span, 2, 1))
+        for n in (3, 5, 9, 15, 21):
+            ps = [p for p in primes if p % (2 * n) == 1]
+            assert ps and survey._batch_records(n, ps) == [n_record(p, n) for p in ps], (lower, n)
+
+
+def test_segment_worker_edge_segments():
+    assert survey._segment_worker((9, 20, 36, True)) == (0, 0, [])  # no p = 1 (mod 18) in [20, 36]
+    assert survey._segment_worker((9, 19, 19, True)) == (1, 1, [n_record(19, 9)])
+    assert survey._segment_worker((21, 211, 211, False)) == (1, n_record(211, 21).nonpositive, [])
+
+
+# From p > 60000 on, the scan gets a "generator" not of order 9: 2 (2^9 = 1
+# only mod 7 and 73), or the cube of a true one, of order 3.
+@pytest.mark.parametrize("fake", [lambda h, p: 2, lambda h, p: pow(h, 3, p)])
+def test_audits_abort_the_scan(tmp_path, monkeypatch, fake):
+    order_n_element = survey.order_n_element
+    monkeypatch.setattr(survey, "order_n_element",
+                        lambda p, n: fake(order_n_element(p, n), p) if p > 60000 else order_n_element(p, n))
+    ck, rc = tmp_path / "ck.json", tmp_path / "r.csv"
+    with pytest.raises(ArithmeticError, match="order audit"):
+        scan_fixed_n(9, 10**5, checkpoint=str(ck), records=str(rc))
+    data = json.loads(ck.read_text())
+    ps = [int(ln.split(",")[0]) for ln in rc.read_text().splitlines()[1:]]
+    assert 0 < data["last_p"] <= 60000 and data["records_offset"] == rc.stat().st_size
+    assert len(ps) == data["c_prime"] and max(ps) <= data["last_p"]
+    monkeypatch.setattr(survey, "order_n_element", order_n_element)
+    rep = resume(str(ck), records=str(rc))
+    assert (rep.c_prime, rep.c_leq0) == (1592, 838)
 
 
 def test_records_csv(tmp_path):
