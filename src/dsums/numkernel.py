@@ -169,13 +169,15 @@ def divisors(n: int) -> tuple[int, ...]:
 
 def order_n_element(p: int, n: int) -> int:
     """A generator of the unique order-n subgroup of (Z/pZ)*, p prime, n | p-1:
-    the first h = x^((p-1)/n), x = 1, 2, ..., whose order passes the test
-    against the primes dividing n (p-1 is never factored)."""
+    1 for n = 1, else the first h = x^((p-1)/n), x = 2, 3, ..., whose order
+    passes the test against the primes dividing n (p-1 is never factored)."""
     if n < 1 or (p - 1) % n:
         raise ValueError(f"{n} does not divide {p} - 1")
+    if n == 1:
+        return 1
     qs = [q for q, _ in factorize(n)]
     e = (p - 1) // n
-    for x in range(1, p):
+    for x in range(2, p):
         h = pow(x, e, p)
         if all(pow(h, n // q, p) != 1 for q in qs):
             return h
@@ -198,10 +200,10 @@ class PrimeStream:
 
     def __iter__(self) -> Iterator[int]:
         for _, _, primes in self.segments():
-            yield from primes
+            yield from primes.tolist()
 
-    def segments(self, size: int | None = None) -> Iterator[tuple[int, int, list[int]]]:
-        """Yield (seg_lo, seg_hi_inclusive, primes) in ascending order."""
+    def segments(self, size: int | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield (seg_lo, seg_hi_inclusive, primes as an int64 array) in ascending order."""
         size = size or self.segment_size
         lo = max(self.lower, 0)
         if lo > self.upper:
@@ -212,7 +214,7 @@ class PrimeStream:
             yield lo, hi, self._sieve_segment(lo, hi, base)
             lo = hi + 1
 
-    def _sieve_segment(self, lo: int, hi: int, base: np.ndarray) -> list[int]:
+    def _sieve_segment(self, lo: int, hi: int, base: np.ndarray) -> np.ndarray:
         mask = np.ones(hi - lo + 1, dtype=bool)
         for v in (0, 1):
             if lo <= v <= hi:
@@ -227,7 +229,7 @@ class PrimeStream:
         vals = np.flatnonzero(mask) + lo
         if self.modulus > 1:
             vals = vals[vals % self.modulus == self.residue]
-        return [int(v) for v in vals]
+        return vals
 
     def count(self) -> int:
         return sum(1 for _ in self)

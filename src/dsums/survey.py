@@ -1,22 +1,35 @@
 """Prime scans for the sign of N(H_n,p) = 12*S(H_n,p) - p.
 
 For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
-(Z/pZ)* from its generator h0 (the first power x^((p-1)/n) of exact order
-n) and records the exact integers 2S and N. No float or fraction enters the
-N <= 0 decision.
+(Z/pZ)* from its generator h0 (the first power x^((p-1)/n), x = 2, 3, ...,
+of exact order n) and records the exact integers 2S and N. No float or
+fraction enters the N <= 0 decision.
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
-12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts,
-    12*p*S(H_n,p) = (p-1)(p-2) + 2*sum_{j=1}^{(n-1)/2} 12*p*s(h0^j,p).
-The scans take these sums for a batch of primes at once: the powers h0^j
-are Python ints, one int64 numpy Euclid runs over every (p, h0^j) lane (its
-intermediates stay <= p < 2^63), and each prime's lanes are combined with
-exact ints. Every record passes the audits or the scan aborts, since a
-violation would mean the engine is broken, not the data: the Euclid's
-inverse of h0^j is h0^(n-j) and no h0^j is 1 (h0 has order n), p divides
-12*p*S, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd. n_record
-computes one record the plain way, with n kernel calls and no pairing; it
-is the oracle the batched records are tested against.
+12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
+1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
+    12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
+A scan takes a sieve segment's primes as one int64 array and keeps every
+step on lanes, one lane per prime or per (p, h0^j): a square-and-multiply
+finds each h0 (lanes whose x fails the order test retry with x + 1); n - 2
+products, in about log2(n) doubling steps, give the power table h0^1, ...,
+h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
+column sums give k and 12*S; and the segment's CSV rows are formatted from
+the result columns.
+
+Products mod p go through _mulmod, exact for p < 2^50: the float quotient
+a*b/p < 2^50 carries two roundings of relative size 2^-53, so its floor is
+off by at most 1, and a*b - q*p, taken with int64 wraparound, is the true
+value in [-p, 2p). The scans reject bounds >= 2^50, and n*upper >= 2^62 so
+that no per-prime sum (each within about n*p of 0) wraps.
+
+Every record passes the audits or the scan aborts before the segment is
+written, since a violation would mean the engine is broken, not the data:
+the Euclid's inverse of h0^j is h0^(n-j) and no h0^j is 1 (h0 has order n),
+p divides 1 + sum h0^j, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd.
+n_record computes one record the plain way, with order_n_element, Python
+ints and n kernel calls; it is the oracle the batched records are tested
+against.
 
 Scans checkpoint at segment boundaries (records flushed to disk first, then
 an atomic JSON rename that stores the records' byte length) and can resume
@@ -39,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dedekind import dedekind_sum_parts
-from .numkernel import divisors, is_prime, order_n_element, primes_in_progression
+from .numkernel import divisors, factorize, is_prime, order_n_element, primes_in_progression
 
 __all__ = [
     "DensityReport",
@@ -64,9 +77,6 @@ class SurveyRecord:
     two_S: int
     N: int
     nonpositive: bool
-
-    def csv_row(self) -> str:
-        return f"{self.p},{self.n},{self.two_S},{self.N},{'true' if self.nonpositive else 'false'}"
 
 
 @dataclass(frozen=True)
@@ -180,35 +190,98 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
 
 
-def _batch_records(n: int, primes: list[int]) -> list[SurveyRecord]:
-    """Audited records of H_n for each prime p = 1 (mod 2n), p < 2^63, of
-    `primes`, from one _euclid_lanes over all (p, h0^j), 1 <= j <= (n-1)/2."""
-    if not primes:
-        return []
-    m = (n - 1) // 2
-    powers = np.empty((len(primes), n - 1), dtype=np.int64)  # h0^1, ..., h0^(n-1) mod p
-    power_sums = []
-    for i, p in enumerate(primes):
-        h0 = h = order_n_element(p, n)
-        row = [h]
-        for _ in range(n - 2):
-            h = h * h0 % p
-            row.append(h)
-        powers[i] = row
-        power_sums.append(sum(row))
-    alt, odd, inv = _euclid_lanes(powers[:, :m].ravel(), np.repeat(np.array(primes, dtype=np.int64), m))
-    # the inverse of h0^j is h0^(n-j) (so h0^n = 1), and no h0^j with 0 < j < n is 1
-    bad = (inv.reshape(-1, m) != powers[:, : -m - 1 : -1]).any(axis=1) | (powers == 1).any(axis=1)
+def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50.
+
+    a, b and p are exact as floats, and a*b/p < p < 2^50 is taken with two
+    roundings of relative error <= 2^-53 each, so the float quotient is off
+    by less than 2^50 * 2^-52 = 1/4 and q, its floor, by at most 1 from the
+    floor of a*b/p. Hence a*b - q*p lies in [-p, 2p), inside int64: taken
+    with int64 wraparound (a*b and q*p may each wrap) it comes out exact,
+    and one correction by +p or -p brings it into [0, p).
+    """
+    q = (a.astype(np.float64) * b / p).astype(np.int64)  # truncation is the floor: the quotient is >= 0
+    r = a * b - q * p
+    # the correction without branches: r - p is in [-2p, p), and (r >> 63) & p is p where r < 0
+    r -= p
+    r += (r >> 63) & p
+    r += (r >> 63) & p
+    return r
+
+
+def _powmod(x: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^e mod p on int64 lanes by square-and-multiply, for 0 <= x < p < 2^50 and e >= 0."""
+    r = np.ones_like(p)
+    for bit in range(int(np.max(e)).bit_length()):
+        if bit:
+            x = _mulmod(x, x, p)
+        r = np.where((e >> bit) & 1 == 1, _mulmod(r, x, p), r)
+    return r
+
+
+def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
+    """order_n_element(p, n) on every lane of the int64 primes p; n > 1 is one
+    order for all lanes or an int64 array of orders, with n | p - 1 per lane.
+
+    All lanes try h = x^((p-1)/n) with x = 2 first; only the lanes whose h
+    fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1."""
+    n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
+    # the order test's exponents n/q for the primes q | n, one row each; a lane
+    # with fewer primes than the widest repeats its first exponent
+    values, index = np.unique(n, return_inverse=True)
+    exps = [[v // q for q, _ in factorize(v)] for v in values.tolist()]
+    width = max(map(len, exps), default=1)
+    table = np.array([f + f[:1] * (width - len(f)) for f in exps], dtype=np.int64).reshape(len(values), width)
+    tests = table[index.ravel()].T
+    e = (p - 1) // n
+    h0 = np.empty_like(p)
+    todo = np.arange(len(p))
+    x = 2
+    while len(todo):
+        pt = p[todo]
+        h = _powmod(np.full_like(pt, x), e[todo], pt)
+        ok = np.ones(len(todo), dtype=bool)
+        for row in tests:
+            ok &= _powmod(h, row[todo], pt) != 1
+        h0[todo[ok]] = h[ok]
+        todo = todo[~ok]
+        x += 1
+    return h0
+
+
+def _audit(bad: np.ndarray, p: np.ndarray, n: int, what: str, name: str, value: np.ndarray) -> None:
+    """Raise ArithmeticError for the first lane where `bad` holds."""
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ArithmeticError(f"order audit failed at p={primes[i]}, n={n}: h0={powers[i, 0]}")
-    # sum over j of alt_j - (1 or 3) in Python ints, where no row sum can wrap
-    alt_sums = [sum(row) for row in (alt - np.where(odd, 3, 1)).reshape(-1, m).tolist()]
-    # the c* = h0^(n-j) are the rest of the row, so sum_j (c + c*) is the row sum
-    return [
-        _audited_record(p, n, (p - 1) * (p - 2) + 2 * power_sum + 2 * p * alt_sum)
-        for p, power_sum, alt_sum in zip(primes, power_sums, alt_sums)
-    ]
+        raise ArithmeticError(f"{what} audit failed at p={p[i]}, n={n}: {name}={value[i]}")
+
+
+def _batch_records(n: int, p: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The audited (2S, N) of H_n, one lane for each of the int64 primes
+    p = 1 (mod 2n), whose generators h0 come from _generators; the caller
+    keeps p < 2^50 and n*p < 2^62 (_check_lanes)."""
+    m = (n - 1) // 2
+    powers = np.empty((n - 1, len(p)), dtype=np.int64)  # row j-1 holds h0^j mod p
+    powers[0] = h0
+    done = 1  # rows h0^1..h0^done are filled; times h0^done they give the next rows
+    while done < n - 1:
+        step = min(done, n - 1 - done)
+        powers[done : done + step] = _mulmod(powers[:step], powers[done - 1], p)
+        done += step
+    alt, odd, inv = _euclid_lanes(powers[:m].ravel(), np.tile(p, m))
+    # the inverse of h0^j is h0^(n-j) (so h0^n = 1), and no h0^j with 0 < j < n is 1
+    bad = (inv.reshape(m, -1) != powers[::-1][:m]).any(axis=0) | (powers == 1).any(axis=0)
+    _audit(bad, p, n, "order", "h0", h0)
+    # c* = h0^(n-j) are the rest of the table, so sum_j (c + c*) + 1 is its column sum + 1
+    k, rem = np.divmod(1 + powers.sum(axis=0), p)
+    _audit(rem != 0, p, n, "integrality", "(1 + sum h0^j) mod p", rem)
+    twelve_s = p - 3 + 2 * k + 2 * (alt - np.where(odd, 3, 1)).reshape(m, -1).sum(axis=0)
+    _audit(twelve_s % 6 != 0, p, n, "integrality", "12S", twelve_s)
+    two_s = twelve_s // 6
+    _audit((two_s - (p - 1) // 2) % 2 != 0, p, n, "parity", "2S", two_s)
+    big_n = twelve_s - p
+    _audit(big_n % 2 == 0, p, n, "parity", "N", big_n)
+    return two_s, big_n
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +337,9 @@ class _RecordSink:
             self.fh = open(path, "a")
             self.fh.truncate(offset)  # None: at the current position, the end
 
-    def write(self, records) -> None:
+    def write(self, text: str) -> None:
         if self.fh is not None:
-            for rec in records:
-                self.fh.write(rec.csv_row() + "\n")
+            self.fh.write(text)
 
     def sync(self) -> int | None:
         """Flush the rows to disk; the file's byte length, or None without a file."""
@@ -303,10 +375,24 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _segment_worker(args: tuple[int, int, int, bool]):
+def _segment_worker(args: tuple[int, int, int, bool]) -> tuple[int, int, str]:
+    """(primes, nonpositive count, CSV rows or "") of the segment [lo, hi], lo <= hi."""
     n, lo, hi, want_records = args
-    rows = _batch_records(n, list(primes_in_progression(lo, hi - lo, 2 * n, 1)))
-    return len(rows), sum(rec.nonpositive for rec in rows), rows if want_records else []
+    ((_, _, p),) = primes_in_progression(lo, hi - lo, 2 * n, 1).segments(hi - lo + 1)
+    two_s, big_n = _batch_records(n, p, _generators(n, p))
+    nonpositive = big_n <= 0
+    text = ""
+    if want_records:  # rows of CSV_HEADER
+        row = f"{{}},{n},{{}},{{}},{{}}\n".format
+        flags = np.where(nonpositive, "true", "false").tolist()
+        text = "".join(map(row, p.tolist(), two_s.tolist(), big_n.tolist(), flags))
+    return len(p), int(nonpositive.sum()), text
+
+
+def _check_lanes(n: int, upper: int) -> None:
+    """The lanes' int64 arithmetic is exact for p < 2^50 and per-prime sums below n*p < 2^62."""
+    if upper >= 1 << 50 or n * upper >= 1 << 62:
+        raise ValueError(f"scans work in int64: need bounds below 2^50 and n*bound below 2^62, got n={n}, {upper}")
 
 
 def _scan(
@@ -324,8 +410,7 @@ def _scan(
         raise ValueError(f"need odd n >= 3, got {n}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
-    if upper >= 1 << 63:
-        raise ValueError("the segment sieve works in int64: need scan bounds below 2^63")
+    _check_lanes(n, upper)
     start = max(lower, 2)
     c_p = c_le = 0
     ck = _load_checkpoint(checkpoint) if checkpoint else None
@@ -345,10 +430,10 @@ def _scan(
             ProcessPoolExecutor(threads, initializer=_exit_with_parent) if threads > 1 else nullcontext()
         ) as pool:
             results = pool.map(_segment_worker, segments, chunksize=1) if pool else map(_segment_worker, segments)
-            for (_, _, seg_hi, _), (dp, dl, rows) in zip(segments, results):
+            for (_, _, seg_hi, _), (dp, dl, text) in zip(segments, results):
                 c_p += dp
                 c_le += dl
-                sink.write(rows)
+                sink.write(text)
                 if checkpoint:  # rows reach the disk before the checkpoint that counts them
                     ck = _Checkpoint(mode, n, lower, span_or_b, seg_hi, c_p, c_le, sink.sync())
                     _save_checkpoint(checkpoint, ck)
@@ -386,19 +471,22 @@ def scan_all_odd_subgroups(limit: int) -> DensityReport:
     """Pairs (p, n): p odd prime <= limit, n an odd divisor of p-1 (n = 1 included).
 
     The n = 1 pair carries N = (2-3p)/p < 0 and always counts as
-    nonpositive; pairs with n > 1 use the exact integer N, taken in one
-    batch per n for each sieve segment.
+    nonpositive; pairs with n > 1 use the exact integer N. Each sieve
+    segment takes one generator search over all of its pairs, then one
+    batch of records per n.
     """
     if limit < 3:
         raise ValueError("need limit >= 3")
+    _check_lanes(limit, limit)  # every n divides some p - 1 < limit
     pairs = nonpos = 0
     for _, _, primes in primes_in_progression(3, limit - 3, 1, 0).segments():
-        by_n: dict[int, list[int]] = {}
-        for p in primes:
-            for d in divisors(p - 1):
-                if d % 2:
-                    by_n.setdefault(d, []).append(p)
-        for d, ps in by_n.items():
-            pairs += len(ps)
-            nonpos += len(ps) if d == 1 else sum(rec.nonpositive for rec in _batch_records(d, ps))
+        p_d = [(p, d) for p in primes.tolist() for d in divisors(p - 1)[1:] if d % 2]
+        pairs += len(primes) + len(p_d)
+        nonpos += len(primes)  # the n = 1 pairs
+        p, d = np.array(p_d, dtype=np.int64).reshape(-1, 2).T
+        h0 = _generators(d, p)  # one search over all of the segment's pairs; the records go by n = d
+        order = np.argsort(d, kind="stable")
+        values, starts = np.unique(d[order], return_index=True)
+        for n, lanes in zip(values.tolist(), np.split(order, starts[1:])):
+            nonpos += int((_batch_records(n, p[lanes], h0[lanes])[1] <= 0).sum())
     return DensityReport(None, f"p <= {limit}", pairs, nonpos, ratio_decimal(nonpos, pairs))

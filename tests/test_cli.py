@@ -177,6 +177,7 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--all-odd", "--limit", "7", "--checkpoint", "c.json"], None),
     (["survey", "--all-odd", "--limit", "7", "--threads", "2"], None),
     (["class-number", "--p", "7", "--degree", "0"], None),
+    (["survey", "--limit", "2**50"], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

@@ -8,6 +8,7 @@ from dsums.numkernel import (
     factorize,
     is_prime,
     mobius,
+    order_n_element,
     primes_in_progression,
     sieve_upto,
     totient,
@@ -76,6 +77,19 @@ def test_is_prime_above_64_bits():
     m89 = 2**89 - 1
     assert is_prime(m89)
     assert not is_prime(m89 - 2)
+
+
+def test_order_n_element_matches_the_search_from_one():
+    def search_from_one(p, n):  # the search as it was, with x = 1 first
+        qs = [q for q, _ in factorize(n)]
+        for x in range(1, p):
+            h = pow(x, (p - 1) // n, p)
+            if all(pow(h, n // q, p) != 1 for q in qs):
+                return h
+
+    for p in sieve_upto(2000).tolist():
+        for n in divisors(p - 1):
+            assert order_n_element(p, n) == search_from_one(p, n), (p, n)
 
 
 def test_progression_examples():

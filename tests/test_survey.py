@@ -7,12 +7,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dsums
 from dsums import survey
 from dsums.dedekind import dedekind_sum_naive
-from dsums.numkernel import divisors, is_prime, primes_in_progression
+from dsums.numkernel import divisors, factorize, is_prime, order_n_element, primes_in_progression
 from dsums.survey import (
     n_record,
     ratio_decimal,
@@ -83,27 +86,86 @@ def test_threads_deterministic(tmp_path):
     assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 
 
+_WINDOWS = ((0, 4000), (10**10, 4000), (10**12, 3000), (10**13, 2000))
+
+
 def test_batched_records_match_the_oracle():
-    for lower, span in ((0, 4000), (10**10, 4000), (10**12, 3000), (10**13, 2000)):
+    for lower, span in _WINDOWS:
         primes = list(primes_in_progression(lower, span, 2, 1))
         for n in (3, 5, 9, 15, 21):
-            ps = [p for p in primes if p % (2 * n) == 1]
-            assert ps and survey._batch_records(n, ps) == [n_record(p, n) for p in ps], (lower, n)
+            ps = np.array([p for p in primes if p % (2 * n) == 1], dtype=np.int64)
+            two_s, big_n = survey._batch_records(n, ps, survey._generators(n, ps))
+            got = list(zip(ps.tolist(), two_s.tolist(), big_n.tolist(), (big_n <= 0).tolist()))
+            want = [(rec.p, rec.two_S, rec.N, rec.nonpositive) for rec in (n_record(p, n) for p in ps.tolist())]
+            assert got and got == want, (lower, n)
+
+
+def test_batched_generators_have_exact_order():
+    for lower, span in _WINDOWS:
+        for n in (3, 5, 9, 15, 21):
+            ps = np.array(list(primes_in_progression(lower, span, 2 * n, 1)), dtype=np.int64)
+            h0 = survey._generators(n, ps).tolist()
+            assert h0 == [order_n_element(p, n) for p in ps.tolist()], (lower, n)
+            for h, p in zip(h0, ps.tolist()):
+                assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
+    # one search over lanes of different orders, as the all-odd scan makes it
+    p_d = [(p, d) for p in primes_in_progression(3, 3000, 1, 0) for d in divisors(p - 1)[1:] if d % 2]
+    p, d = np.array(p_d, dtype=np.int64).T
+    assert survey._generators(d, p).tolist() == [order_n_element(*pair) for pair in p_d]
+
+
+@st.composite
+def _modular_cases(draw):
+    """(p, a, b, x, e): odd p in [3, 2^50) of a drawn bit length, residues a, b, x mod p and 0 <= e <= p."""
+    bits = draw(st.integers(2, 50))
+    p = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    return (p, *(draw(st.integers(0, p - 1)) for _ in range(3)), draw(st.integers(0, p)))
+
+
+_P_MAX = (1 << 50) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_modular_cases())
+@example((_P_MAX, _P_MAX - 1, _P_MAX - 1, _P_MAX - 1, _P_MAX - 2))
+@example((3, 2, 2, 2, 3))
+def test_mulmod_and_powmod_match_python_ints(case):
+    p, a, b, x, e = case
+    mod = np.full(4, p, dtype=np.int64)
+    lhs, rhs = np.array([a, b, p - 1, 0], dtype=np.int64), np.array([b, a, p - 1, b], dtype=np.int64)
+    assert survey._mulmod(lhs, rhs, mod).tolist() == [a * b % p, a * b % p, (p - 1) ** 2 % p, 0]
+    exps = [e, 0, 1, p - 1]
+    base = np.full(4, x, dtype=np.int64)
+    assert survey._powmod(base, np.array(exps, dtype=np.int64), mod).tolist() == [pow(x, k, p) for k in exps]
+
+
+def test_mulmod_corrects_both_ways_near_2_50():
+    # Near 2^50 the float quotient is one too large on about 1.7% of lanes and
+    # one too small on about 0.015%: 2e5 lanes take both corrections.
+    rng = np.random.default_rng(50)
+    p = rng.integers(1 << 49, 1 << 50, 200_000) | 1
+    a, b = rng.integers(0, p), rng.integers(0, p)
+    q = (a.astype(np.float64) * b / p).astype(np.int64)
+    r = a * b - q * p
+    assert (r < 0).any() and (r >= p).any()
+    got = survey._mulmod(a, b, p).tolist()
+    assert got == [x * y % m for x, y, m in zip(a.tolist(), b.tolist(), p.tolist())]
 
 
 def test_segment_worker_edge_segments():
-    assert survey._segment_worker((9, 20, 36, True)) == (0, 0, [])  # no p = 1 (mod 18) in [20, 36]
-    assert survey._segment_worker((9, 19, 19, True)) == (1, 1, [n_record(19, 9)])
-    assert survey._segment_worker((21, 211, 211, False)) == (1, n_record(211, 21).nonpositive, [])
+    assert survey._segment_worker((9, 20, 36, True)) == (0, 0, "")  # no p = 1 (mod 18) in [20, 36]
+    rec = n_record(19, 9)
+    assert survey._segment_worker((9, 19, 19, True)) == (1, 1, f"19,9,{rec.two_S},{rec.N},true\n")
+    assert survey._segment_worker((21, 211, 211, False)) == (1, n_record(211, 21).nonpositive, "")
 
 
 # From p > 60000 on, the scan gets a "generator" not of order 9: 2 (2^9 = 1
 # only mod 7 and 73), or the cube of a true one, of order 3.
-@pytest.mark.parametrize("fake", [lambda h, p: 2, lambda h, p: pow(h, 3, p)])
+@pytest.mark.parametrize("fake", [lambda h, p: np.full_like(h, 2), lambda h, p: h * h % p * h % p])
 def test_audits_abort_the_scan(tmp_path, monkeypatch, fake):
-    order_n_element = survey.order_n_element
-    monkeypatch.setattr(survey, "order_n_element",
-                        lambda p, n: fake(order_n_element(p, n), p) if p > 60000 else order_n_element(p, n))
+    generators = survey._generators
+    monkeypatch.setattr(survey, "_generators", lambda n, p: np.where(p > 60000, fake(generators(n, p), p),
+                                                                      generators(n, p)))
     ck, rc = tmp_path / "ck.json", tmp_path / "r.csv"
     with pytest.raises(ArithmeticError, match="order audit"):
         scan_fixed_n(9, 10**5, checkpoint=str(ck), records=str(rc))
@@ -111,9 +173,26 @@ def test_audits_abort_the_scan(tmp_path, monkeypatch, fake):
     ps = [int(ln.split(",")[0]) for ln in rc.read_text().splitlines()[1:]]
     assert 0 < data["last_p"] <= 60000 and data["records_offset"] == rc.stat().st_size
     assert len(ps) == data["c_prime"] and max(ps) <= data["last_p"]
-    monkeypatch.setattr(survey, "order_n_element", order_n_element)
+    monkeypatch.setattr(survey, "_generators", generators)
     rep = resume(str(ck), records=str(rc))
     assert (rep.c_prime, rep.c_leq0) == (1592, 838)
+
+
+# An alternating sum off by 1 on one lane moves 12S by 2 (6 no longer
+# divides it); off by 3 it moves 2S by 1 (the parity of 2S breaks).
+@pytest.mark.parametrize("delta, audit", [(1, "integrality audit"), (3, "parity audit")])
+def test_sum_audits_reject_a_wrong_alternating_sum(monkeypatch, delta, audit):
+    euclid = survey._euclid_lanes
+
+    def off_by_delta(c, d):
+        alt, odd, inv = euclid(c, d)
+        alt[-1] += delta
+        return alt, odd, inv
+
+    monkeypatch.setattr(survey, "_euclid_lanes", off_by_delta)
+    with pytest.raises(ArithmeticError, match=audit):
+        ps = np.array([19, 37, 73], dtype=np.int64)
+        survey._batch_records(9, ps, survey._generators(9, ps))
 
 
 def test_records_csv(tmp_path):
@@ -211,6 +290,12 @@ def test_scan_rejects_bad_threads_and_bounds():
         scan_fixed_n(9, 1000, threads=0)
     with pytest.raises(ValueError):
         scan_fixed_n(9, 1 << 63)
+    with pytest.raises(ValueError):
+        scan_fixed_n(9, 1 << 50)
+    with pytest.raises(ValueError):  # n * bound reaches 2^62: the row sums could wrap
+        scan_window(1 << 13 | 1, 1 << 49, 10)
+    with pytest.raises(ValueError):
+        scan_all_odd_subgroups(1 << 31)
 
 
 def test_checkpoint_carries_records_offset(tmp_path):
