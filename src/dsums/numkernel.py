@@ -25,6 +25,7 @@ __all__ = [
     "is_prime",
     "mobius",
     "order_n_element",
+    "powmod_lanes",
     "primes_in_progression",
     "sieve_upto",
     "totient",
@@ -184,12 +185,45 @@ def order_n_element(p: int, n: int) -> int:
     raise ValueError(f"no element of order {n} mod {p}")
 
 
+def _mul_exact(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a*b mod p on int64 lanes, exact while a*b < 2^63 (so for a, b < p < 3e9)."""
+    return a * b % p
+
+
+def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray, mulmod=_mul_exact) -> np.ndarray:
+    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p.
+
+    Each bit of e, from the top, costs one square mulmod(r, r, p) and, where
+    the bit is set, a multiply by x. mulmod must give a*b mod p exactly for
+    0 <= a, b < p. When x is a plain int below 2^13 the multiply is r*x % p,
+    exact in int64 for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63); a larger
+    x goes through mulmod like an array x does.
+    """
+    small = isinstance(x, int) and x < 1 << 13
+    r = np.ones_like(p)
+    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
+        r = mulmod(r, r, p)
+        r = np.where((e >> bit) & 1 == 1, r * x % p if small else mulmod(r, x, p), r)
+    return r
+
+
+# A base prime striking at least this many candidates of a segment gets its
+# own slice assignment; the rest are struck together by one scatter per block.
+_DENSE_HITS = 64
+# Base primes are taken this many at a time, which bounds the per-prime
+# temporaries of a segment near 2^50 (about 2e6 base primes).
+_BASE_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class PrimeStream:
     """All primes p with lower <= p <= upper and p = residue (mod modulus).
 
-    Backed by a segmented sieve so windows near 1e13 stay cheap: memory is
-    proportional to ``segment_size`` plus the base primes up to sqrt(upper).
+    Backed by a segmented sieve of the progression itself, so windows near
+    1e13 stay cheap: a segment of ``segment_size`` integers holds one flag per
+    member of the progression, segment_size/modulus bytes, beside the base
+    primes up to sqrt(upper). Needs 0 <= residue < modulus and
+    gcd(residue, modulus) = 1.
     """
 
     lower: int
@@ -197,6 +231,13 @@ class PrimeStream:
     modulus: int
     residue: int
     segment_size: int = 1 << 21
+
+    def __post_init__(self) -> None:
+        q, r = self.modulus, self.residue
+        if q < 1 or not 0 <= r < q:
+            raise ValueError(f"need 0 <= r < q, got r={r}, q={q}")
+        if math.gcd(r, q) > 1:
+            raise ValueError(f"gcd({r},{q}) > 1: progression contains at most one prime")
 
     def __iter__(self) -> Iterator[int]:
         for _, _, primes in self.segments():
@@ -215,21 +256,46 @@ class PrimeStream:
             lo = hi + 1
 
     def _sieve_segment(self, lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-        mask = np.ones(hi - lo + 1, dtype=bool)
-        for v in (0, 1):
-            if lo <= v <= hi:
-                mask[v - lo] = False
-        for p in base:
-            p = int(p)
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start <= hi:
-                mask[start - lo :: p] = False
-        vals = np.flatnonzero(mask) + lo
-        if self.modulus > 1:
-            vals = vals[vals % self.modulus == self.residue]
-        return vals
+        """The primes first + m*k <= hi, k >= 0, where m is the modulus and
+        first the least member of the progression >= lo.
+
+        The mask holds one flag per k. A base prime q | m divides no member
+        (gcd(residue, m) = 1). Any other q divides first + m*k exactly when
+        k = -first * m^-1 (mod q), and strikes those k from the first whose
+        value is >= q^2, so a prime q in the window survives. Every composite
+        member has a prime factor q <= sqrt(hi) with value >= q^2, and is struck.
+        """
+        m = self.modulus
+        first = lo + (self.residue - lo) % m
+        if first > hi:
+            return np.empty(0, dtype=np.int64)
+        size = (hi - first) // m + 1
+        mask = np.ones(size, dtype=bool)
+        mask[: max(0, (1 - first) // m + 1)] = False  # the members 0 and 1
+        qs = base[: np.searchsorted(base, math.isqrt(hi), side="right")]
+        qs = qs[m % qs != 0]
+        # t = -c^-1 mod m for each unit c mod m, by Euler (the other rows go unused);
+        # then with t = -q^-1 mod m, m divides 1 + q*t and m * (1 + q*t)/m = 1 (mod q)
+        units = np.arange(m, dtype=np.int64)
+        neg_inv = -powmod_lanes(units, np.full(m, totient(m) - 1), np.full(m, m)) % m
+        for q in np.split(qs, range(_BASE_BLOCK, len(qs), _BASE_BLOCK)):
+            k = (-first) % q * ((1 + q * neg_inv[q % m]) // m) % q
+            # raise k by multiples of q to the first k with first + m*k >= q^2
+            k += q * ((np.maximum((q * q - first + m - 1) // m - k, 0) + q - 1) // q)
+            hits = np.maximum((size - k + q - 1) // q, 0)
+            dense = hits >= _DENSE_HITS
+            for start, step in zip(k[dense].tolist(), q[dense].tolist()):
+                mask[start::step] = False
+            sparse = ~dense & (hits > 0)
+            q, k, hits = q[sparse], k[sparse], hits[sparse]
+            if len(q):
+                # every struck k in one array: steps of q within a run, and at the start
+                # of each run the jump from the last k of the run before
+                idx = np.repeat(q, hits)
+                starts = np.cumsum(hits) - hits
+                idx[starts] = k - np.concatenate(([0], (k + q * (hits - 1))[:-1]))
+                mask[np.cumsum(idx, out=idx)] = False
+        return first + m * np.flatnonzero(mask)
 
     def count(self) -> int:
         return sum(1 for _ in self)
@@ -243,8 +309,4 @@ def primes_in_progression(lower: int, span: int, q: int, r: int) -> PrimeStream:
     """
     if lower < 0 or span < 0:
         raise ValueError("need lower >= 0 and span >= 0")
-    if q < 1 or not 0 <= r < q:
-        raise ValueError(f"need 0 <= r < q, got r={r}, q={q}")
-    if q > 1 and math.gcd(r, q) > 1:
-        raise ValueError(f"gcd({r},{q}) > 1: progression contains at most one prime")
     return PrimeStream(lower, lower + span, q, r)

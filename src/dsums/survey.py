@@ -10,8 +10,9 @@ H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
 A scan takes a sieve segment's primes as one int64 array and keeps every
-step on lanes, one lane per prime or per (p, h0^j): a square-and-multiply
-finds each h0 (lanes whose x fails the order test retry with x + 1); n - 2
+step on lanes, one lane per prime or per (p, h0^j): a left-to-right ladder,
+one exact square per exponent bit and a plain int64 multiply by the small
+x, finds each h0 (lanes whose x fails the order test retry with x + 1); n - 2
 products, in about log2(n) doubling steps, give the power table h0^1, ...,
 h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
 column sums give k and 12*S; and the segment's CSV rows are formatted from
@@ -52,7 +53,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dedekind import dedekind_sum_parts
-from .numkernel import divisors, factorize, is_prime, order_n_element, primes_in_progression
+from .numkernel import divisors, factorize, is_prime, order_n_element, powmod_lanes, primes_in_progression
 
 __all__ = [
     "DensityReport",
@@ -209,22 +210,14 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _powmod(x: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x^e mod p on int64 lanes by square-and-multiply, for 0 <= x < p < 2^50 and e >= 0."""
-    r = np.ones_like(p)
-    for bit in range(int(np.max(e)).bit_length()):
-        if bit:
-            x = _mulmod(x, x, p)
-        r = np.where((e >> bit) & 1 == 1, _mulmod(r, x, p), r)
-    return r
-
-
 def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     """order_n_element(p, n) on every lane of the int64 primes p; n > 1 is one
     order for all lanes or an int64 array of orders, with n | p - 1 per lane.
 
     All lanes try h = x^((p-1)/n) with x = 2 first; only the lanes whose h
-    fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1."""
+    fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1. x
+    stays a plain int, so the ladder spends one _mulmod per bit of (p-1)/n
+    (the square) and multiplies by x as h*x % p."""
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
     # the order test's exponents n/q for the primes q | n, one row each; a lane
     # with fewer primes than the widest repeats its first exponent
@@ -239,10 +232,10 @@ def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     x = 2
     while len(todo):
         pt = p[todo]
-        h = _powmod(np.full_like(pt, x), e[todo], pt)
+        h = powmod_lanes(x, e[todo], pt, _mulmod)
         ok = np.ones(len(todo), dtype=bool)
         for row in tests:
-            ok &= _powmod(h, row[todo], pt) != 1
+            ok &= powmod_lanes(h, row[todo], pt, _mulmod) != 1
         h0[todo[ok]] = h[ok]
         todo = todo[~ok]
         x += 1

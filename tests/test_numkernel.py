@@ -1,9 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dsums.numkernel import (
+    PrimeStream,
     divisors,
     factorize,
     is_prime,
@@ -112,8 +116,45 @@ def test_progression_segmentation_no_seams():
 
 def test_progression_far_window():
     ps = list(primes_in_progression(10**12, 10**4, 4, 1))
-    assert all(p % 4 == 1 and is_prime(p) for p in ps)
-    assert ps == sorted(ps) and len(ps) > 0
+    assert ps == [p for p in range(10**12 + 1, 10**12 + 10**4 + 1, 4) if is_prime(p)]
+    assert len(ps) > 0
+    # a window across 1e12 in small segments, against the primality test
+    lower, span = 10**12 - 1000, 2000
+    want = [p for p in range(lower, lower + span + 1) if p % 18 == 13 and is_prime(p)]
+    for size in (7, 1000):
+        got = [p for _, _, ps in primes_in_progression(lower, span, 18, 13).segments(size) for p in ps.tolist()]
+        assert got == want and want, size
+
+
+_MODULI = (1, 2, 4, 6, 10, 18, 30, 42)
+
+
+@st.composite
+def _progression_windows(draw):
+    """(m, r, lower, span, size): a class r mod m, a window starting at 0 or 1,
+    just below the square of a small prime, or anywhere up to 2e4, and a segment size."""
+    m = draw(st.sampled_from(_MODULI))
+    r = draw(st.sampled_from([r for r in range(m) if math.gcd(r, m) == 1]))
+    q = draw(st.sampled_from(sieve_upto(150).tolist()))
+    lower = draw(st.one_of(st.sampled_from((0, 1)), st.integers(max(0, q * q - 300), q * q), st.integers(0, 20_000)))
+    return m, r, lower, draw(st.integers(0, 2000)), draw(st.sampled_from((1, 7, 1000)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_progression_windows())
+# windows that hold a base prime of the class, which must not strike itself:
+# 7 and 13 = 1 (mod 6) below 200; 43 = 1 (mod 42) with 43^2 = 1849; 3 and 13 = 3 (mod 10)
+@example((6, 1, 0, 200, 7))
+@example((42, 1, 1, 2000, 1000))
+@example((10, 3, 0, 200, 1))
+@example((1, 0, 0, 30, 1))
+def test_progression_sieve_matches_the_filtered_sieve(case):
+    m, r, lower, span, size = case
+    primes = sieve_upto(lower + span)
+    want = primes[(primes >= lower) & (primes % m == r)].tolist()
+    segments = list(primes_in_progression(lower, span, m, r).segments(size))
+    assert [p for _, _, ps in segments for p in ps.tolist()] == want
+    assert all(lo <= p <= hi for lo, hi, ps in segments for p in ps.tolist())
 
 
 def test_progression_rejects_bad_class():
@@ -123,3 +164,5 @@ def test_progression_rejects_bad_class():
         primes_in_progression(0, 100, 10, 12)
     with pytest.raises(ValueError):
         primes_in_progression(-1, 100, 1, 0)
+    with pytest.raises(ValueError, match="gcd"):
+        PrimeStream(0, 100, 18, 3)

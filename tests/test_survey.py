@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import dsums
 from dsums import survey
 from dsums.dedekind import dedekind_sum_naive
-from dsums.numkernel import divisors, factorize, is_prime, order_n_element, primes_in_progression
+from dsums.numkernel import divisors, factorize, is_prime, order_n_element, powmod_lanes, primes_in_progression
 from dsums.survey import (
     n_record,
     ratio_decimal,
@@ -114,6 +114,29 @@ def test_batched_generators_have_exact_order():
     assert survey._generators(d, p).tolist() == [order_n_element(*pair) for pair in p_d]
 
 
+def test_generators_near_2_50_and_with_a_late_x():
+    # the 40 largest primes p = 1 (mod 2n) below 2^50: about a fifth of them
+    # need x >= 5, and one for n = 3 takes x = 13
+    for n in (3, 9, 15, 21):
+        ps, p = [], (1 << 50) - 1 - ((1 << 50) - 2) % (2 * n)
+        while len(ps) < 40:
+            if is_prime(p):
+                ps.append(p)
+            p -= 2 * n
+        h0 = [order_n_element(p, n) for p in ps]
+        assert any(h not in {pow(x, (p - 1) // n, p) for x in (2, 3, 4)} for h, p in zip(h0, ps)), n
+        assert survey._generators(n, np.array(ps, dtype=np.int64)).tolist() == h0, n
+
+
+def test_ladder_multiplies_a_large_x_through_mulmod():
+    # r*x % p with r near 2^50 is exact for x < 2^13 and wraps in int64 from 2^13 on
+    p = (1 << 50) - 27  # prime
+    mod = np.full(3, p, dtype=np.int64)
+    exps = np.array([p - 2, (p - 1) // 3, 12345], dtype=np.int64)
+    for x in ((1 << 13) - 1, 1 << 13, (1 << 13) + 1, p - 1):
+        assert powmod_lanes(x, exps, mod, survey._mulmod).tolist() == [pow(x, int(e), p) for e in exps], x
+
+
 @st.composite
 def _modular_cases(draw):
     """(p, a, b, x, e): odd p in [3, 2^50) of a drawn bit length, residues a, b, x mod p and 0 <= e <= p."""
@@ -134,9 +157,10 @@ def test_mulmod_and_powmod_match_python_ints(case):
     mod = np.full(4, p, dtype=np.int64)
     lhs, rhs = np.array([a, b, p - 1, 0], dtype=np.int64), np.array([b, a, p - 1, b], dtype=np.int64)
     assert survey._mulmod(lhs, rhs, mod).tolist() == [a * b % p, a * b % p, (p - 1) ** 2 % p, 0]
-    exps = [e, 0, 1, p - 1]
-    base = np.full(4, x, dtype=np.int64)
-    assert survey._powmod(base, np.array(exps, dtype=np.int64), mod).tolist() == [pow(x, k, p) for k in exps]
+    exps = np.array([e, 0, 1, p - 1], dtype=np.int64)
+    want = [pow(x, k, p) for k in exps.tolist()]
+    assert powmod_lanes(np.full(4, x, dtype=np.int64), exps, mod, survey._mulmod).tolist() == want
+    assert powmod_lanes(x, exps, mod, survey._mulmod).tolist() == want  # a plain int x, on either side of 2^13
 
 
 def test_mulmod_corrects_both_ways_near_2_50():
