@@ -11,10 +11,12 @@ from .dedekind import (
     tilde_s_one,
 )
 from .classnumber import (
+    bound_chain,
     field_context,
     general_bound,
     relative_class_number,
     upper_bound_h3_field,
+    upper_bound_simple,
     upper_bound_subfield,
 )
 from .eisenstein import (
@@ -57,7 +59,6 @@ from .unitgroups import (
     elements_of_order,
     kernel_subgroup,
     odd_characters_trivial_on,
-    primitive_root,
     subgroup_from_elements,
     subgroup_from_generator,
     subgroup_of_order,

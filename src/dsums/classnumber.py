@@ -1,18 +1,13 @@
 """Relative class numbers h^- of imaginary subfields of Q(zeta_p), and the
 upper bounds that follow from the exact mean square values.
 
-h^- comes from the product of L(1,chi) over the odd characters trivial on
-the Galois kernel, evaluated in extended precision; the rounding residual
-is the correctness monitor. Scope is prime conductor only, where the Hasse
-unit index is 1 and the root-of-unity count is known.
-
-With g the primitive root of unit_group(p), chi_j(g^k) = exp(2 pi i jk/(p-1)),
-so one call builds two tables at working precision, the p-1 roots of unity
-and cot(pi g^k/p) in discrete-log order, and each L(1,chi_j) is one dot
-product of the cotangents with roots[j*k mod (p-1)]. At p = 199 the full
-field (99 L-values) takes about 0.07 s on a 2-core x86 VM. b1_chi_mp
-evaluates characters term by term through char_value_mp and stays the
-independent oracle.
+h^- = w prod(-B_{1,chi}/2) over the m/2 odd characters of the degree-m field
+(Washington, GTM 83, Thm 4.17). With g the primitive root of unit_group(p)
+and c_t the sum of g^k mod p over k = t (mod m), prod p*B_{1,chi} is the
+integer R = Res(y^(m/2) + 1, sum g_t y^t), g_t = c_t - c_{t+m/2}: the Maillet
+determinant (Carlitz-Olson, Proc. AMS 6, 1955), read mod primes l = 1 (mod m)
+and joined by CRT. The full field takes about 0.01 s at p = 199 and 0.3 s
+at p = 1009 on a 2-core x86 VM; b1_chi_mp stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -21,101 +16,97 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp
 
 from .meansquare import char_value_mp, euler_correction_pi, mean_square_exact
-from .numkernel import is_prime, totient
-from .unitgroups import DirichletCharacter, Subgroup, odd_characters_trivial_on, subgroup_of_order, unit_group
+from .numkernel import is_prime, order_n_element, power_table, totient
+from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
 __all__ = [
     "FieldContext",
-    "PrecisionError",
     "b1_chi_mp",
+    "bound_chain",
     "field_context",
     "general_bound",
     "relative_class_number",
     "upper_bound_h3_field",
+    "upper_bound_simple",
     "upper_bound_subfield",
 ]
 
-MAX_CONDUCTOR = 200  # precision budget for the L-value product
-
-
-class PrecisionError(ArithmeticError):
-    """Raised when the rounded h^- sits too far from an integer."""
+_TABLE_CELLS = 1 << 18  # int64 cells in one block of the index table i*t mod m
 
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Invariants of the degree-m imaginary subfield K of Q(zeta_p).
-
-    Q_K = 1 (K is cyclic over Q); w_K = 2p only for the full cyclotomic
-    field; d_K = p^(m-1) and d_{K+} = p^(m/2-1) by conductor-discriminant.
-    """
+    """Invariants of the degree-m imaginary subfield K of Q(zeta_p): Q_K = 1 (K is cyclic
+    over Q), w_K = 2p only for the full field, d_K = p^(m-1) and d_{K+} = p^(m/2-1)."""
 
     p: int
     m: int
     n: int
     q_k: int
     w_k: int
-    d_k: int
-    d_k_plus: int
+    d_k = property(lambda self: self.p ** (self.m - 1))
+    d_k_plus = property(lambda self: self.p ** (self.n - 1))
 
 
 def field_context(p: int, m: int) -> FieldContext:
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
-    if m < 2 or m % 2 or (p - 1) % m:
-        raise ValueError(f"degree must be an even divisor of p-1, got m={m}")
-    return FieldContext(
-        p=p,
-        m=m,
-        n=m // 2,
-        q_k=1,
-        w_k=2 * p if m == p - 1 else 2,
-        d_k=p ** (m - 1),
-        d_k_plus=p ** (m // 2 - 1),
-    )
+    if m < 1 or (p - 1) % m or (p - 1) // m % 2 == 0:
+        raise ValueError(f"degree must divide p-1 with an odd cofactor (an imaginary field), got m={m}")
+    return FieldContext(p=p, m=m, n=m // 2, q_k=1, w_k=2 * p if m == p - 1 else 2)
 
 
-def _galois_kernel(p: int, m: int) -> Subgroup:
-    return subgroup_of_order((p - 1) // m, p)
+def _crt_primes(m: int, need_bits: int) -> list[int]:
+    """Primes l = 1 (mod m), downward from the ceiling where (m/2)(l-1)^2 < 2^63
+    (so a dot product of m/2 residues mod l cannot wrap in int64), until their
+    product has more than need_bits bits; ValueError if they run out first."""
+    top = math.isqrt((2**63 - 1) // (m // 2))
+    ells, mod = [], 1
+    for ell in range(top // m * m + 1, m, -m):
+        if mod.bit_length() > need_bits:
+            break
+        if is_prime(ell):
+            ells.append(ell)
+            mod *= ell
+    if mod.bit_length() <= need_bits:
+        raise ValueError(f"the primes l = 1 (mod {m}) up to {top + 1} give too few bits for the resultant")
+    return ells
 
 
-def relative_class_number(p: int, m: int, dps: int = 60) -> int:
-    """h^- of the degree-m imaginary subfield of Q(zeta_p).
+def _resultant_residues(g: np.ndarray, m: int, ells: list[int]) -> list[int]:
+    """Res(y^(m/2) + 1, sum g_t y^t) mod each l as prod G(w^i) over the odd
+    i < m, w of order m mod l: each G(w^i) is one dot product of g mod l with
+    the powers of w at i*t mod m, the odd i taken in blocks of bounded size."""
+    rows = max(1, _TABLE_CELLS // (m // 2))
+    res = [1] * len(ells)
+    for lo in range(1, m, 2 * rows):
+        table = np.outer(np.arange(lo, min(lo + 2 * rows, m), 2), np.arange(m // 2)) % m
+        for j, ell in enumerate(ells):
+            pw = power_table(order_n_element(ell, m), m, ell)
+            res[j] = res[j] * math.prod((pw[table] @ (g % ell) % ell).tolist()) % ell
+    return res
 
-    Evaluates (w_K/(2 pi)^n) * p^(m/4) * prod L(1,chi) over X_p^-(H) at
-    `dps` working digits (>= 50) and rounds; a residual >= 1e-4 raises
-    PrecisionError instead of returning a bogus integer.
-    """
-    if p > MAX_CONDUCTOR:
-        raise ValueError(f"conductor {p} beyond the precision budget ({MAX_CONDUCTOR})")
+
+def relative_class_number(p: int, m: int) -> int:
+    """h^- of the degree-m imaginary subfield of Q(zeta_p), exactly: R mod primes l until the
+    CRT modulus exceeds 2 (sum |g_t|)^(m/2) >= 2|R| (ValueError if they run out), then
+    h^- = w (-1)^(m/2) R / (2p)^(m/2), or ArithmeticError if that is no positive integer."""
     ctx = field_context(p, m)
-    chars = odd_characters_trivial_on(_galois_kernel(p, m))
-    if len(chars) != ctx.n:
-        raise ArithmeticError(f"expected {ctx.n} characters, got {len(chars)}")
-    units = unit_group(p).grid().tolist()  # g^k mod p for k = 0..p-2
-    with mp.workdps(max(50, dps)):
-        # chi_j(g^k) = roots[j*k mod (p-1)], so each L(1,chi_j) is one dot product
-        # of the roots with cot(pi g^k / p) in discrete-log order
-        roots = [mp.expjpi(mp.mpf(2 * t) / (p - 1)) for t in range(p - 1)]
-        cot = [mp.cot(mp.pi * a / p) for a in units]
-        prod = mp.mpc(1)
-        for ch in chars:
-            j = ch.exponents[0]
-            prod *= mp.pi / (2 * p) * mp.fdot(cot, [roots[j * k % (p - 1)] for k in range(p - 1)])
-        h = ctx.w_k / (2 * mp.pi) ** ctx.n * mp.power(p, mp.mpf(ctx.m) / 4) * prod
-        if abs(h.imag) > mp.mpf("1e-20"):
-            raise PrecisionError(f"h^- came out non-real: {h}")
-        value = h.real
-        rounded = int(mp.nint(value))
-        residual = abs(value - rounded)
-        if residual >= mp.mpf("1e-4"):
-            raise PrecisionError(f"h^-({p},{m}) = {value}: residual {residual} too large")
-    if rounded < 1:
-        raise ArithmeticError(f"h^-({p},{m}) rounded to {rounded}")
-    return rounded
+    c = unit_group(p).grid().reshape(-1, m).sum(axis=0)  # c_t, t = 0..m-1
+    g = c[: ctx.n] - c[ctx.n :]
+    ells = _crt_primes(m, ctx.n * int(np.abs(g).sum()).bit_length() + 1)
+    r, mod = 0, 1
+    for ell, x in zip(ells, _resultant_residues(g, m, ells)):
+        r += mod * ((x - r) * pow(mod, -1, ell) % ell)
+        mod *= ell
+    h, rem = divmod((-1) ** ctx.n * ctx.w_k * (r - mod if 2 * r > mod else r), (2 * p) ** ctx.n)
+    if rem or h < 1:
+        raise ArithmeticError(f"h^-({p},{m}) fails the integrality audit: w (-1)^n R is no positive multiple of (2p)^n")
+    return h
 
 
 def b1_chi_mp(chi: DirichletCharacter):
@@ -139,28 +130,40 @@ def _power_or_inf(base: Fraction, expo: float) -> float:
         return math.inf
 
 
+def _coef(p: int, m: int) -> Fraction:
+    """c with M(p,H) = c pi^2, H the Galois kernel of the degree-m subfield."""
+    return mean_square_exact(p, subgroup_of_order((p - 1) // m, p)).coefficient
+
+
 def upper_bound_subfield(p: int, m: int) -> float:
     """Bound h^- <= w_K * (p*M(p,H)/(4 pi^2))^(m/4) with exact M coefficient;
     math.inf when the bound is beyond the float range."""
-    ctx = field_context(p, m)
-    coef = mean_square_exact(p, _galois_kernel(p, m)).coefficient
-    return ctx.w_k * _power_or_inf(Fraction(p, 4) * coef, m / 4)
+    return field_context(p, m).w_k * _power_or_inf(Fraction(p, 4) * _coef(p, m), m / 4)
+
+
+def upper_bound_simple(p: int, m: int) -> float:
+    """The simplified bound w_K * (p/24)^(m/4): 2p*(p/24)^((p-1)/4) for the full
+    field, 2*(p/24)^((p-1)/12) for the order-3 subfield; math.inf beyond floats."""
+    return field_context(p, m).w_k * _power_or_inf(Fraction(p, 24), m / 4)
+
+
+def bound_chain(p: int, m: int, h: int) -> tuple[bool, bool]:
+    """(h <= upper_bound_subfield, upper_bound_subfield <= upper_bound_simple),
+    decided exactly as h^4 <= w_K^4 (p c/4)^m and c <= 1/6, M(p,H) = c pi^2."""
+    c = _coef(p, m)
+    return h**4 <= field_context(p, m).w_k ** 4 * (Fraction(p, 4) * c) ** m, c <= Fraction(1, 6)
 
 
 def upper_bound_h3_field(p: int) -> tuple[float, float]:
-    """Bounds for the degree-(p-1)/3 subfield: the M(p,H_3)-based bound and
-    the simplified 2*(p/24)^((p-1)/12); returns (sharp, simple), sharp <= simple.
-
-    The ordering is decided exactly, as coefficient <= 1/6; either bound is
-    math.inf when beyond the float range.
-    """
+    """(sharp, simple) = (upper_bound_subfield, upper_bound_simple) for the
+    degree-(p-1)/3 subfield; the ordering sharp <= simple is decided exactly."""
     if not is_prime(p) or p % 6 != 1:
         raise ValueError(f"need a prime p = 1 mod 6, got {p}")
-    coef = mean_square_exact(p, subgroup_of_order(3, p)).coefficient
-    if coef > Fraction(1, 6):
-        raise ArithmeticError(f"bound ordering violated at p={p}: coefficient {coef} > 1/6")
-    expo = (p - 1) / 12
-    return 2 * _power_or_inf(Fraction(p, 4) * coef, expo), 2 * _power_or_inf(Fraction(p, 24), expo)
+    m = (p - 1) // 3
+    c = _coef(p, m)
+    if c > Fraction(1, 6):
+        raise ArithmeticError(f"bound ordering violated at p={p}: coefficient {c} > 1/6")
+    return upper_bound_subfield(p, m), upper_bound_simple(p, m)
 
 
 def general_bound(f: int, sub: Subgroup, q_k: int, w_k: int, d_ratio_sqrt: float) -> float:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import survey as survey_mod
-from .classnumber import relative_class_number, upper_bound_h3_field, upper_bound_subfield
+from .classnumber import bound_chain, relative_class_number, upper_bound_simple, upper_bound_subfield
 from .dedekind import dedekind_sum, dedekind_sum_naive
 from .eisenstein import e_f, order3_subgroups_from_ef, representations
 from .meansquare import (
@@ -132,19 +132,16 @@ def cmd_ef(args) -> int:
 def cmd_class_number(args) -> int:
     p = args.p
     m = p - 1 if args.degree is None else args.degree
-    h = relative_class_number(p, m, dps=args.dps)
-    bound10 = upper_bound_subfield(p, m)
-    if m == (p - 1) // 3 and p % 6 == 1:
-        bound_special = upper_bound_h3_field(p)[1]
-    else:
-        bound_special = 2 * p * (p / 24) ** ((p - 1) / 4) if m == p - 1 else None
+    h = relative_class_number(p, m)
+    special = m == p - 1 or 3 * m == p - 1  # the full field (eq. 12) or the order-3 subfield (eq. 13)
+    within, ordered = bound_chain(p, m, h)
     out = {
         "p": p,
         "degree": m,
         "h_minus": h,
-        "bound_eq10": bound10,
-        "bound_eq12_or_13": bound_special,
-        "satisfied": h <= bound10 and (bound_special is None or h <= bound_special),
+        "bound_eq10": upper_bound_subfield(p, m),
+        "bound_eq12_or_13": upper_bound_simple(p, m) if special else None,
+        "satisfied": within and (ordered or not special),
     }
     print(json.dumps(out))
     return 0 if out["satisfied"] else 1
@@ -224,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("class-number", help="relative class number and bounds")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--dps", type=int, default=60)
     p.set_defaults(fn=cmd_class_number)
 
     p = sub.add_parser("mean-square", help="exact M(f,H) as a rational multiple of pi^2")

@@ -25,6 +25,7 @@ __all__ = [
     "is_prime",
     "mobius",
     "order_n_element",
+    "power_table",
     "powmod_lanes",
     "primes_in_progression",
     "sieve_upto",
@@ -183,6 +184,17 @@ def order_n_element(p: int, n: int) -> int:
         if all(pow(h, n // q, p) != 1 for q in qs):
             return h
     raise ValueError(f"no element of order {n} mod {p}")
+
+
+def power_table(x: int, s: int, p: int) -> np.ndarray:
+    """x^0 .. x^(s-1) mod p as int64, by doubling; exact while (p-1)^2 < 2^63."""
+    pows = np.ones(s, dtype=np.int64)
+    k = 1
+    while k < s:  # x^(k..2k-1) = x^(0..k-1) * x^k
+        j = min(k, s - k)
+        pows[k : k + j] = pows[:j] * pow(x, k, p) % p
+        k *= 2
+    return pows
 
 
 def _mul_exact(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:

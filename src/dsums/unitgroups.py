@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkernel import factorize, is_prime, order_n_element, totient
+from .numkernel import factorize, is_prime, order_n_element, power_table, totient
 
 __all__ = [
     "DirichletCharacter",
@@ -36,23 +36,12 @@ __all__ = [
     "kernel_subgroup",
     "odd_character_mask",
     "odd_characters_trivial_on",
-    "primitive_root",
     "subgroup_from_elements",
     "subgroup_from_generator",
     "subgroup_of_order",
     "trace",
     "unit_group",
 ]
-
-
-@lru_cache(maxsize=1 << 14)
-def primitive_root(p: int) -> int:
-    """Smallest primitive root modulo an odd prime p (trial search)."""
-    if p == 2:
-        return 1
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _primitive_root_prime_power(p, 1)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -129,13 +118,7 @@ class UnitGroup:
                 raise ValueError(f"modulus {f} too large for the int64 unit grid")
             units = np.ones((), dtype=np.int64)
             for g, s in zip(self.generators, self.orders):
-                pows = np.ones(s, dtype=np.int64)
-                k = 1
-                while k < s:  # g^(k..2k-1) = g^(0..k-1) * g^k; products stay below f^2 < 2^62
-                    m = min(k, s - k)
-                    pows[k : k + m] = pows[:m] * pow(g, k, f) % f
-                    k *= 2
-                units = np.multiply.outer(units, pows) % f
+                units = np.multiply.outer(units, power_table(g, s, f)) % f
             units.flags.writeable = False
             self._grid = units
         return self._grid
@@ -342,10 +325,6 @@ class DirichletCharacter:
     @property
     def is_odd(self) -> bool:
         return 2 * self._phase(self.modulus - 1) == self.group.exponent
-
-    @property
-    def is_even(self) -> bool:
-        return not self.is_odd
 
     @property
     def order(self) -> int:

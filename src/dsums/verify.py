@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .classnumber import b1_chi_mp, relative_class_number, upper_bound_h3_field, upper_bound_subfield
+from .classnumber import b1_chi_mp, bound_chain, relative_class_number
 from .dedekind import (
     dedekind_sum,
     dedekind_sum_naive,
@@ -420,16 +420,10 @@ def suite_class_number(max_modulus: int | None = None, seed: int = 0) -> VerifyR
     t.equal(relative_class_number(7, 6), 1, "h^-(Q(zeta_7))")
     t.equal(relative_class_number(13, 4), 1, "h^- degree-4 field at p=13")
 
-    for p in (7, 11, 13, 19, 23):
-        h = relative_class_number(p, p - 1)
-        sharp = upper_bound_subfield(p, p - 1)
-        simple = 2 * p * (p / 24) ** ((p - 1) / 4)
-        t.check(h <= sharp <= simple * (1 + 1e-12), f"full-field bound chain at p={p}: {h} vs {sharp} vs {simple}")
-
-    for p in (7, 13, 19, 31, 37, 43):
-        h = relative_class_number(p, (p - 1) // 3)
-        sharp, simple = upper_bound_h3_field(p)
-        t.check(h <= sharp <= simple * (1 + 1e-12), f"order-3 bound chain at p={p}: {h} vs {sharp} vs {simple}")
+    # h <= sharp <= simple, decided exactly (bound_chain)
+    for p, m in [(p, p - 1) for p in (7, 11, 13, 19, 23)] + [(p, (p - 1) // 3) for p in (7, 13, 19, 31, 37, 43)]:
+        within, ordered = bound_chain(p, m, relative_class_number(p, m))
+        t.check(within and ordered, f"bound chain at (p, m) = ({p}, {m}): h <= sharp {within}, sharp <= simple {ordered}")
 
     # independent generalized-Bernoulli route
     for p in (7, 23):

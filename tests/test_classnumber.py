@@ -3,16 +3,17 @@ import math
 import pytest
 from mpmath import mp
 
+from dsums import classnumber
 from dsums.classnumber import (
-    PrecisionError,
     b1_chi_mp,
+    bound_chain,
     field_context,
     general_bound,
     relative_class_number,
     upper_bound_h3_field,
     upper_bound_subfield,
 )
-from dsums.unitgroups import characters, subgroup_from_elements
+from dsums.unitgroups import characters, odd_characters_trivial_on, subgroup_from_elements, subgroup_of_order
 
 
 def test_field_context():
@@ -35,9 +36,52 @@ def test_relative_class_numbers():
     assert relative_class_number(19, 18) == 1
 
 
-def test_conductor_budget():
+def test_quadratic_fields_match_dirichlet():
+    # m = 2 is Q(sqrt(-p)), p = 3 (mod 4): h = sum of (a/p) over a < p/2, over 2 - (2/p)
+    for p in (23, 43, 163, 10007, 100003):
+        s = sum(1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, (p + 1) // 2))
+        assert relative_class_number(p, 2) == s // (1 if p % 8 == 7 else 3), p
+
+
+def test_oracle_at_p_211():
+    # beyond the old conductor limit of 200: the resultant against the
+    # Bernoulli product at 30 digits more than h^- has
+    for p, m in ((211, 210), (211, 42)):
+        h = relative_class_number(p, m)
+        with mp.workdps(len(str(h)) + 30):
+            prod = mp.mpc(1)
+            for ch in odd_characters_trivial_on(subgroup_of_order((p - 1) // m, p)):
+                prod *= -b1_chi_mp(ch) / 2
+            want = (2 * p if m == p - 1 else 2) * prod
+            assert abs(want - h) < mp.mpf("1e-6"), (p, m)
+
+
+def test_a_wrong_residue_trips_the_integrality_audit(monkeypatch):
+    residues = classnumber._resultant_residues
+
+    def off_by_one(g, m, ells):
+        res = residues(g, m, ells)
+        res[0] = (res[0] + 1) % ells[0]
+        return res
+
+    monkeypatch.setattr(classnumber, "_resultant_residues", off_by_one)
+    for p, m in ((7, 6), (23, 22), (13, 4), (199, 66)):
+        with pytest.raises(ArithmeticError, match="integrality audit"):
+            relative_class_number(p, m)
+
+
+def test_index_table_blocks_agree(monkeypatch):
+    # blocks of 1, 7 and 30 odd i at p = 199 (the last one short) against one block
+    want = [relative_class_number(p, m) for p, m in ((199, 198), (181, 60))]
+    for cells in (1, 7 * 99, 30 * 99):
+        monkeypatch.setattr(classnumber, "_TABLE_CELLS", cells)
+        assert [relative_class_number(p, m) for p, m in ((199, 198), (181, 60))] == want, cells
+
+
+def test_no_imaginary_field_no_class_number():
+    # (p-1)/m even puts -1 in the kernel: the field is real
     with pytest.raises(ValueError):
-        relative_class_number(211, 210)
+        relative_class_number(13, 2)
 
 
 def test_bernoulli_oracle():
@@ -63,20 +107,23 @@ def test_bernoulli_oracle():
 
 def test_full_field_bound_chain():
     for p in (7, 11, 13, 19, 23):
-        h = relative_class_number(p, p - 1)
-        sharp = upper_bound_subfield(p, p - 1)
-        simple = 2 * p * (p / 24) ** ((p - 1) / 4)
-        assert h <= sharp <= simple * (1 + 1e-12)
+        assert bound_chain(p, p - 1, relative_class_number(p, p - 1)) == (True, True)
 
 
 def test_order3_subfield_bound_chain():
     assert upper_bound_h3_field(13) == (1.0, pytest.approx(2 * (13 / 24) ** 1))
     for p in (7, 13, 19, 31, 37, 43):
-        h = relative_class_number(p, (p - 1) // 3)
-        sharp, simple = upper_bound_h3_field(p)
-        assert h <= sharp <= simple * (1 + 1e-12)
+        m = (p - 1) // 3
+        assert bound_chain(p, m, relative_class_number(p, m)) == (True, True)
     with pytest.raises(ValueError):
         upper_bound_h3_field(11)
+
+
+def test_bound_chain_is_exact():
+    # the degree-4 field at p = 13 meets its bound: h^- = 1 = 2 (13 c/4), c = 2/13
+    assert bound_chain(13, 4, 1) == (True, True) and bound_chain(13, 4, 2)[0] is False
+    assert upper_bound_subfield(23, 22) == pytest.approx(17.2832, abs=1e-4)
+    assert bound_chain(23, 22, 17)[0] is True and bound_chain(23, 22, 18)[0] is False
 
 
 def test_bounds_beyond_float_range():

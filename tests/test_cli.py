@@ -1,6 +1,8 @@
 import importlib
 import json
+import math
 import pkgutil
+import time
 
 import pytest
 
@@ -144,6 +146,22 @@ def test_class_number_json(capsys):
     assert blob["bound_eq10"] > 0
 
 
+def test_class_number_bounds_beyond_float_range(capsys, monkeypatch):
+    # the full-field 2p (p/24)^((p-1)/4) passes 1e308 near p = 1000; h^- is stubbed, the decision stays exact
+    monkeypatch.setattr(cli, "relative_class_number", lambda p, m: 1)
+    code, out, _ = run(capsys, "class-number", "--p", "1009")
+    blob = json.loads(out)
+    assert code == 0 and blob["satisfied"]
+    assert blob["bound_eq10"] == blob["bound_eq12_or_13"] == math.inf
+
+
+def test_class_number_beyond_the_crt_primes_exits_2(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "class-number", "--p", "1000003")
+    assert code == 2 and out == "" and "Traceback" not in err and "primes l = 1" in err
+    assert time.perf_counter() - t0 < 10
+
+
 def test_mean_square_json(capsys):
     code, out, _ = run(capsys, "mean-square", "--f", "7", "--order", "3", "--numeric")
     assert code == 0
@@ -178,6 +196,7 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--all-odd", "--limit", "7", "--threads", "2"], None),
     (["class-number", "--p", "7", "--degree", "0"], None),
     (["survey", "--limit", "2**50"], None),
+    (["class-number", "--p", "7", "--dps", "80"], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

@@ -137,7 +137,7 @@ def test_l_one_anchors():
 
 
 def test_l_one_rejects_even():
-    even = next(c for c in characters(5) if c.is_even and c.order > 1)
+    even = next(c for c in characters(5) if not c.is_odd and c.order > 1)
     with pytest.raises(ValueError):
         l_one_numeric(even)
 
