@@ -67,13 +67,12 @@ def cmd_dedekind(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    n = None if args.all_odd else args.n
     kwargs = dict(threads=args.threads, checkpoint=args.checkpoint, records=args.records)
-    if args.all_odd:
-        report = survey_mod.scan_all_odd_subgroups(args.limit)
-    elif args.window_from is not None:
-        report = survey_mod.scan_window(args.n, args.window_from, args.span, **kwargs)
+    if args.window_from is not None:
+        report = survey_mod.scan_window(n, args.window_from, args.span, **kwargs)
     else:
-        report = survey_mod.scan_fixed_n(args.n, args.limit, **kwargs)
+        report = survey_mod.scan_fixed_n(n, args.limit, **kwargs)
     if args.out == "csv":
         print("n,range,c_prime,c_leq0,rho")
         d = report.to_json()
@@ -194,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", type=_intexpr, default=None)
     p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
     p.add_argument("--out", choices=("json", "csv"), default="json")
-    p.add_argument("--records", default=None, help="CSV path for per-prime records")
+    p.add_argument("--records", default=None, help="CSV path for per-pair records")
     p.add_argument("--checkpoint", default=None, help="JSON checkpoint path (resume-aware)")
-    p.add_argument("--all-odd", action="store_true", help="scan pairs (p,n) over all odd n | p-1")
+    p.add_argument("--all-odd", action="store_true", help="scan pairs (p,n) over all odd n | p-1 instead of --n")
     p.set_defaults(fn=cmd_survey)
 
     p = sub.add_parser("tables", help="reproduce the density table rows")
@@ -239,11 +238,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.fn is cmd_tables and args.table == "rho9-window" and None in (args.window_from, args.span):
         ap.error("rho9-window needs --from and --span")
-    if args.fn is cmd_survey and args.all_odd and any(
-        v is not None for v in (args.records, args.checkpoint, args.threads, args.window_from, args.span)
-    ):
-        ap.error("--all-odd takes no --records, --checkpoint, --threads, --from or --span")
-    if args.fn is cmd_survey and not args.all_odd and (args.window_from is None) != (args.span is None):
+    if args.fn is cmd_survey and (args.window_from is None) != (args.span is None):
         ap.error("--from and --span go together")
     try:
         if getattr(args, "threads", 1) is None:  # survey or tables without --threads

@@ -3,14 +3,15 @@
 For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
 (Z/pZ)* from its generator h0 (the first power x^((p-1)/n), x = 2, 3, ...,
 of exact order n) and records the exact integers 2S and N. No float or
-fraction enters the N <= 0 decision.
+fraction enters the N <= 0 decision. The all-odd scan (n = None) takes the
+pairs (p, n) for every odd n | p - 1, one batch per n, in the same driver.
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
-A scan takes a sieve segment's primes as one int64 array and keeps every
-step on lanes, one lane per prime or per (p, h0^j): a left-to-right ladder,
+A scan takes a sieve segment's pairs as one int64 array and keeps every
+step on lanes, one lane per pair or per (p, h0^j): a left-to-right ladder,
 one exact square per exponent bit and a plain int64 multiply by the small
 x, finds each h0 (lanes whose x fails the order test retry with x + 1); n - 2
 products, in about log2(n) doubling steps, give the power table h0^1, ...,
@@ -22,7 +23,7 @@ Products mod p go through _mulmod, exact for p < 2^50: the float quotient
 a*b/p < 2^50 carries two roundings of relative size 2^-53, so its floor is
 off by at most 1, and a*b - q*p, taken with int64 wraparound, is the true
 value in [-p, 2p). The scans reject bounds >= 2^50, and n*upper >= 2^62 so
-that no per-prime sum (each within about n*p of 0) wraps.
+that no per-prime sum (each within about n*p of 0) wraps (n = upper when all-odd).
 
 Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
@@ -84,7 +85,7 @@ class SurveyRecord:
 class DensityReport:
     """Aggregate counts for a scan; rho is exactly c_leq0/c_prime as text."""
 
-    n: int | None  # None for the all-odd-subgroups scan
+    n: int | None  # None for the all-odd scan, over every odd n | p - 1
     range_desc: str
     c_prime: int
     c_leq0: int
@@ -252,7 +253,7 @@ def _audit(bad: np.ndarray, p: np.ndarray, n: int, what: str, name: str, value: 
 def _batch_records(n: int, p: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The audited (2S, N) of H_n, one lane for each of the int64 primes
     p = 1 (mod 2n), whose generators h0 come from _generators; the caller
-    keeps p < 2^50 and n*p < 2^62 (_check_lanes)."""
+    keeps p < 2^50 and n*p < 2^62 (_scan)."""
     m = (n - 1) // 2
     powers = np.empty((n - 1, len(p)), dtype=np.int64)  # row j-1 holds h0^j mod p
     powers[0] = h0
@@ -284,7 +285,7 @@ def _batch_records(n: int, p: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, n
 @dataclass
 class _Checkpoint:
     mode: str  # "fixed" or "window"
-    n: int
+    n: int | None  # None (JSON null) for the all-odd scan
     A: int
     span_or_B: int
     last_p: int
@@ -368,42 +369,52 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
-def _segment_worker(args: tuple[int, int, int, bool]) -> tuple[int, int, str]:
-    """(primes, nonpositive count, CSV rows or "") of the segment [lo, hi], lo <= hi."""
+def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, str]:
+    """(pairs, nonpositive count, CSV rows or "") of the segment [lo, hi], lo <= hi.
+
+    n = None takes (p, d) for every odd prime p and odd d > 1 dividing p - 1, and counts
+    p's n = 1 pair (no row) as nonpositive. One generator search runs over all pairs, then
+    one batch of records per d."""
     n, lo, hi, want_records = args
-    ((_, _, p),) = primes_in_progression(lo, hi - lo, 2 * n, 1).segments(hi - lo + 1)
-    two_s, big_n = _batch_records(n, p, _generators(n, p))
+    ((_, _, p),) = primes_in_progression(lo, hi - lo, 2 * (n or 1), 1).segments(hi - lo + 1)
+    ones = 0 if n else len(p)  # the n = 1 pairs
+    if n:
+        d = np.full_like(p, n)
+    else:
+        p_d = [(q, d) for q in p.tolist() for d in divisors(q - 1)[1:] if d % 2]
+        p, d = np.array(p_d, dtype=np.int64).reshape(-1, 2).T
+    h0 = _generators(d, p)
+    two_s, big_n = np.empty_like(p), np.empty_like(p)
+    order = np.argsort(d, kind="stable")
+    values, starts = np.unique(d[order], return_index=True)
+    for k, lanes in zip(values.tolist(), np.split(order, starts[1:])):
+        two_s[lanes], big_n[lanes] = _batch_records(k, p[lanes], h0[lanes])
     nonpositive = big_n <= 0
     text = ""
     if want_records:  # rows of CSV_HEADER
-        row = f"{{}},{n},{{}},{{}},{{}}\n".format
         flags = np.where(nonpositive, "true", "false").tolist()
-        text = "".join(map(row, p.tolist(), two_s.tolist(), big_n.tolist(), flags))
-    return len(p), int(nonpositive.sum()), text
-
-
-def _check_lanes(n: int, upper: int) -> None:
-    """The lanes' int64 arithmetic is exact for p < 2^50 and per-prime sums below n*p < 2^62."""
-    if upper >= 1 << 50 or n * upper >= 1 << 62:
-        raise ValueError(f"scans work in int64: need bounds below 2^50 and n*bound below 2^62, got n={n}, {upper}")
+        text = "".join(map("{},{},{},{},{}\n".format, p.tolist(), d.tolist(), two_s.tolist(), big_n.tolist(), flags))
+    return len(p) + ones, int(nonpositive.sum()) + ones, text
 
 
 def _scan(
     mode: str,
-    n: int,
+    n: int | None,
     lower: int,
-    upper: int,
     span_or_b: int,
     *,
     threads: int = 1,
     checkpoint: str | None = None,
     records: str | None = None,
 ) -> DensityReport:
-    if n < 3 or n % 2 == 0:
+    if n is not None and (n < 3 or n % 2 == 0):
         raise ValueError(f"need odd n >= 3, got {n}")
     if threads < 1:
         raise ValueError(f"need threads >= 1, got {threads}")
-    _check_lanes(n, upper)
+    upper = lower + span_or_b
+    # int64 lanes are exact for p < 2^50 and per-prime sums below n*p < 2^62 (an all-odd n is < upper)
+    if upper >= 1 << 50 or (n or upper) * upper >= 1 << 62:
+        raise ValueError(f"scans work in int64: need bounds below 2^50 and n*bound below 2^62, got n={n}, {upper}")
     start = max(lower, 2)
     c_p = c_le = 0
     ck = _load_checkpoint(checkpoint) if checkpoint else None
@@ -438,16 +449,16 @@ def _scan(
     return DensityReport(n, desc, c_p, c_le, ratio_decimal(c_le, c_p))
 
 
-def scan_fixed_n(n: int, limit: int, **kwargs) -> DensityReport:
-    """Density report over primes p = 1 (mod 2n), p <= limit."""
-    return _scan("fixed", n, 0, limit, limit, **kwargs)
+def scan_fixed_n(n: int | None, limit: int, **kwargs) -> DensityReport:
+    """Density report over primes p = 1 (mod 2n), p <= limit (all odd n for n = None)."""
+    return _scan("fixed", n, 0, limit, **kwargs)
 
 
-def scan_window(n: int, lower: int, span: int, **kwargs) -> DensityReport:
-    """Density report over primes p = 1 (mod 2n), lower <= p <= lower+span."""
+def scan_window(n: int | None, lower: int, span: int, **kwargs) -> DensityReport:
+    """Density report over primes p = 1 (mod 2n), lower <= p <= lower+span (all odd n for n = None)."""
     if lower < 0:
         raise ValueError("need lower >= 0")
-    return _scan("window", n, lower, lower + span, span, **kwargs)
+    return _scan("window", n, lower, span, **kwargs)
 
 
 def resume(checkpoint: str, *, threads: int = 1, records: str | None = None) -> DensityReport:
@@ -455,31 +466,16 @@ def resume(checkpoint: str, *, threads: int = 1, records: str | None = None) -> 
     ck = _load_checkpoint(checkpoint)
     if ck is None:
         raise ValueError(f"no checkpoint at {checkpoint}")
-    if ck.mode == "fixed":
-        return scan_fixed_n(ck.n, ck.span_or_B, checkpoint=checkpoint, threads=threads, records=records)
-    return scan_window(ck.n, ck.A, ck.span_or_B, checkpoint=checkpoint, threads=threads, records=records)
+    return _scan(ck.mode, ck.n, ck.A, ck.span_or_B, checkpoint=checkpoint, threads=threads, records=records)
 
 
-def scan_all_odd_subgroups(limit: int) -> DensityReport:
+def scan_all_odd_subgroups(limit: int, **kwargs) -> DensityReport:
     """Pairs (p, n): p odd prime <= limit, n an odd divisor of p-1 (n = 1 included).
 
     The n = 1 pair carries N = (2-3p)/p < 0 and always counts as
-    nonpositive; pairs with n > 1 use the exact integer N. Each sieve
-    segment takes one generator search over all of its pairs, then one
-    batch of records per n.
+    nonpositive; pairs with n > 1 use the exact integer N. The n = 1 pairs
+    have no integer 2S or N, so a records file leaves them out: it holds
+    c_prime minus the number of odd primes <= limit rows, in (p, n) order,
+    each as a fixed-n scan writes it. It is scan_fixed_n with n = None.
     """
-    if limit < 3:
-        raise ValueError("need limit >= 3")
-    _check_lanes(limit, limit)  # every n divides some p - 1 < limit
-    pairs = nonpos = 0
-    for _, _, primes in primes_in_progression(3, limit - 3, 1, 0).segments():
-        p_d = [(p, d) for p in primes.tolist() for d in divisors(p - 1)[1:] if d % 2]
-        pairs += len(primes) + len(p_d)
-        nonpos += len(primes)  # the n = 1 pairs
-        p, d = np.array(p_d, dtype=np.int64).reshape(-1, 2).T
-        h0 = _generators(d, p)  # one search over all of the segment's pairs; the records go by n = d
-        order = np.argsort(d, kind="stable")
-        values, starts = np.unique(d[order], return_index=True)
-        for n, lanes in zip(values.tolist(), np.split(order, starts[1:])):
-            nonpos += int((_batch_records(n, p[lanes], h0[lanes])[1] <= 0).sum())
-    return DensityReport(None, f"p <= {limit}", pairs, nonpos, ratio_decimal(nonpos, pairs))
+    return scan_fixed_n(None, limit, **kwargs)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from mpmath import mp
@@ -71,11 +72,26 @@ def test_a_wrong_residue_trips_the_integrality_audit(monkeypatch):
 
 
 def test_index_table_blocks_agree(monkeypatch):
-    # blocks of 1, 7 and 30 odd i at p = 199 (the last one short) against one block
-    want = [relative_class_number(p, m) for p, m in ((199, 198), (181, 60))]
+    # blocks of 1, 7 and 30 odd i at p = 199 (the last one short) against one block;
+    # at (1009, 48) the powers of g come in chunks of 1 and 14 rows (the last one short)
+    fields = ((199, 198), (181, 60), (1009, 48))
+    want = [relative_class_number(p, m) for p, m in fields]
     for cells in (1, 7 * 99, 30 * 99):
         monkeypatch.setattr(classnumber, "_TABLE_CELLS", cells)
-        assert [relative_class_number(p, m) for p, m in ((199, 198), (181, 60))] == want, cells
+        assert [relative_class_number(p, m) for p, m in fields] == want, cells
+
+
+def test_class_number_memory_is_bounded():
+    # Q(sqrt(-10000019)): the 10^7 powers of g are summed chunk by chunk, never held at once
+    tracemalloc.start()
+    try:
+        assert relative_class_number(10000019, 2) == 1275
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
+    with pytest.raises(ValueError, match="too large"):
+        relative_class_number(2147483659, 2)
 
 
 def test_no_imaginary_field_no_class_number():

@@ -83,6 +83,17 @@ def test_survey_all_odd(capsys):
     assert code == 0 and blob["n"] == "all" and blob["c_prime"] == 4
 
 
+def test_survey_all_odd_takes_the_scan_options(capsys, tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        rc, ck = str(tmp_path / f"r{threads}.csv"), str(tmp_path / f"c{threads}.json")
+        code, out, _ = run(capsys, "survey", "--all-odd", "--limit", "3000", "--threads", threads,
+                           "--records", rc, "--checkpoint", ck)
+        assert code == 0 and json.load(open(ck))["n"] is None
+        outs.append((out, open(rc).read()))
+    assert outs[0] == outs[1] and json.loads(outs[0][0])["c_prime"] == 2002
+
+
 def test_tables_row(capsys):
     code, out, _ = run(capsys, "tables", "--table", "rho9", "--limit", "1e4")
     assert code == 0 and out.strip() == "10^4 | 203 | 116 | 0.57142..."
@@ -191,9 +202,9 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--limit", "100", "--threads", "0"], None),
     (["tables", "--table", "rho9-window"], None),
     (["survey", "--from", "100"], None),
-    (["survey", "--all-odd", "--limit", "7", "--records", "r.csv"], None),
-    (["survey", "--all-odd", "--limit", "7", "--checkpoint", "c.json"], None),
-    (["survey", "--all-odd", "--limit", "7", "--threads", "2"], None),
+    (["survey", "--all-odd", "--from", "100", "--records", "r.csv"], None),
+    (["survey", "--all-odd", "--limit", "2**50", "--checkpoint", "c.json"], None),
+    (["survey", "--all-odd", "--limit", "7", "--threads", "0"], None),
     (["class-number", "--p", "7", "--degree", "0"], None),
     (["survey", "--limit", "2**50"], None),
     (["class-number", "--p", "7", "--dps", "80"], None),

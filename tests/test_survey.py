@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +78,46 @@ def test_scan_all_odd_subgroups():
     # (31,5) carries N = 35 > 0, so not everything is counted
     assert rep31.c_leq0 < rep31.c_prime
     assert rep31.to_json()["n"] == "all"
+    assert scan_all_odd_subgroups(2).rho == "undefined"  # an empty range, as for a fixed n
+
+
+def test_all_odd_records_match_the_oracle(tmp_path):
+    # the n = 1 pairs count but have no rows; every other pair is n_record's
+    rc1, rc2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    rep = scan_all_odd_subgroups(3000, records=str(rc1))
+    assert rep == scan_all_odd_subgroups(3000, threads=2, records=str(rc2))
+    assert rc1.read_bytes() == rc2.read_bytes()
+    lines = rc1.read_text().splitlines()
+    assert lines[0] == "p,n,two_S,N,nonpositive"
+    rows = [tuple(map(int, ln.split(",")[:4])) + (ln.endswith("true"),) for ln in lines[1:]]
+    ones = sum(1 for _ in primes_in_progression(3, 2997, 2, 1))  # the odd primes <= 3000
+    assert (rep.c_prime, len(rows)) == (2002, 1573) and len(rows) == rep.c_prime - ones
+    assert sum(r[4] for r in rows) == rep.c_leq0 - ones
+    assert rows == sorted(rows)  # (p, n) order
+    for p, n, two_s, big_n, nonpositive in rows:
+        assert (p, n, two_s, big_n, nonpositive) == tuple(asdict(n_record(p, n)).values()), (p, n)
+
+
+def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
+    full_rc, rc, ck = tmp_path / "full.csv", tmp_path / "r.csv", str(tmp_path / "ck.json")
+    full = scan_all_odd_subgroups(3000, records=str(full_rc))
+    window = scan_window(None, 0, 3000)
+    assert (window.n, window.c_prime, window.c_leq0, window.rho) == (None, full.c_prime, full.c_leq0, full.rho)
+    # a scan that dies after its first checkpoint, then resumes
+    save = survey._save_checkpoint
+
+    def save_and_die(path, state):
+        save(path, state)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(survey, "_save_checkpoint", save_and_die)
+    with pytest.raises(KeyboardInterrupt):
+        scan_all_odd_subgroups(3000, checkpoint=ck, records=str(rc))
+    monkeypatch.setattr(survey, "_save_checkpoint", save)
+    data = json.load(open(ck))
+    assert data["version"] == 2 and data["n"] is None and data["last_p"] < 3000
+    assert resume(ck, records=str(rc)) == full
+    assert rc.read_bytes() == full_rc.read_bytes()
 
 
 def test_threads_deterministic(tmp_path):
@@ -181,6 +222,9 @@ def test_segment_worker_edge_segments():
     rec = n_record(19, 9)
     assert survey._segment_worker((9, 19, 19, True)) == (1, 1, f"19,9,{rec.two_S},{rec.N},true\n")
     assert survey._segment_worker((21, 211, 211, False)) == (1, n_record(211, 21).nonpositive, "")
+    # all-odd: p = 3 has only its n = 1 pair, which counts but writes no row
+    assert survey._segment_worker((None, 2, 3, True)) == (1, 1, "")
+    assert survey._segment_worker((None, 7, 7, True)) == (2, 2, "7,3,1,-1,true\n")
 
 
 # From p > 60000 on, the scan gets a "generator" not of order 9: 2 (2^9 = 1
@@ -345,26 +389,33 @@ def dying_save(path, ck):
     if len(calls) == 2:
         os.killpg(0, signal.SIGKILL)
 survey._save_checkpoint = dying_save
-survey.scan_fixed_n(9, 10**5, threads=int(sys.argv[2]), records=sys.argv[3], checkpoint=sys.argv[4])
+n = None if sys.argv[5] == "all" else int(sys.argv[5])
+survey.scan_fixed_n(n, int(sys.argv[6]), threads=int(sys.argv[2]), records=sys.argv[3], checkpoint=sys.argv[4])
 """
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("when", ["before", "after"])
-def test_kill_and_resume_keeps_records_consistent(tmp_path, threads, when):
+# (n, limit, c_prime, c_leq0, the pairs with no row): n = 9 to 1e5, or the all-odd scan to 1e4
+_KILLED = {"9": (10**5, 1592, 838, 0), "all": (10**4, 6775, 4766, 1228)}
+
+
+@pytest.mark.parametrize("when, threads, n", [
+    pytest.param(w, t, "9", id=f"{w}-{t}") for w in ("before", "after") for t in (1, 2)
+] + [pytest.param("after", 2, "all", id="all-odd-after-2")])
+def test_kill_and_resume_keeps_records_consistent(tmp_path, when, threads, n):
     rc, ck = str(tmp_path / "r.csv"), str(tmp_path / "ck.json")
+    limit, c_prime, c_leq0, ones = _KILLED[n]
     env = dict(os.environ, PYTHONPATH=str(Path(dsums.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", _KILLED_SCAN, when, str(threads), rc, ck],
+    proc = subprocess.run([sys.executable, "-c", _KILLED_SCAN, when, str(threads), rc, ck, n, str(limit)],
                           env=env, timeout=120, start_new_session=True)
     assert proc.returncode == -signal.SIGKILL
     rep = resume(ck, threads=threads, records=rc)
-    assert (rep.c_prime, rep.c_leq0) == (1592, 838)
+    assert (rep.c_prime, rep.c_leq0) == (c_prime, c_leq0)
     lines = open(rc).read().splitlines()
     assert lines[0] == "p,n,two_S,N,nonpositive"
     rows = [ln.split(",") for ln in lines[1:]]
-    assert len(rows) == rep.c_prime
-    assert sum(r[4] == "true" for r in rows) == rep.c_leq0
-    assert len({r[0] for r in rows}) == len(rows)
+    assert len(rows) == rep.c_prime - ones
+    assert sum(r[4] == "true" for r in rows) == rep.c_leq0 - ones
+    assert len({(r[0], r[1]) for r in rows}) == len(rows)
 
 
 # A threads = 2 scan whose workers log their pids, long enough to be killed
