@@ -1,5 +1,8 @@
 """Arithmetic substrate: primality, factorization, multiplicative functions,
-and segmented prime enumeration in arithmetic progressions.
+a sieve of the primes in a window of an arithmetic progression, and the
+int64 lane layer: one exact product mod p < 2^50 (mulmod), a power table
+and a power ladder, each choosing the plain a*b % p or a float-quotient
+product once per call from the largest modulus.
 
 Exact rational values everywhere in this package are `fractions.Fraction`:
 always reduced, denominator positive, so ``str()`` renders "num/den" in
@@ -11,19 +14,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "Factorization",
-    "PrimeStream",
     "divisors",
     "factorize",
     "is_prime",
     "mobius",
+    "mulmod",
     "order_n_element",
     "power_table",
     "powmod_lanes",
@@ -186,139 +187,141 @@ def order_n_element(p: int, n: int) -> int:
     raise ValueError(f"no element of order {n} mod {p}")
 
 
-def power_table(x: int, s: int, p: int) -> np.ndarray:
-    """x^0 .. x^(s-1) mod p as int64, by doubling; exact while (p-1)^2 < 2^63."""
-    pows = np.ones(s, dtype=np.int64)
-    k = 1
-    while k < s:  # x^(k..2k-1) = x^(0..k-1) * x^k
-        j = min(k, s - k)
-        pows[k : k + j] = pows[:j] * pow(x, k, p) % p
-        k *= 2
-    return pows
+# (p - 1)^2 < 2^63 for every p <= _PLAIN_CUT, so below it a*b % p is exact in int64
+_PLAIN_CUT = 3_037_000_500
 
 
-def _mul_exact(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a*b mod p on int64 lanes, exact while a*b < 2^63 (so for a, b < p < 3e9)."""
+def _plain_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return a * b % p
 
 
-def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray, mulmod=_mul_exact) -> np.ndarray:
-    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p.
+def _float_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50.
 
-    Each bit of e, from the top, costs one square mulmod(r, r, p) and, where
-    the bit is set, a multiply by x. mulmod must give a*b mod p exactly for
-    0 <= a, b < p. When x is a plain int below 2^13 the multiply is r*x % p,
-    exact in int64 for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63); a larger
-    x goes through mulmod like an array x does.
+    a, b and p are exact as floats, and a*b/p < p < 2^50 is taken with two
+    roundings of relative error <= 2^-53 each, so the float quotient is off
+    by less than 2^50 * 2^-52 = 1/4 and q, its floor, by at most 1 from the
+    floor of a*b/p. Hence a*b - q*p lies in [-p, 2p), inside int64: taken
+    with int64 wraparound (a*b and q*p may each wrap) it comes out exact,
+    and one correction by +p or -p brings it into [0, p).
     """
-    small = isinstance(x, int) and x < 1 << 13
-    r = np.ones_like(p)
-    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
-        r = mulmod(r, r, p)
-        r = np.where((e >> bit) & 1 == 1, r * x % p if small else mulmod(r, x, p), r)
+    q = (a.astype(np.float64) * b / p).astype(np.int64)  # truncation is the floor: the quotient is >= 0
+    r = a * b - q * p
+    # the correction without branches: r - p is in [-2p, p), and (r >> 63) & p is p where r < 0
+    r -= p
+    r += (r >> 63) & p
+    r += (r >> 63) & p
     return r
 
 
-# A base prime striking at least this many candidates of a segment gets its
+def _product(p: int | np.ndarray):
+    """The exact product for the moduli p, chosen from the largest. Callers
+    choose once per call: an np.max in every product made the 1e10 survey
+    window slower."""
+    top = p if isinstance(p, int) else int(np.max(p, initial=0))
+    return _plain_mulmod if top <= _PLAIN_CUT else _float_mulmod
+
+
+def mulmod(a: np.ndarray, b: np.ndarray, p: int | np.ndarray) -> np.ndarray:
+    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50: the plain
+    a*b % p while every p is at most 3037000500, else a float quotient
+    corrected in int64, one form for the whole call."""
+    return _product(p)(a, b, p)
+
+
+def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
+    """x^0 .. x^(s-1) mod p for 0 <= x < p < 2^50, as int64 of shape (s,) for
+    plain ints x and p, or (s, lanes) for int64 lanes. By doubling: once rows
+    0..k hold x^0..x^k, rows 1..k times row k give x^(k+1)..x^(2k)."""
+    lanes = () if isinstance(x, int) and isinstance(p, int) else np.broadcast_shapes(np.shape(x), np.shape(p))
+    pows = np.ones((s, *lanes), dtype=np.int64)
+    if s > 1:
+        pows[1] = x
+    mul, k = _product(p), 1
+    while k < s - 1:
+        j = min(k, s - 1 - k)
+        pows[k + 1 : k + 1 + j] = mul(pows[1 : 1 + j], pows[k], p)
+        k += j
+    return pows
+
+
+def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50.
+
+    Each bit of e, from the top, costs one square and, where the bit is set,
+    a multiply by x, both with the product mulmod picks for the largest p.
+    When x is a plain int below 2^13 the multiply is r*x % p, exact in int64
+    for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63).
+    """
+    mul = _product(p)
+    small = isinstance(x, int) and x < 1 << 13
+    r = np.ones_like(p)
+    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
+        r = mul(r, r, p)
+        r = np.where((e >> bit) & 1 == 1, r * x % p if small else mul(r, x, p), r)
+    return r
+
+
+# A base prime striking at least this many candidates of a window gets its
 # own slice assignment; the rest are struck together by one scatter per block.
 _DENSE_HITS = 64
 # Base primes are taken this many at a time, which bounds the per-prime
-# temporaries of a segment near 2^50 (about 2e6 base primes).
+# temporaries of a window near 2^50 (about 2e6 base primes).
 _BASE_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class PrimeStream:
-    """All primes p with lower <= p <= upper and p = residue (mod modulus).
+def primes_in_progression(lower: int, span: int, q: int, r: int) -> np.ndarray:
+    """The primes p with lower <= p <= lower+span and p = r (mod q), ascending,
+    as one int64 array. Needs 0 <= r < q and rejects gcd(r, q) > 1: apart
+    from possibly p | q the class contains no primes, and a silently empty
+    survey is worse than an error.
 
-    Backed by a segmented sieve of the progression itself, so windows near
-    1e13 stay cheap: a segment of ``segment_size`` integers holds one flag per
-    member of the progression, segment_size/modulus bytes, beside the base
-    primes up to sqrt(upper). Needs 0 <= residue < modulus and
-    gcd(residue, modulus) = 1.
-    """
+    One sieve of the progression itself, so windows near 1e13 stay cheap: it
+    holds one flag per member first + q*k <= lower+span, k >= 0, where first
+    is the least member >= lower, beside the base primes up to
+    sqrt(lower+span). Memory grows with span/q; the scans cut their ranges
+    into windows of at most 2^20 integers.
 
-    lower: int
-    upper: int  # inclusive
-    modulus: int
-    residue: int
-    segment_size: int = 1 << 21
-
-    def __post_init__(self) -> None:
-        q, r = self.modulus, self.residue
-        if q < 1 or not 0 <= r < q:
-            raise ValueError(f"need 0 <= r < q, got r={r}, q={q}")
-        if math.gcd(r, q) > 1:
-            raise ValueError(f"gcd({r},{q}) > 1: progression contains at most one prime")
-
-    def __iter__(self) -> Iterator[int]:
-        for _, _, primes in self.segments():
-            yield from primes.tolist()
-
-    def segments(self, size: int | None = None) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield (seg_lo, seg_hi_inclusive, primes as an int64 array) in ascending order."""
-        size = size or self.segment_size
-        lo = max(self.lower, 0)
-        if lo > self.upper:
-            return
-        base = sieve_upto(max(2, math.isqrt(self.upper)))
-        while lo <= self.upper:
-            hi = min(lo + size - 1, self.upper)
-            yield lo, hi, self._sieve_segment(lo, hi, base)
-            lo = hi + 1
-
-    def _sieve_segment(self, lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-        """The primes first + m*k <= hi, k >= 0, where m is the modulus and
-        first the least member of the progression >= lo.
-
-        The mask holds one flag per k. A base prime q | m divides no member
-        (gcd(residue, m) = 1). Any other q divides first + m*k exactly when
-        k = -first * m^-1 (mod q), and strikes those k from the first whose
-        value is >= q^2, so a prime q in the window survives. Every composite
-        member has a prime factor q <= sqrt(hi) with value >= q^2, and is struck.
-        """
-        m = self.modulus
-        first = lo + (self.residue - lo) % m
-        if first > hi:
-            return np.empty(0, dtype=np.int64)
-        size = (hi - first) // m + 1
-        mask = np.ones(size, dtype=bool)
-        mask[: max(0, (1 - first) // m + 1)] = False  # the members 0 and 1
-        qs = base[: np.searchsorted(base, math.isqrt(hi), side="right")]
-        qs = qs[m % qs != 0]
-        # t = -c^-1 mod m for each unit c mod m, by Euler (the other rows go unused);
-        # then with t = -q^-1 mod m, m divides 1 + q*t and m * (1 + q*t)/m = 1 (mod q)
-        units = np.arange(m, dtype=np.int64)
-        neg_inv = -powmod_lanes(units, np.full(m, totient(m) - 1), np.full(m, m)) % m
-        for q in np.split(qs, range(_BASE_BLOCK, len(qs), _BASE_BLOCK)):
-            k = (-first) % q * ((1 + q * neg_inv[q % m]) // m) % q
-            # raise k by multiples of q to the first k with first + m*k >= q^2
-            k += q * ((np.maximum((q * q - first + m - 1) // m - k, 0) + q - 1) // q)
-            hits = np.maximum((size - k + q - 1) // q, 0)
-            dense = hits >= _DENSE_HITS
-            for start, step in zip(k[dense].tolist(), q[dense].tolist()):
-                mask[start::step] = False
-            sparse = ~dense & (hits > 0)
-            q, k, hits = q[sparse], k[sparse], hits[sparse]
-            if len(q):
-                # every struck k in one array: steps of q within a run, and at the start
-                # of each run the jump from the last k of the run before
-                idx = np.repeat(q, hits)
-                starts = np.cumsum(hits) - hits
-                idx[starts] = k - np.concatenate(([0], (k + q * (hits - 1))[:-1]))
-                mask[np.cumsum(idx, out=idx)] = False
-        return first + m * np.flatnonzero(mask)
-
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
-
-def primes_in_progression(lower: int, span: int, q: int, r: int) -> PrimeStream:
-    """Primes p with lower <= p <= lower+span and p = r (mod q), ascending.
-
-    Rejects gcd(r, q) > 1 for q > 1: apart from possibly p | q the class
-    contains no primes, and a silently empty survey is worse than an error.
+    A base prime b | q divides no member (gcd(r, q) = 1). Any other b divides
+    first + q*k exactly when k = -first * q^-1 (mod b), and strikes those k
+    from the first whose value is >= b^2, so a prime b in the window
+    survives. Every composite member has a prime factor b <= sqrt(lower+span)
+    with value >= b^2, and is struck.
     """
     if lower < 0 or span < 0:
         raise ValueError("need lower >= 0 and span >= 0")
-    return PrimeStream(lower, lower + span, q, r)
+    if q < 1 or not 0 <= r < q:
+        raise ValueError(f"need 0 <= r < q, got r={r}, q={q}")
+    if math.gcd(r, q) > 1:
+        raise ValueError(f"gcd({r},{q}) > 1: progression contains at most one prime")
+    hi = lower + span
+    first = lower + (r - lower) % q
+    if first > hi:
+        return np.empty(0, dtype=np.int64)
+    size = (hi - first) // q + 1
+    mask = np.ones(size, dtype=bool)
+    mask[: max(0, (1 - first) // q + 1)] = False  # the members 0 and 1
+    base = sieve_upto(math.isqrt(hi))
+    base = base[q % base != 0]
+    # t = -c^-1 mod q for each unit c mod q, by Euler (the other rows go unused);
+    # then with t = -b^-1 mod q, q divides 1 + b*t and q * (1 + b*t)/q = 1 (mod b)
+    units = np.arange(q, dtype=np.int64)
+    neg_inv = -powmod_lanes(units, np.full(q, totient(q) - 1), np.full(q, q)) % q
+    for b in np.split(base, range(_BASE_BLOCK, len(base), _BASE_BLOCK)):
+        k = (-first) % b * ((1 + b * neg_inv[b % q]) // q) % b
+        # raise k by multiples of b to the first k with first + q*k >= b^2
+        k += b * ((np.maximum((b * b - first + q - 1) // q - k, 0) + b - 1) // b)
+        hits = np.maximum((size - k + b - 1) // b, 0)
+        dense = hits >= _DENSE_HITS
+        for start, step in zip(k[dense].tolist(), b[dense].tolist()):
+            mask[start::step] = False
+        sparse = ~dense & (hits > 0)
+        b, k, hits = b[sparse], k[sparse], hits[sparse]
+        if len(b):
+            # every struck k in one array: steps of b within a run, and at the start
+            # of each run the jump from the last k of the run before
+            idx = np.repeat(b, hits)
+            starts = np.cumsum(hits) - hits
+            idx[starts] = k - np.concatenate(([0], (k + b * (hits - 1))[:-1]))
+            mask[np.cumsum(idx, out=idx)] = False
+    return first + q * np.flatnonzero(mask)

@@ -19,11 +19,10 @@ h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
 column sums give k and 12*S; and the segment's CSV rows are formatted from
 the result columns.
 
-Products mod p go through _mulmod, exact for p < 2^50: the float quotient
-a*b/p < 2^50 carries two roundings of relative size 2^-53, so its floor is
-off by at most 1, and a*b - q*p, taken with int64 wraparound, is the true
-value in [-p, 2p). The scans reject bounds >= 2^50, and n*upper >= 2^62 so
-that no per-prime sum (each within about n*p of 0) wraps (n = upper when all-odd).
+Products mod p are numkernel's, exact for p < 2^50: the plain a*b % p while
+every p of the call is at most 3037000500, else a float quotient corrected
+in int64. The scans reject bounds >= 2^50, and n*upper >= 2^62 so that no
+per-prime sum (each within about n*p of 0) wraps (n = upper when all-odd).
 
 Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
@@ -54,7 +53,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dedekind import dedekind_sum_parts
-from .numkernel import divisors, factorize, is_prime, order_n_element, powmod_lanes, primes_in_progression
+from .numkernel import divisors, factorize, is_prime, order_n_element, power_table, powmod_lanes, primes_in_progression
 
 __all__ = [
     "DensityReport",
@@ -192,33 +191,15 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50.
-
-    a, b and p are exact as floats, and a*b/p < p < 2^50 is taken with two
-    roundings of relative error <= 2^-53 each, so the float quotient is off
-    by less than 2^50 * 2^-52 = 1/4 and q, its floor, by at most 1 from the
-    floor of a*b/p. Hence a*b - q*p lies in [-p, 2p), inside int64: taken
-    with int64 wraparound (a*b and q*p may each wrap) it comes out exact,
-    and one correction by +p or -p brings it into [0, p).
-    """
-    q = (a.astype(np.float64) * b / p).astype(np.int64)  # truncation is the floor: the quotient is >= 0
-    r = a * b - q * p
-    # the correction without branches: r - p is in [-2p, p), and (r >> 63) & p is p where r < 0
-    r -= p
-    r += (r >> 63) & p
-    r += (r >> 63) & p
-    return r
-
-
 def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     """order_n_element(p, n) on every lane of the int64 primes p; n > 1 is one
     order for all lanes or an int64 array of orders, with n | p - 1 per lane.
 
     All lanes try h = x^((p-1)/n) with x = 2 first; only the lanes whose h
     fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1. x
-    stays a plain int, so the ladder spends one _mulmod per bit of (p-1)/n
-    (the square) and multiplies by x as h*x % p."""
+    stays a plain int, so the ladder spends one mulmod per bit of (p-1)/n
+    (the square; a plain int64 product while every p is below 3.04e9) and
+    multiplies by x as h*x % p."""
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
     # the order test's exponents n/q for the primes q | n, one row each; a lane
     # with fewer primes than the widest repeats its first exponent
@@ -233,10 +214,10 @@ def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     x = 2
     while len(todo):
         pt = p[todo]
-        h = powmod_lanes(x, e[todo], pt, _mulmod)
+        h = powmod_lanes(x, e[todo], pt)
         ok = np.ones(len(todo), dtype=bool)
         for row in tests:
-            ok &= powmod_lanes(h, row[todo], pt, _mulmod) != 1
+            ok &= powmod_lanes(h, row[todo], pt) != 1
         h0[todo[ok]] = h[ok]
         todo = todo[~ok]
         x += 1
@@ -255,13 +236,7 @@ def _batch_records(n: int, p: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, n
     p = 1 (mod 2n), whose generators h0 come from _generators; the caller
     keeps p < 2^50 and n*p < 2^62 (_scan)."""
     m = (n - 1) // 2
-    powers = np.empty((n - 1, len(p)), dtype=np.int64)  # row j-1 holds h0^j mod p
-    powers[0] = h0
-    done = 1  # rows h0^1..h0^done are filled; times h0^done they give the next rows
-    while done < n - 1:
-        step = min(done, n - 1 - done)
-        powers[done : done + step] = _mulmod(powers[:step], powers[done - 1], p)
-        done += step
+    powers = power_table(h0, n, p)[1:]  # row j-1 holds h0^j mod p
     alt, odd, inv = _euclid_lanes(powers[:m].ravel(), np.tile(p, m))
     # the inverse of h0^j is h0^(n-j) (so h0^n = 1), and no h0^j with 0 < j < n is 1
     bad = (inv.reshape(m, -1) != powers[::-1][:m]).any(axis=0) | (powers == 1).any(axis=0)
@@ -376,7 +351,7 @@ def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, 
     p's n = 1 pair (no row) as nonpositive. One generator search runs over all pairs, then
     one batch of records per d."""
     n, lo, hi, want_records = args
-    ((_, _, p),) = primes_in_progression(lo, hi - lo, 2 * (n or 1), 1).segments(hi - lo + 1)
+    p = primes_in_progression(lo, hi - lo, 2 * (n or 1), 1)
     ones = 0 if n else len(p)  # the n = 1 pairs
     if n:
         d = np.full_like(p, n)

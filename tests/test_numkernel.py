@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsums.numkernel import (
-    PrimeStream,
     divisors,
     factorize,
     is_prime,
     mobius,
+    mulmod,
     order_n_element,
+    power_table,
+    powmod_lanes,
     primes_in_progression,
     sieve_upto,
     totient,
@@ -96,33 +98,77 @@ def test_order_n_element_matches_the_search_from_one():
             assert order_n_element(p, n) == search_from_one(p, n), (p, n)
 
 
+# the int64 product is plain a*b % p up to 3037000500, where (p-1)^2 < 2^63 still holds
+_CUT = 3_037_000_500
+_BELOW_CUT = next(p for p in range(_CUT, 0, -1) if is_prime(p))
+_ABOVE_CUT = next(p for p in range(_CUT + 1, 2 * _CUT) if is_prime(p))
+_NEAR_2_50 = (1 << 50) - 27  # prime
+
+
+@pytest.mark.parametrize("ps", [[_BELOW_CUT], [_ABOVE_CUT], [7, _ABOVE_CUT], [101, 3, _ABOVE_CUT, 65537]],
+                         ids=["below", "above", "mixed", "mixed-late"])
+def test_lane_layer_is_exact_across_the_plain_product_cut(ps):
+    # a = b = p - 1 on every lane: the plain product of a lane above the cut wraps in int64,
+    # so the whole call must take the float form when any one of its moduli is above the cut
+    assert (_BELOW_CUT - 1) ** 2 < 2**63 <= (_ABOVE_CUT - 1) ** 2
+    p = np.array(ps, dtype=np.int64)
+    top = p - 1
+    assert mulmod(top, top, p).tolist() == [1] * len(ps)
+    exps = np.array([q - 2 for q in ps], dtype=np.int64)
+    assert powmod_lanes(top, exps, p).tolist() == [pow(q - 1, q - 2, q) for q in ps]
+    assert powmod_lanes(top, np.full_like(p, 2), p).tolist() == [1] * len(ps)
+    assert power_table(top, 5, p).T.tolist() == [[pow(q - 1, k, q) for k in range(5)] for q in ps]
+
+
+@pytest.mark.parametrize("p", [1_000_003, _BELOW_CUT, _ABOVE_CUT, _NEAR_2_50])
+@pytest.mark.parametrize("s", [1, 2, 3, 8, 9, 31])
+def test_power_table_matches_python_pow(p, s):
+    rng = random.Random(s * p)
+    xs = [p - 1, 2, *(rng.randrange(2, p) for _ in range(3))]
+    want = [[pow(x, k, p) for k in range(s)] for x in xs]
+    assert [power_table(x, s, p).tolist() for x in xs] == want  # plain ints: shape (s,)
+    lanes = power_table(np.array(xs, dtype=np.int64), s, np.full(len(xs), p, dtype=np.int64))
+    assert lanes.shape == (s, len(xs)) and lanes.T.tolist() == want
+    mods = [p, 1_000_003, 3, _BELOW_CUT, p]  # lanes of different moduli, exact together
+    xs = [x % q for x, q in zip(xs, mods)]
+    lanes = power_table(np.array(xs, dtype=np.int64), s, np.array(mods, dtype=np.int64))
+    assert lanes.T.tolist() == [[pow(x, k, q) for k in range(s)] for x, q in zip(xs, mods)]
+
+
 def test_progression_examples():
-    assert list(primes_in_progression(0, 100, 18, 1)) == [19, 37, 73]
-    assert list(primes_in_progression(0, 10, 1, 0)) == [2, 3, 5, 7]
-    assert primes_in_progression(0, 10**5, 18, 1).count() == 1592
+    assert primes_in_progression(0, 100, 18, 1).tolist() == [19, 37, 73]
+    assert primes_in_progression(0, 10, 1, 0).tolist() == [2, 3, 5, 7]
+    assert len(primes_in_progression(0, 10**5, 18, 1)) == 1592
+    for empty in (primes_in_progression(20, 16, 18, 1), primes_in_progression(0, 1, 1, 0)):
+        assert empty.dtype == primes_in_progression(0, 10, 1, 0).dtype == np.int64 and len(empty) == 0
 
 
 def test_progression_matches_reference_sieve():
-    want = [int(p) for p in sieve_upto(10**6)]
-    got = list(primes_in_progression(0, 10**6, 1, 0))
-    assert got == want
+    assert primes_in_progression(0, 10**6, 1, 0).tolist() == sieve_upto(10**6).tolist()
+
+
+def _windows(lower, span, q, r, size):
+    """(lo, hi, primes) for adjacent windows of `size` integers over [lower, lower + span],
+    cut the way survey._scan cuts a range."""
+    upper = lower + span
+    return [(lo, min(lo + size - 1, upper), primes_in_progression(lo, min(size - 1, upper - lo), q, r))
+            for lo in range(lower, upper + 1, size)]
 
 
 def test_progression_segmentation_no_seams():
-    stream = primes_in_progression(10**6, 10**5, 6, 1)
-    small = list(stream.segments(size=1000))
-    assert [p for _, _, ps in small for p in ps] == list(stream)
+    whole = primes_in_progression(10**6, 10**5, 6, 1).tolist()
+    assert [p for _, _, ps in _windows(10**6, 10**5, 6, 1, 1000) for p in ps.tolist()] == whole
 
 
 def test_progression_far_window():
-    ps = list(primes_in_progression(10**12, 10**4, 4, 1))
+    ps = primes_in_progression(10**12, 10**4, 4, 1).tolist()
     assert ps == [p for p in range(10**12 + 1, 10**12 + 10**4 + 1, 4) if is_prime(p)]
     assert len(ps) > 0
-    # a window across 1e12 in small segments, against the primality test
+    # a window across 1e12 in small windows, against the primality test
     lower, span = 10**12 - 1000, 2000
     want = [p for p in range(lower, lower + span + 1) if p % 18 == 13 and is_prime(p)]
     for size in (7, 1000):
-        got = [p for _, _, ps in primes_in_progression(lower, span, 18, 13).segments(size) for p in ps.tolist()]
+        got = [p for _, _, ps in _windows(lower, span, 18, 13, size) for p in ps.tolist()]
         assert got == want and want, size
 
 
@@ -131,8 +177,8 @@ _MODULI = (1, 2, 4, 6, 10, 18, 30, 42)
 
 @st.composite
 def _progression_windows(draw):
-    """(m, r, lower, span, size): a class r mod m, a window starting at 0 or 1,
-    just below the square of a small prime, or anywhere up to 2e4, and a segment size."""
+    """(m, r, lower, span, size): a class r mod m, a range starting at 0 or 1,
+    just below the square of a small prime, or anywhere up to 2e4, and a window size."""
     m = draw(st.sampled_from(_MODULI))
     r = draw(st.sampled_from([r for r in range(m) if math.gcd(r, m) == 1]))
     q = draw(st.sampled_from(sieve_upto(150).tolist()))
@@ -152,17 +198,17 @@ def test_progression_sieve_matches_the_filtered_sieve(case):
     m, r, lower, span, size = case
     primes = sieve_upto(lower + span)
     want = primes[(primes >= lower) & (primes % m == r)].tolist()
-    segments = list(primes_in_progression(lower, span, m, r).segments(size))
-    assert [p for _, _, ps in segments for p in ps.tolist()] == want
-    assert all(lo <= p <= hi for lo, hi, ps in segments for p in ps.tolist())
+    windows = _windows(lower, span, m, r, size)
+    assert [p for _, _, ps in windows for p in ps.tolist()] == want
+    assert all(lo <= p <= hi for lo, hi, ps in windows for p in ps.tolist())
 
 
 def test_progression_rejects_bad_class():
-    with pytest.raises(ValueError):
-        primes_in_progression(0, 100, 18, 3)
     with pytest.raises(ValueError):
         primes_in_progression(0, 100, 10, 12)
     with pytest.raises(ValueError):
         primes_in_progression(-1, 100, 1, 0)
     with pytest.raises(ValueError, match="gcd"):
-        PrimeStream(0, 100, 18, 3)
+        primes_in_progression(0, 100, 18, 3)
+    with pytest.raises(ValueError, match="need 0 <= r < q"):
+        primes_in_progression(0, 100, 0, 0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dsums
 from dsums import survey
 from dsums.dedekind import dedekind_sum_naive
-from dsums.numkernel import divisors, factorize, is_prime, order_n_element, powmod_lanes, primes_in_progression
+from dsums.numkernel import divisors, factorize, is_prime, mulmod, order_n_element, powmod_lanes, primes_in_progression
 from dsums.survey import (
     n_record,
     ratio_decimal,
@@ -90,7 +90,7 @@ def test_all_odd_records_match_the_oracle(tmp_path):
     lines = rc1.read_text().splitlines()
     assert lines[0] == "p,n,two_S,N,nonpositive"
     rows = [tuple(map(int, ln.split(",")[:4])) + (ln.endswith("true"),) for ln in lines[1:]]
-    ones = sum(1 for _ in primes_in_progression(3, 2997, 2, 1))  # the odd primes <= 3000
+    ones = len(primes_in_progression(3, 2997, 2, 1))  # the odd primes <= 3000
     assert (rep.c_prime, len(rows)) == (2002, 1573) and len(rows) == rep.c_prime - ones
     assert sum(r[4] for r in rows) == rep.c_leq0 - ones
     assert rows == sorted(rows)  # (p, n) order
@@ -132,7 +132,7 @@ _WINDOWS = ((0, 4000), (10**10, 4000), (10**12, 3000), (10**13, 2000))
 
 def test_batched_records_match_the_oracle():
     for lower, span in _WINDOWS:
-        primes = list(primes_in_progression(lower, span, 2, 1))
+        primes = primes_in_progression(lower, span, 2, 1).tolist()
         for n in (3, 5, 9, 15, 21):
             ps = np.array([p for p in primes if p % (2 * n) == 1], dtype=np.int64)
             two_s, big_n = survey._batch_records(n, ps, survey._generators(n, ps))
@@ -144,13 +144,13 @@ def test_batched_records_match_the_oracle():
 def test_batched_generators_have_exact_order():
     for lower, span in _WINDOWS:
         for n in (3, 5, 9, 15, 21):
-            ps = np.array(list(primes_in_progression(lower, span, 2 * n, 1)), dtype=np.int64)
+            ps = primes_in_progression(lower, span, 2 * n, 1)
             h0 = survey._generators(n, ps).tolist()
             assert h0 == [order_n_element(p, n) for p in ps.tolist()], (lower, n)
             for h, p in zip(h0, ps.tolist()):
                 assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
     # one search over lanes of different orders, as the all-odd scan makes it
-    p_d = [(p, d) for p in primes_in_progression(3, 3000, 1, 0) for d in divisors(p - 1)[1:] if d % 2]
+    p_d = [(p, d) for p in primes_in_progression(3, 3000, 1, 0).tolist() for d in divisors(p - 1)[1:] if d % 2]
     p, d = np.array(p_d, dtype=np.int64).T
     assert survey._generators(d, p).tolist() == [order_n_element(*pair) for pair in p_d]
 
@@ -175,7 +175,7 @@ def test_ladder_multiplies_a_large_x_through_mulmod():
     mod = np.full(3, p, dtype=np.int64)
     exps = np.array([p - 2, (p - 1) // 3, 12345], dtype=np.int64)
     for x in ((1 << 13) - 1, 1 << 13, (1 << 13) + 1, p - 1):
-        assert powmod_lanes(x, exps, mod, survey._mulmod).tolist() == [pow(x, int(e), p) for e in exps], x
+        assert powmod_lanes(x, exps, mod).tolist() == [pow(x, int(e), p) for e in exps], x
 
 
 @st.composite
@@ -197,11 +197,11 @@ def test_mulmod_and_powmod_match_python_ints(case):
     p, a, b, x, e = case
     mod = np.full(4, p, dtype=np.int64)
     lhs, rhs = np.array([a, b, p - 1, 0], dtype=np.int64), np.array([b, a, p - 1, b], dtype=np.int64)
-    assert survey._mulmod(lhs, rhs, mod).tolist() == [a * b % p, a * b % p, (p - 1) ** 2 % p, 0]
+    assert mulmod(lhs, rhs, mod).tolist() == [a * b % p, a * b % p, (p - 1) ** 2 % p, 0]
     exps = np.array([e, 0, 1, p - 1], dtype=np.int64)
     want = [pow(x, k, p) for k in exps.tolist()]
-    assert powmod_lanes(np.full(4, x, dtype=np.int64), exps, mod, survey._mulmod).tolist() == want
-    assert powmod_lanes(x, exps, mod, survey._mulmod).tolist() == want  # a plain int x, on either side of 2^13
+    assert powmod_lanes(np.full(4, x, dtype=np.int64), exps, mod).tolist() == want
+    assert powmod_lanes(x, exps, mod).tolist() == want  # a plain int x, on either side of 2^13
 
 
 def test_mulmod_corrects_both_ways_near_2_50():
@@ -213,7 +213,7 @@ def test_mulmod_corrects_both_ways_near_2_50():
     q = (a.astype(np.float64) * b / p).astype(np.int64)
     r = a * b - q * p
     assert (r < 0).any() and (r >= p).any()
-    got = survey._mulmod(a, b, p).tolist()
+    got = mulmod(a, b, p).tolist()
     assert got == [x * y % m for x, y, m in zip(a.tolist(), b.tolist(), p.tolist())]
 
 
