@@ -15,7 +15,6 @@ from .classnumber import (
     field_context,
     general_bound,
     relative_class_number,
-    upper_bound_h3_field,
     upper_bound_simple,
     upper_bound_subfield,
 )
@@ -45,7 +44,6 @@ from .meansquare import (
 from .numkernel import factorize, is_prime, mobius, primes_in_progression, totient
 from .survey import (
     DensityReport,
-    SurveyRecord,
     resume,
     scan_all_odd_subgroups,
     scan_fixed_n,

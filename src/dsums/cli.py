@@ -67,12 +67,12 @@ def cmd_dedekind(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    n = None if args.all_odd else args.n
+    n = None if args.all_odd else 9 if args.n is None else args.n
     kwargs = dict(threads=args.threads, checkpoint=args.checkpoint, records=args.records)
     if args.window_from is not None:
         report = survey_mod.scan_window(n, args.window_from, args.span, **kwargs)
     else:
-        report = survey_mod.scan_fixed_n(n, args.limit, **kwargs)
+        report = survey_mod.scan_fixed_n(n, 10**5 if args.limit is None else args.limit, **kwargs)
     if args.out == "csv":
         print("n,range,c_prime,c_leq0,rho")
         d = report.to_json()
@@ -93,8 +93,9 @@ def cmd_tables(args) -> int:
         print(f"{_fmt_limit(args.window_from)} | {_fmt_limit(args.span)} | "
               f"{rep.c_prime} | {rep.c_leq0} | {_rho_cell(rep)}")
         return 0
-    rep = survey_mod.scan_fixed_n(_TABLE_N[args.table], args.limit, threads=args.threads)
-    print(f"{_fmt_limit(args.limit)} | {rep.c_prime} | {rep.c_leq0} | {_rho_cell(rep)}")
+    limit = 10**5 if args.limit is None else args.limit
+    rep = survey_mod.scan_fixed_n(_TABLE_N[args.table], limit, threads=args.threads)
+    print(f"{_fmt_limit(limit)} | {rep.c_prime} | {rep.c_leq0} | {_rho_cell(rep)}")
     return 0
 
 
@@ -187,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dedekind)
 
     p = sub.add_parser("survey", help="scan primes for the sign of N(H_n,p)")
-    p.add_argument("--n", type=int, default=9)
-    p.add_argument("--limit", type=_intexpr, default=10**5)
+    p.add_argument("--n", type=int, default=None, help="subgroup order (default 9)")
+    p.add_argument("--limit", type=_intexpr, default=None, help="bound B (default 1e5)")
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
     p.add_argument("--span", type=_intexpr, default=None)
     p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
@@ -200,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce the density table rows")
     p.add_argument("--table", choices=sorted(_TABLE_N) + ["rho9-window"], required=True)
-    p.add_argument("--limit", type=_intexpr, default=10**5)
-    p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
-    p.add_argument("--span", type=_intexpr, default=None)
+    p.add_argument("--limit", type=_intexpr, default=None, help="bound B of the rho rows (default 1e5)")
+    p.add_argument("--from", dest="window_from", type=_intexpr, default=None, help="rho9-window only")
+    p.add_argument("--span", type=_intexpr, default=None, help="rho9-window only")
     p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
     p.set_defaults(fn=cmd_tables)
 
@@ -236,10 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # an option that the chosen scan would ignore is a usage error
+    window = args.fn in (cmd_survey, cmd_tables) and (args.window_from, args.span) != (None, None)
     if args.fn is cmd_tables and args.table == "rho9-window" and None in (args.window_from, args.span):
         ap.error("rho9-window needs --from and --span")
+    if args.fn is cmd_tables and window != (args.table == "rho9-window"):
+        ap.error("--from and --span go with rho9-window only")
     if args.fn is cmd_survey and (args.window_from is None) != (args.span is None):
         ap.error("--from and --span go together")
+    if window and args.limit is not None:
+        ap.error("--limit goes with no window (--from, --span)")
+    if args.fn is cmd_survey and args.all_odd and args.n is not None:
+        ap.error("--all-odd takes every odd n | p - 1, not --n")
     try:
         if getattr(args, "threads", 1) is None:  # survey or tables without --threads
             args.threads = _threads(os.environ.get("DSUMS_THREADS", "1"))

@@ -99,17 +99,20 @@ def mean_square_exact(f: int, sub: Subgroup) -> PiSquared:
 
 
 def n_value(p: int, sub: Subgroup) -> Fraction:
-    """N(H,p) = 12*S(H,p) - p; asserted an odd integer when |H| > 1."""
+    """N(H,p) = 12*S(H,p) - p: the single-prime oracle of the survey scans. For
+    n = |H| > 1 the audits raise ArithmeticError unless N is an odd integer and,
+    for odd n, 2S = (N + p)/6 is an integer with the parity of (p-1)/2 (an even
+    n puts -1 in H, so N = -p). The trivial H gives N = (2-3p)/p."""
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
     if sub.modulus != p:
         raise ValueError("subgroup lives mod a different prime")
     N = 12 * subgroup_sum_S(sub) - p
-    if sub.order > 1:
-        if N.denominator != 1:
-            raise ArithmeticError(f"N(H,p) not an integer at p={p}: {N}")
-        if int(N) % 2 == 0:
-            raise ArithmeticError(f"N(H,p) even at p={p}: {N}")
+    n, two_s = sub.order, (N + p) / 6
+    if n > 1 and (N.denominator != 1 or n % 2 and two_s.denominator != 1):
+        raise ArithmeticError(f"integrality audit failed at p={p}, n={n}: N={N}, 2S={two_s}")
+    if n > 1 and (N % 2 == 0 or n % 2 and (two_s - (p - 1) // 2) % 2):
+        raise ArithmeticError(f"parity audit failed at p={p}, n={n}: N={N}, 2S={two_s}")
     return N
 
 

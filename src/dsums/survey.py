@@ -28,9 +28,8 @@ Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
 the Euclid's inverse of h0^j is h0^(n-j) and no h0^j is 1 (h0 has order n),
 p divides 1 + sum h0^j, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd.
-n_record computes one record the plain way, with order_n_element, Python
-ints and n kernel calls; it is the oracle the batched records are tested
-against.
+The batched records are tested against meansquare.n_value, which sums the n
+kernel values of H_n one prime at a time and runs the same audits.
 
 Scans checkpoint at segment boundaries (records flushed to disk first, then
 an atomic JSON rename that stores the records' byte length) and can resume
@@ -52,13 +51,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dedekind import dedekind_sum_parts
-from .numkernel import divisors, factorize, is_prime, order_n_element, power_table, powmod_lanes, primes_in_progression
+from .numkernel import divisors, factorize, power_table, powmod_lanes, primes_in_progression
 
 __all__ = [
     "DensityReport",
-    "SurveyRecord",
-    "n_record",
     "ratio_decimal",
     "resume",
     "scan_all_odd_subgroups",
@@ -67,17 +63,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "p,n,two_S,N,nonpositive"
-
-
-@dataclass(frozen=True)
-class SurveyRecord:
-    """Exact survey data for one prime: two_S = 2*S(H_n,p), N = 12*S - p."""
-
-    p: int
-    n: int
-    two_S: int
-    N: int
-    nonpositive: bool
 
 
 @dataclass(frozen=True)
@@ -112,39 +97,6 @@ def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
         d, rem = divmod(rem, den)
         out.append(str(d))
     return "".join(out)
-
-
-def n_record(p: int, n: int) -> SurveyRecord:
-    """Exact record for the order-n subgroup of (Z/pZ)*; needs p prime, n > 1, n | p-1.
-
-    The single-prime form: one dedekind_sum_parts call for each of the n
-    elements of H_n, with no pairing of h and h^-1. The scans do not call it;
-    it is the oracle their batched records are tested against."""
-    if n <= 1:
-        raise ValueError("n_record needs n > 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    h0 = order_n_element(p, n)
-    total = 0  # sum over H of 12*p*s(h,p)
-    h = 1
-    for _ in range(n):
-        total += dedekind_sum_parts(h, p)[0]
-        h = h * h0 % p
-    return _audited_record(p, n, total)
-
-
-def _audited_record(p: int, n: int, total: int) -> SurveyRecord:
-    """The record for 12*p*S(H_n,p) = total, once the integrality and parity audits pass."""
-    twelve_s, rem = divmod(total, p)
-    if rem or twelve_s % 6:
-        raise ArithmeticError(f"2*S(H_{n},{p}) is not an integer (12*p*S = {total})")
-    two_s = twelve_s // 6
-    if (two_s - (p - 1) // 2) % 2:
-        raise ArithmeticError(f"parity audit failed at p={p}, n={n}: 2S={two_s}")
-    big_n = twelve_s - p
-    if big_n % 2 == 0:
-        raise ArithmeticError(f"N(H_{n},{p}) = {big_n} is even")
-    return SurveyRecord(p, n, two_s, big_n, big_n <= 0)
 
 
 def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from dsums.classnumber import (
     field_context,
     general_bound,
     relative_class_number,
-    upper_bound_h3_field,
+    upper_bound_simple,
     upper_bound_subfield,
 )
 from dsums.unitgroups import characters, odd_characters_trivial_on, subgroup_from_elements, subgroup_of_order
@@ -19,10 +20,10 @@ from dsums.unitgroups import characters, odd_characters_trivial_on, subgroup_fro
 
 def test_field_context():
     ctx = field_context(23, 22)
-    assert ctx.n == 11 and ctx.q_k == 1 and ctx.w_k == 46
-    assert ctx.d_k == 23**21 and ctx.d_k_plus == 23**10
+    assert [f.name for f in dataclasses.fields(ctx)] == ["p", "m", "n", "w_k"]
+    assert (ctx.p, ctx.m, ctx.n, ctx.w_k) == (23, 22, 11, 46)
     ctx = field_context(13, 4)
-    assert ctx.w_k == 2 and ctx.d_k == 13**3 and ctx.d_k_plus == 13
+    assert ctx.n == 2 and ctx.w_k == 2
     with pytest.raises(ValueError):
         field_context(13, 3)  # odd degree
     with pytest.raises(ValueError):
@@ -127,12 +128,14 @@ def test_full_field_bound_chain():
 
 
 def test_order3_subfield_bound_chain():
-    assert upper_bound_h3_field(13) == (1.0, pytest.approx(2 * (13 / 24) ** 1))
+    # the order-3 subfield is the degree m = (p-1)/3 field: at p = 13, sharp 1 <= simple 2 (13/24)
+    assert (upper_bound_subfield(13, 4), upper_bound_simple(13, 4)) == (1.0, pytest.approx(2 * (13 / 24) ** 1))
     for p in (7, 13, 19, 31, 37, 43):
         m = (p - 1) // 3
         assert bound_chain(p, m, relative_class_number(p, m)) == (True, True)
-    with pytest.raises(ValueError):
-        upper_bound_h3_field(11)
+    for bound in (upper_bound_subfield, upper_bound_simple, lambda p, m: bound_chain(p, m, 1)):
+        with pytest.raises(ValueError):  # 11 = 2 mod 3 has no order-3 subgroup: 3 does not divide 10
+            bound(11, 10 // 3)
 
 
 def test_bound_chain_is_exact():
@@ -145,7 +148,8 @@ def test_bound_chain_is_exact():
 def test_bounds_beyond_float_range():
     # the full-field bound at p = 1009 exceeds 1e308; p = 4003 = 1 mod 6 puts both order-3 bounds there
     assert upper_bound_subfield(1009, 1008) == math.inf
-    assert upper_bound_h3_field(4003) == (math.inf, math.inf)
+    assert (upper_bound_subfield(4003, 1334), upper_bound_simple(4003, 1334)) == (math.inf, math.inf)
+    assert bound_chain(4003, 1334, 1) == (True, True)  # decided exactly where the floats overflow
 
 
 def test_expected_heuristic_form():

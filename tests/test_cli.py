@@ -7,7 +7,7 @@ import time
 import pytest
 
 import dsums
-from dsums import cli
+from dsums import cli, eisenstein
 from dsums.cli import _intexpr, main
 from dsums.verify import VerifyReport
 
@@ -117,6 +117,17 @@ def test_verify_suite_exit_code(capsys):
         assert code == 1 and out == f"suite {suite}: 0/0 checks passed\n"
 
 
+def test_verify_counts_a_failed_audit_as_a_failed_check(capsys, monkeypatch):
+    # with s(2,7) broken, dedekind_at_ratio's audit raises for the ratio 2 mod 7
+    good = eisenstein.dedekind_sum
+    monkeypatch.setattr(eisenstein, "dedekind_sum", lambda c, d: good(c, d) + ((c, d) == (2, 7)))
+    code, out, err = run(capsys, "verify", "--suite", "eisenstein", "--max-modulus", "100")
+    assert code == 1 and err == ""
+    head, failure = out.splitlines()
+    assert head == "suite eisenstein: 96/100 checks passed"  # each check counted once, as when all pass
+    assert failure == "  first failure: s(2 mod 7, 7) = 15/14 != 1/14"
+
+
 def test_verify_json(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "kernel-theorem", "--json")
     assert code == 0
@@ -208,6 +219,11 @@ def test_intexpr_is_exact(text, value):
     (["class-number", "--p", "7", "--degree", "0"], None),
     (["survey", "--limit", "2**50"], None),
     (["class-number", "--p", "7", "--dps", "80"], None),
+    # options that the chosen scan would ignore
+    (["tables", "--table", "rho5", "--from", "10", "--span", "100"], None),
+    (["tables", "--table", "rho9-window", "--from", "1e3", "--span", "1e3", "--limit", "7"], None),
+    (["survey", "--from", "100", "--span", "50", "--limit", "7"], None),
+    (["survey", "--all-odd", "--n", "5"], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from dsums import meansquare
 from dsums.meansquare import (
     PiSquared,
     euler_correction_pi,
@@ -81,6 +82,27 @@ def test_subgroup_sum_report_invariants():
     assert (int(two_S) - (p - 1) // 2) % 2 == 0
     N = n_value(p, sub)
     assert N.denominator == 1 and int(N) % 2 == 1
+
+
+# S + 1/2 moves 2S by 1 but keeps N an odd integer: only the parity of 2S sees it.
+# S + 1/12 moves N by 1: N + p is no longer a multiple of 6, so 2S is no integer.
+@pytest.mark.parametrize("delta, audit", [(Fraction(1, 2), "parity audit"), (Fraction(1, 12), "integrality audit")])
+def test_n_value_audits_reject_a_wrong_sum(monkeypatch, delta, audit):
+    sum_s = meansquare.subgroup_sum_S
+    monkeypatch.setattr(meansquare, "subgroup_sum_S", lambda sub: sum_s(sub) + delta)
+    for p, n in ((7, 3), (19, 9), (31, 5), (151, 75)):
+        with pytest.raises(ArithmeticError, match=audit):
+            n_value(p, subgroup_of_order(n, p))
+
+
+def test_n_value_audits_2s_on_odd_orders_only(monkeypatch):
+    # an even-order H contains -1, so S = 0 and N = -p; the trivial H has N = (2-3p)/p
+    for n in (2, 4, 6, 12):
+        assert n_value(13, subgroup_of_order(n, 13)) == -13
+    sum_s = meansquare.subgroup_sum_S
+    monkeypatch.setattr(meansquare, "subgroup_sum_S", lambda sub: sum_s(sub) + Fraction(1, 2))
+    assert n_value(13, subgroup_of_order(6, 13)) == 6 - 13  # an odd integer N, and no 2S audit
+    assert n_value(13, trivial_subgroup(13)) == Fraction(2 - 39, 13) + 6
 
 
 def test_closed_trivial():

@@ -4,9 +4,9 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,15 +16,31 @@ from hypothesis import strategies as st
 import dsums
 from dsums import survey
 from dsums.dedekind import dedekind_sum_naive
+from dsums.meansquare import n_value
 from dsums.numkernel import divisors, factorize, is_prime, mulmod, order_n_element, powmod_lanes, primes_in_progression
 from dsums.survey import (
-    n_record,
     ratio_decimal,
     resume,
     scan_all_odd_subgroups,
     scan_fixed_n,
     scan_window,
 )
+from dsums.unitgroups import subgroup_of_order
+
+
+class Record(NamedTuple):
+    p: int
+    n: int
+    two_S: int
+    N: int
+    nonpositive: bool
+
+
+def oracle_record(p: int, n: int) -> Record:
+    """The survey record of H_n mod p (n > 1) from the single-prime oracle n_value."""
+    big_n = n_value(p, subgroup_of_order(n, p))
+    assert big_n.denominator == 1
+    return Record(p, n, (int(big_n) + p) // 6, int(big_n), big_n <= 0)
 
 
 def test_ratio_decimal():
@@ -35,19 +51,19 @@ def test_ratio_decimal():
 
 
 def test_n_record_examples():
-    rec = n_record(7, 3)
+    rec = oracle_record(7, 3)
     assert (rec.two_S, rec.N, rec.nonpositive) == (1, -1, True)
-    rec = n_record(31, 5)
+    rec = oracle_record(31, 5)
     assert (rec.N, rec.nonpositive) == (35, False)
-    rec = n_record(8191, 13)
+    rec = oracle_record(8191, 13)
     assert rec.N == 2 * 8191 - 75
-    with pytest.raises(ValueError):
-        n_record(7, 1)
+    # the trivial H has no record: its N is not an integer
+    assert n_value(7, subgroup_of_order(1, 7)) == Fraction(2 - 21, 7)
 
 
 def test_record_parity_invariants():
     for p, n in ((19, 9), (31, 15), (61, 5), (1009, 9), (151, 75)):
-        rec = n_record(p, n)
+        rec = oracle_record(p, n)
         assert (rec.two_S - (p - 1) // 2) % 2 == 0
         assert rec.N % 2 == 1
         assert rec.N == 6 * rec.two_S - p
@@ -82,7 +98,7 @@ def test_scan_all_odd_subgroups():
 
 
 def test_all_odd_records_match_the_oracle(tmp_path):
-    # the n = 1 pairs count but have no rows; every other pair is n_record's
+    # the n = 1 pairs count but have no rows; every other pair is the oracle's
     rc1, rc2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     rep = scan_all_odd_subgroups(3000, records=str(rc1))
     assert rep == scan_all_odd_subgroups(3000, threads=2, records=str(rc2))
@@ -95,7 +111,7 @@ def test_all_odd_records_match_the_oracle(tmp_path):
     assert sum(r[4] for r in rows) == rep.c_leq0 - ones
     assert rows == sorted(rows)  # (p, n) order
     for p, n, two_s, big_n, nonpositive in rows:
-        assert (p, n, two_s, big_n, nonpositive) == tuple(asdict(n_record(p, n)).values()), (p, n)
+        assert (p, n, two_s, big_n, nonpositive) == oracle_record(p, n), (p, n)
 
 
 def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
@@ -137,7 +153,7 @@ def test_batched_records_match_the_oracle():
             ps = np.array([p for p in primes if p % (2 * n) == 1], dtype=np.int64)
             two_s, big_n = survey._batch_records(n, ps, survey._generators(n, ps))
             got = list(zip(ps.tolist(), two_s.tolist(), big_n.tolist(), (big_n <= 0).tolist()))
-            want = [(rec.p, rec.two_S, rec.N, rec.nonpositive) for rec in (n_record(p, n) for p in ps.tolist())]
+            want = [(rec.p, rec.two_S, rec.N, rec.nonpositive) for rec in (oracle_record(p, n) for p in ps.tolist())]
             assert got and got == want, (lower, n)
 
 
@@ -219,9 +235,9 @@ def test_mulmod_corrects_both_ways_near_2_50():
 
 def test_segment_worker_edge_segments():
     assert survey._segment_worker((9, 20, 36, True)) == (0, 0, "")  # no p = 1 (mod 18) in [20, 36]
-    rec = n_record(19, 9)
+    rec = oracle_record(19, 9)
     assert survey._segment_worker((9, 19, 19, True)) == (1, 1, f"19,9,{rec.two_S},{rec.N},true\n")
-    assert survey._segment_worker((21, 211, 211, False)) == (1, n_record(211, 21).nonpositive, "")
+    assert survey._segment_worker((21, 211, 211, False)) == (1, oracle_record(211, 21).nonpositive, "")
     # all-odd: p = 3 has only its n = 1 pair, which counts but writes no row
     assert survey._segment_worker((None, 2, 3, True)) == (1, 1, "")
     assert survey._segment_worker((None, 7, 7, True)) == (2, 2, "7,3,1,-1,true\n")
@@ -333,9 +349,9 @@ def test_scan_rejects_even_n():
 
 def test_n_record_rejects_bad_input():
     with pytest.raises(ValueError):
-        n_record(15, 7)  # 15 is not prime
+        oracle_record(15, 7)  # 15 is not prime
     with pytest.raises(ValueError):
-        n_record(13, 5)  # 5 does not divide 12
+        oracle_record(13, 5)  # 5 does not divide 12
 
 
 def test_n_record_matches_naive_oracle_for_every_odd_n():
@@ -349,7 +365,7 @@ def test_n_record_matches_naive_oracle_for_every_odd_n():
             sub = {pow(x, (p - 1) // n, p) for x in range(1, p)}
             assert len(sub) == n
             two_s = 2 * sum((dedekind_sum_naive(h, p) for h in sub), Fraction(0))
-            rec = n_record(p, n)
+            rec = oracle_record(p, n)
             assert (rec.two_S, rec.N) == (two_s, 6 * two_s - p), (p, n)
 
 
