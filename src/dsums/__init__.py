@@ -22,7 +22,6 @@ from .eisenstein import (
     EisensteinInteger,
     RatioClass,
     dedekind_at_ratio,
-    divisor_descend,
     e_f,
     order3_subgroups_from_ef,
     representations,
@@ -45,7 +44,6 @@ from .numkernel import factorize, is_prime, mobius, primes_in_progression, totie
 from .survey import (
     DensityReport,
     resume,
-    scan_all_odd_subgroups,
     scan_fixed_n,
     scan_window,
 )

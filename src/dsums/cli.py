@@ -148,7 +148,7 @@ def cmd_class_number(args) -> int:
 
 
 def _parse_subgroup(args, f: int):
-    if args.elements:
+    if args.elements is not None:
         return subgroup_from_elements(f, [int(x) for x in args.elements.split(",")])
     if args.gen is not None:
         return subgroup_from_generator(f, args.gen)
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("c", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--naive", action="store_true", help="use the O(d) sawtooth oracle")
-    p.add_argument("--decimal", type=int, default=0, metavar="N", help="print N decimal places instead")
+    p.add_argument("--decimal", type=int, default=0, metavar="N", help="print N >= 0 decimal places instead")
     p.set_defaults(fn=cmd_dedekind)
 
     p = sub.add_parser("survey", help="scan primes for the sign of N(H_n,p)")
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity-verification suite")
     p.add_argument("--suite", default="all")
-    p.add_argument("--max-modulus", type=_intexpr, default=None)
+    p.add_argument("--max-modulus", type=_intexpr, default=None, help="at least 2 (default: each suite's own)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="print the reports, with cases and seconds, as JSON")
     p.set_defaults(fn=cmd_verify)
@@ -225,10 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mean-square", help="exact M(f,H) as a rational multiple of pi^2")
     p.add_argument("--f", type=int, required=True)
-    p.add_argument("--elements", default=None, help="comma-separated subgroup elements")
-    p.add_argument("--gen", type=int, default=None, help="subgroup generator")
-    p.add_argument("--order", type=int, default=None, help="order-n subgroup (prime f)")
-    p.add_argument("--kernel", type=int, default=None, help="kernel of reduction mod f'")
+    h = p.add_mutually_exclusive_group()  # one way to name H (default the trivial H)
+    h.add_argument("--elements", default=None, help="comma-separated subgroup elements")
+    h.add_argument("--gen", type=int, default=None, help="subgroup generator")
+    h.add_argument("--order", type=int, default=None, help="order-n subgroup (prime f)")
+    h.add_argument("--kernel", type=int, default=None, help="kernel of reduction mod f'")
     p.add_argument("--numeric", action="store_true", help="also average |L(1,chi)|^2 in floats")
     p.set_defaults(fn=cmd_mean_square)
     return ap
@@ -249,6 +250,8 @@ def main(argv=None) -> int:
         ap.error("--limit goes with no window (--from, --span)")
     if args.fn is cmd_survey and args.all_odd and args.n is not None:
         ap.error("--all-odd takes every odd n | p - 1, not --n")
+    if args.fn is cmd_dedekind and args.decimal < 0:
+        ap.error("--decimal takes N >= 0")
     try:
         if getattr(args, "threads", 1) is None:  # survey or tables without --threads
             args.threads = _threads(os.environ.get("DSUMS_THREADS", "1"))

@@ -23,7 +23,6 @@ __all__ = [
     "EisensteinInteger",
     "RatioClass",
     "dedekind_at_ratio",
-    "divisor_descend",
     "e_f",
     "order3_subgroups_from_ef",
     "representations",
@@ -123,26 +122,6 @@ def order3_subgroups_from_ef(f: int) -> list[Subgroup]:
         seen.add(key)
         subs.append(subgroup_from_elements(f, (1, rc.ratio, inv), generators=(key,)))
     return subs
-
-
-def divisor_descend(a: int, b: int, delta: int) -> EisensteinInteger:
-    """Descend a representation to a divisor: (a',b') with norm delta,
-    gcd(a',b') = 1 and a*b' = a'*b (mod delta)."""
-    f = a * a + a * b + b * b
-    if math.gcd(a, b) != 1:
-        raise ValueError("need gcd(a,b) = 1")
-    if delta < 1 or f % delta != 0:
-        raise ValueError(f"{delta} does not divide {f} = norm(a,b)")
-    if delta == 1:
-        return EisensteinInteger(1, 0)
-    matches = [
-        (x, y) for x, y in _positive_pairs(delta) if (a * y - x * b) % delta == 0
-    ]
-    if len(matches) != 1:
-        raise ArithmeticError(
-            f"expected one descendant of ({a},{b}) at delta={delta}, got {matches}"
-        )  # pragma: no cover
-    return EisensteinInteger(*matches[0])
 
 
 def dedekind_at_ratio(f: int, delta: int, rc: RatioClass) -> Fraction:

@@ -63,10 +63,11 @@ class PiSquared:
     def __float__(self) -> float:
         return float(self.coefficient) * math.pi**2
 
-    def approx_decimal(self, digits: int = 30) -> str:
-        with mp.workdps(digits + 10):
+    def approx_decimal(self) -> str:
+        """c * pi^2 to 30 significant digits."""
+        with mp.workdps(40):
             v = mp.mpf(self.coefficient.numerator) / self.coefficient.denominator * mp.pi**2
-            return mp.nstr(v, digits, strip_zeros=False)
+            return mp.nstr(v, 30, strip_zeros=False)
 
     def to_json(self) -> dict:
         return {
@@ -215,8 +216,8 @@ def char_value_mp(chi: DirichletCharacter, x: int):
     return mp.expjpi(2 * mp.mpf(a.numerator) / a.denominator)
 
 
-def l_one_series_mp(chi: DirichletCharacter, dps: int = 30) -> complex:
-    """Independent slow oracle: L(1,chi) = -(1/f) sum_a chi(a) psi(a/f).
+def l_one_series_mp(chi: DirichletCharacter) -> complex:
+    """Independent slow oracle: L(1,chi) = -(1/f) sum_a chi(a) psi(a/f), at 30 digits.
 
     The digamma route sums the Dirichlet series by Euler-Maclaurin inside
     mpmath; it shares no code with the cotangent path.
@@ -224,7 +225,7 @@ def l_one_series_mp(chi: DirichletCharacter, dps: int = 30) -> complex:
     if not chi.is_odd:
         raise ValueError("series oracle needs an odd character")
     f = chi.modulus
-    with mp.workdps(dps):
+    with mp.workdps(30):
         acc = mp.mpc(0)
         for a in unit_group(f).units:
             acc += char_value_mp(chi, a) * mp.digamma(mp.mpf(a) / f)

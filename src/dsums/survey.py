@@ -57,7 +57,6 @@ __all__ = [
     "DensityReport",
     "ratio_decimal",
     "resume",
-    "scan_all_odd_subgroups",
     "scan_fixed_n",
     "scan_window",
 ]
@@ -354,11 +353,12 @@ def _scan(
         start = ck.last_p + 1
         c_p, c_le = ck.c_prime, ck.c_leq0
     sink = _RecordSink(records, ck is None, ck.records_offset if ck else None)
-    size = max(1, min(1 << 20, -(-(upper - start + 1) // (4 * threads))))
+    workers = min(threads, os.cpu_count() or 1)  # one per CPU: the pool forks them all at its first submit
+    size = max(1, min(1 << 20, -(-(upper - start + 1) // (4 * workers))))
     segments = [(n, lo, min(lo + size - 1, upper), records is not None) for lo in range(start, upper + 1, size)]
     try:
         with (
-            ProcessPoolExecutor(threads, initializer=_exit_with_parent) if threads > 1 else nullcontext()
+            ProcessPoolExecutor(workers, initializer=_exit_with_parent) if threads > 1 else nullcontext()
         ) as pool:
             results = pool.map(_segment_worker, segments, chunksize=1) if pool else map(_segment_worker, segments)
             for (_, _, seg_hi, _), (dp, dl, text) in zip(segments, results):
@@ -377,7 +377,13 @@ def _scan(
 
 
 def scan_fixed_n(n: int | None, limit: int, **kwargs) -> DensityReport:
-    """Density report over primes p = 1 (mod 2n), p <= limit (all odd n for n = None)."""
+    """Density report over primes p = 1 (mod 2n), p <= limit.
+
+    n = None takes the pairs (p, n) for every odd prime p <= limit and every
+    odd n | p - 1. The n = 1 pair has N = (2-3p)/p, no integer 2S or N, so it
+    counts as nonpositive and has no record row: a records file holds c_prime
+    minus the number of odd primes rows, in (p, n) order, as fixed-n rows.
+    """
     return _scan("fixed", n, 0, limit, **kwargs)
 
 
@@ -395,14 +401,3 @@ def resume(checkpoint: str, *, threads: int = 1, records: str | None = None) -> 
         raise ValueError(f"no checkpoint at {checkpoint}")
     return _scan(ck.mode, ck.n, ck.A, ck.span_or_B, checkpoint=checkpoint, threads=threads, records=records)
 
-
-def scan_all_odd_subgroups(limit: int, **kwargs) -> DensityReport:
-    """Pairs (p, n): p odd prime <= limit, n an odd divisor of p-1 (n = 1 included).
-
-    The n = 1 pair carries N = (2-3p)/p < 0 and always counts as
-    nonpositive; pairs with n > 1 use the exact integer N. The n = 1 pairs
-    have no integer 2S or N, so a records file leaves them out: it holds
-    c_prime minus the number of odd primes <= limit rows, in (p, n) order,
-    each as a fixed-n scan writes it. It is scan_fixed_n with n = None.
-    """
-    return scan_fixed_n(None, limit, **kwargs)

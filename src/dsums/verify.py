@@ -78,8 +78,7 @@ class VerifyReport:
 
 
 class _Tally:
-    def __init__(self, suite: str):
-        self.suite = suite
+    def __init__(self):
         self.run = 0
         self.passed = 0
         self.first_failure: str | None = None
@@ -97,14 +96,11 @@ class _Tally:
 
     @contextmanager
     def audited(self):
-        """One check of audited code: its ArithmeticError is the check's failure; the suite goes on."""
+        """Audited code as one check: an ArithmeticError from it is a failed check, and the caller goes on."""
         try:
             yield
         except ArithmeticError as exc:
             self.check(False, str(exc))
-
-    def report(self) -> VerifyReport:
-        return VerifyReport(self.suite, self.run, self.passed, self.first_failure, time.perf_counter() - self.start)
 
 
 def _coprime_pairs(rng: random.Random, count: int, dmax: int):
@@ -117,10 +113,9 @@ def _coprime_pairs(rng: random.Random, count: int, dmax: int):
     return out
 
 
-def suite_reciprocity(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("reciprocity")
+def suite_reciprocity(t: _Tally, max_modulus: int | None, seed: int) -> None:
     rng = random.Random(seed)
-    dmax = max_modulus or 10**6
+    dmax = 10**6 if max_modulus is None else max_modulus
 
     for c, d in _coprime_pairs(rng, 500, dmax):
         if c < 2 or d < 2:
@@ -135,8 +130,7 @@ def suite_reciprocity(max_modulus: int | None = None, seed: int = 0) -> VerifyRe
         t.equal(dedekind_sum(-c, d), -v, f"odd negation ({c},{d})")
 
     # exhaustive small-modulus battery against the sawtooth oracle
-    oracle_cap = min(max_modulus or 300, 300)
-    for d in range(1, oracle_cap + 1):
+    for d in range(1, min(dmax, 300) + 1):
         vals = {}
         residues = [0] if d == 1 else [c for c in range(1, d) if math.gcd(c, d) == 1]
         for c in residues:
@@ -150,15 +144,13 @@ def suite_reciprocity(max_modulus: int | None = None, seed: int = 0) -> VerifyRe
                 t.check(vals[cstar] == naive, f"inverse invariance at ({c},{d})")
     t.equal(dedekind_sum(5, 1), Fraction(0), "s(5,1)")
     t.equal(dedekind_sum(1, 9), Fraction(14, 27), "s(1,9)")
-    return t.report()
 
 
-def suite_denominators(max_modulus: int | None = None, seed: int = 0, pairs: int = 10_000) -> VerifyReport:
-    t = _Tally("denominators")
+def suite_denominators(t: _Tally, max_modulus: int | None, seed: int) -> None:
     rng = random.Random(seed)
-    dmax = max_modulus or 10**6
+    dmax = 10**6 if max_modulus is None else max_modulus
 
-    for c, d in _coprime_pairs(rng, pairs, dmax):
+    for c, d in _coprime_pairs(rng, 10_000, dmax):
         v = 2 * d * math.gcd(3, d) * dedekind_sum(c, d)
         t.check(v.denominator == 1, f"2d*gcd(3,d)*s({c},{d}) = {v} not an integer")
 
@@ -173,7 +165,7 @@ def suite_denominators(max_modulus: int | None = None, seed: int = 0, pairs: int
         t.check(ok, f"optimality witness failed at p={p}: {v}")
 
     # Moebius-combination consistency between the fast and naive engines
-    for f in range(2, min(max_modulus or 200, 200) + 1):
+    for f in range(2, min(dmax, 200) + 1):
         units = [c for c in range(1, f) if math.gcd(c, f) == 1]
         sample = units if len(units) <= 6 else rng.sample(units, 6)
         if 1 not in sample:
@@ -181,12 +173,10 @@ def suite_denominators(max_modulus: int | None = None, seed: int = 0, pairs: int
         for c in sample:
             t.equal(dedekind_sum_tilde(c, f), dedekind_sum_tilde_naive(c, f), f"tilde({c},{f})")
         t.equal(dedekind_sum_tilde(1, f), tilde_s_one(f), f"tilde closed form f={f}")
-    return t.report()
 
 
-def suite_theorem_parity(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("theorem-parity")
-    pcap = max_modulus or 2000
+def suite_theorem_parity(t: _Tally, max_modulus: int | None, seed: int) -> None:
+    pcap = 2000 if max_modulus is None else max_modulus
 
     # odd n > 1 forces 2S integral with the parity of (p-1)/2 and N odd
     for p in sieve_upto(pcap):
@@ -211,7 +201,6 @@ def suite_theorem_parity(max_modulus: int | None = None, seed: int = 0) -> Verif
                 v = 2 * math.gcd(3, f) * Fraction(f, T.gcd) * subgroup_sum_S(sub)
                 ok = v.denominator == 1 and (int(v) - sub.order * (f - 1) // 2) % 2 == 0
                 t.check(ok, f"parity (ii) failed at f={f}, n={sub.order}: {v}")
-    return t.report()
 
 
 _KERNEL_GRID = [
@@ -222,12 +211,11 @@ _KERNEL_GRID = [
 ]
 
 
-def suite_kernel_theorem(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("kernel-theorem")
+def suite_kernel_theorem(t: _Tally, max_modulus: int | None, seed: int) -> None:
     for p, n, fp in _KERNEL_GRID:
         pn = p**n
         f = pn * fp
-        if max_modulus and f > max_modulus:
+        if max_modulus is not None and f > max_modulus:
             continue
         ker = kernel_subgroup(f, fp)
         t.equal(ker.order, pn, f"kernel order at (p,n,f')=({p},{n},{fp})")
@@ -249,12 +237,10 @@ def suite_kernel_theorem(max_modulus: int | None = None, seed: int = 0) -> Verif
             mean_square_closed_trivial(fp).coefficient,
             f"M(f,ker) = M(f',{{1}}) at ({p},{n},{fp})",
         )
-    return t.report()
 
 
-def suite_constancy(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("constancy")
-    cap = max_modulus or 13**6
+def suite_constancy(t: _Tally, max_modulus: int | None, seed: int) -> None:
+    cap = 13**6 if max_modulus is None else max_modulus
     for p in (3, 5, 7, 13):
         for m in range(2, 7):
             f = p**m
@@ -284,7 +270,6 @@ def suite_constancy(max_modulus: int | None = None, seed: int = 0) -> VerifyRepo
         dedekind_sum(4, 27) != dedekind_sum(13, 27),
         "non-constancy witness collapsed at f=27",
     )
-    return t.report()
 
 
 def eisenstein_moduli(cap: int) -> list[int]:
@@ -297,31 +282,32 @@ def eisenstein_moduli(cap: int) -> list[int]:
     return good
 
 
-def suite_eisenstein(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("eisenstein")
-    cap = max_modulus or 2000
+def suite_eisenstein(t: _Tally, max_modulus: int | None, seed: int) -> None:
+    cap = 2000 if max_modulus is None else max_modulus
     for f in eisenstein_moduli(cap):
-        tt = len(factorize(f))
-        ratios = e_f(f)
-        t.equal(len(ratios), 1 << tt, f"|E_{f}|")
-        t.equal(len(representations(f)), 1 << (tt - 1), f"representation count at f={f}")
-        t.equal(len({rc.ratio for rc in ratios}), len(ratios), f"ratio collision at f={f}")
+        with t.audited():  # e_f audits its ratios
+            tt = len(factorize(f))
+            ratios = e_f(f)
+            t.equal(len(ratios), 1 << tt, f"|E_{f}|")
+            t.equal(len(representations(f)), 1 << (tt - 1), f"representation count at f={f}")
+            t.equal(len({rc.ratio for rc in ratios}), len(ratios), f"ratio collision at f={f}")
 
-        want = mean_square_closed_h3(f).coefficient * f / 2
-        subs = order3_subgroups_from_ef(f)
-        t.equal(len(subs), 1 << (tt - 1), f"subgroup count at f={f}")
-        for sub in subs:
-            t.equal(subgroup_sum_tilde(sub), want, f"closed tilde S at f={f}, H={sub.elements}")
+            want = mean_square_closed_h3(f).coefficient * f / 2
+            subs = order3_subgroups_from_ef(f)
+            t.equal(len(subs), 1 << (tt - 1), f"subgroup count at f={f}")
+            for sub in subs:
+                t.equal(subgroup_sum_tilde(sub), want, f"closed tilde S at f={f}, H={sub.elements}")
 
     # every divisor sees the (delta-1)/(12 delta) value
     for f in (7, 49, 91, 133, 1729):
         if f > cap:
             continue
-        for rc in e_f(f):
-            for delta in divisors(f):
-                with t.audited():
-                    want = Fraction(delta - 1, 12 * delta)
-                    t.equal(dedekind_at_ratio(f, delta, rc), want, f"s at ratio {rc.ratio}, delta={delta}")
+        with t.audited():
+            for rc in e_f(f):
+                for delta in divisors(f):
+                    with t.audited():
+                        want = Fraction(delta - 1, 12 * delta)
+                        t.equal(dedekind_at_ratio(f, delta, rc), want, f"s at ratio {rc.ratio}, delta={delta}")
 
     # f = 91: order-3 subgroups outside E_f break the closed form
     if cap >= 91:
@@ -338,7 +324,6 @@ def suite_eisenstein(max_modulus: int | None = None, seed: int = 0) -> VerifyRep
         )
         for sub in order3_subgroups_from_ef(91):
             t.equal(subgroup_sum_tilde(sub), want91, f"E_91 subgroup {sub.elements}")
-    return t.report()
 
 
 def trivial_subgroup(f: int) -> Subgroup:
@@ -382,15 +367,15 @@ def cross_check_pairs(cap: int) -> list[tuple[int, Subgroup]]:
     return out
 
 
-def suite_mean_square(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("mean-square")
-    cap = max_modulus or 500
+def suite_mean_square(t: _Tally, max_modulus: int | None, seed: int) -> None:
+    cap = 500 if max_modulus is None else max_modulus
 
     for f, sub in cross_check_pairs(cap):
-        exact = float(mean_square_exact(f, sub))
-        numeric = mean_square_numeric(f, sub)
-        rel = abs(numeric - exact) / exact
-        t.check(rel < 1e-8, f"numeric/exact gap {rel:.3e} at f={f}, |H|={sub.order}")
+        with t.audited():  # the character mask audits its count
+            exact = float(mean_square_exact(f, sub))
+            numeric = mean_square_numeric(f, sub)
+            rel = abs(numeric - exact) / exact
+            t.check(rel < 1e-8, f"numeric/exact gap {rel:.3e} at f={f}, |H|={sub.order}")
 
     for f in range(3, min(cap, 200) + 1):
         t.equal(
@@ -400,8 +385,9 @@ def suite_mean_square(max_modulus: int | None = None, seed: int = 0) -> VerifyRe
         )
     for f in eisenstein_moduli(min(cap, 2000)):
         want = mean_square_closed_h3(f).coefficient
-        for sub in order3_subgroups_from_ef(f):
-            t.equal(mean_square_exact(f, sub).coefficient, want, f"H3 closed form at f={f}")
+        with t.audited():
+            for sub in order3_subgroups_from_ef(f):
+                t.equal(mean_square_exact(f, sub).coefficient, want, f"H3 closed form at f={f}")
 
     # N(H_3, p) = -1 for p = 1 mod 6
     for p in sieve_upto(10**4):
@@ -417,11 +403,9 @@ def suite_mean_square(max_modulus: int | None = None, seed: int = 0) -> VerifyRe
         t.equal(sub.order, n, f"order of <2> mod {p}")
         with t.audited():
             t.equal(n_value(p, sub), Fraction(2 * p - (6 * n - 3)), f"Mersenne N at p={p}")
-    return t.report()
 
 
-def suite_class_number(max_modulus: int | None = None, seed: int = 0) -> VerifyReport:
-    t = _Tally("class-number")
+def suite_class_number(t: _Tally, max_modulus: int | None, seed: int) -> None:
     for p, m, h, label in ((23, 22, 3, "h^-(Q(zeta_23))"), (7, 6, 1, "h^-(Q(zeta_7))"),
                            (13, 4, 1, "h^- degree-4 field at p=13")):
         with t.audited():
@@ -451,7 +435,6 @@ def suite_class_number(max_modulus: int | None = None, seed: int = 0) -> VerifyR
                          (169, subgroup_from_generator(169, 22), 1), (91, h91, Fraction(100, 91))):
         with t.audited():
             t.equal(euler_correction_pi(f, sub), want, f"Pi({f},H)")
-    return t.report()
 
 
 SUITES = {
@@ -467,8 +450,16 @@ SUITES = {
 
 
 def run_suite(name: str, max_modulus: int | None = None, seed: int = 0) -> list[VerifyReport]:
-    if name == "all":
-        return [fn(max_modulus, seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    """The reports of one suite or of all; an ArithmeticError that escapes a
+    suite's own checks ends that suite as one more failed check."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name](max_modulus, seed)]
+    if max_modulus is not None and max_modulus < 2:
+        raise ValueError(f"need max_modulus >= 2, got {max_modulus}")
+    reports = []
+    for suite in SUITES if name == "all" else [name]:
+        t = _Tally()
+        with t.audited():
+            SUITES[suite](t, max_modulus, seed)
+        reports.append(VerifyReport(suite, t.run, t.passed, t.first_failure, time.perf_counter() - t.start))
+    return reports

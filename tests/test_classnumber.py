@@ -101,6 +101,16 @@ def test_no_imaginary_field_no_class_number():
         relative_class_number(13, 2)
 
 
+def test_crt_budget_is_the_parseval_bound(monkeypatch):
+    # 2 (sum g_t^2)^(m/4) bounds 2|R| in fewer bits than the triangle bound 2 (sum |g_t|)^(m/2)
+    budgets, crt_primes = [], classnumber._crt_primes
+    monkeypatch.setattr(classnumber, "_crt_primes", lambda m, bits: budgets.append(bits) or crt_primes(m, bits))
+    h = relative_class_number(199, 198)
+    assert budgets == [1007]
+    monkeypatch.setattr(classnumber, "_crt_primes", lambda m, bits: crt_primes(m, 1387))
+    assert relative_class_number(199, 198) == h
+
+
 def test_bernoulli_oracle():
     # h^- = Q w prod(-B_{1,chi}/2) over the odd characters trivial on the
     # order-(p-1)/m subgroup H, independently; Q = 1, w = 2p for the full

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import dsums
-from dsums import cli, eisenstein
+from dsums import cli, eisenstein, meansquare
 from dsums.cli import _intexpr, main
 from dsums.verify import VerifyReport
 
@@ -128,6 +128,30 @@ def test_verify_counts_a_failed_audit_as_a_failed_check(capsys, monkeypatch):
     assert failure == "  first failure: s(2 mod 7, 7) = 15/14 != 1/14"
 
 
+def test_verify_counts_an_escaped_audit_as_a_failed_check(capsys, monkeypatch):
+    # with 2 mod 7 read as order 1, e_f's audit raises once per loop over f = 7
+    good = eisenstein.element_order
+    monkeypatch.setattr(eisenstein, "element_order", lambda r, f: 1 if (r, f) == (2, 7) else good(r, f))
+    code, out, err = run(capsys, "verify", "--suite", "eisenstein", "--max-modulus", "100")
+    assert (code, err) == (1, "")
+    assert out == "suite eisenstein: 91/93 checks passed\n  first failure: ratio 2 mod 7 not of order 3\n"
+    monkeypatch.undo()
+
+    def broken_mask(sub):
+        raise ArithmeticError(f"character count mismatch mod {sub.modulus}")
+
+    monkeypatch.setattr(meansquare, "odd_character_mask", broken_mask)  # every numeric mean square fails
+    code, out, err = run(capsys, "verify", "--suite", "mean-square", "--max-modulus", "100")
+    assert (code, err) == (1, "")
+    assert out == "suite mean-square: 731/776 checks passed\n  first failure: character count mismatch mod 5\n"
+    monkeypatch.undo()
+    # an audit that fails before the suite's first check (cross_check_pairs reads E_91) ends the suite
+    monkeypatch.setattr(eisenstein, "element_order", lambda r, f: 1 if f == 91 else good(r, f))
+    code, out, err = run(capsys, "verify", "--suite", "mean-square")
+    assert (code, err) == (1, "")
+    assert out == "suite mean-square: 0/1 checks passed\n  first failure: ratio 9 mod 91 not of order 3\n"
+
+
 def test_verify_json(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "kernel-theorem", "--json")
     assert code == 0
@@ -201,6 +225,25 @@ def test_mean_square_kernel(capsys):
                                        "approx_decimal": blob["M"]["approx_decimal"]}
 
 
+@pytest.mark.parametrize("argv, elements", [
+    (["--elements", "1,9,81"], [1, 9, 81]),
+    (["--gen", "9"], [1, 9, 81]),
+    ([], [1]),  # the trivial H by default
+])
+def test_mean_square_subgroup_options(capsys, argv, elements):
+    code, out, _ = run(capsys, "mean-square", "--f", "91", *argv)
+    blob = json.loads(out)
+    assert code == 0 and blob["subgroup"] == elements
+    assert (blob["M"]["coef_num"], blob["M"]["coef_den"]) == ((1332, 8281) if len(elements) == 3 else (1308, 8281))
+
+
+def test_survey_window(capsys):
+    code, out, _ = run(capsys, "survey", "--from", "1e4", "--span", "1e4")
+    assert code == 0
+    assert json.loads(out) == {"n": 9, "range": "10000 <= p <= 20000", "c_prime": 169, "c_leq0": 92,
+                               "rho": "0.54437"}
+
+
 @pytest.mark.parametrize("text, value", [("1e23", 10**23), ("10**5", 10**5), ("25e4", 250000), ("7", 7)])
 def test_intexpr_is_exact(text, value):
     assert _intexpr(text) == value
@@ -224,6 +267,11 @@ def test_intexpr_is_exact(text, value):
     (["tables", "--table", "rho9-window", "--from", "1e3", "--span", "1e3", "--limit", "7"], None),
     (["survey", "--from", "100", "--span", "50", "--limit", "7"], None),
     (["survey", "--all-odd", "--n", "5"], None),
+    # options that would go unread or out of range
+    (["mean-square", "--f", "7", "--gen", "2", "--order", "3"], None),
+    (["dedekind", "1", "9", "--decimal", "-1"], None),
+    (["verify", "--max-modulus", "0"], None),
+    (["verify", "--suite", "kernel-theorem", "--max-modulus", "1"], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

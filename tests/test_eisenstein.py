@@ -6,7 +6,6 @@ import pytest
 from dsums.dedekind import dedekind_sum_tilde
 from dsums.eisenstein import (
     dedekind_at_ratio,
-    divisor_descend,
     e_f,
     order3_subgroups_from_ef,
     representations,
@@ -72,21 +71,6 @@ def test_counterexample_at_91():
     assert dedekind_sum_tilde(29, 91) == Fraction(-22, 91)
     assert dedekind_sum_tilde(53, 91) == Fraction(-46, 91)
     assert dedekind_sum_tilde(9, 91) == Fraction(6, 91) == Fraction(totient(91), 12 * 91)
-
-
-def test_divisor_descend():
-    d = divisor_descend(9, 1, 7)
-    assert (d.a, d.b) == (2, 1)
-    for f in (91, 637, 1729):
-        for r in representations(f):
-            for delta in divisors(f):
-                d = divisor_descend(r.a, r.b, delta)
-                assert d.norm == delta and math.gcd(d.a, d.b) == 1
-                if delta > 1:
-                    assert (r.a * d.b - d.a * r.b) % delta == 0
-    assert divisor_descend(9, 1, 91).norm == 91
-    with pytest.raises(ValueError):
-        divisor_descend(9, 1, 5)
 
 
 def test_dedekind_at_ratio():

@@ -21,7 +21,6 @@ from dsums.numkernel import divisors, factorize, is_prime, mulmod, order_n_eleme
 from dsums.survey import (
     ratio_decimal,
     resume,
-    scan_all_odd_subgroups,
     scan_fixed_n,
     scan_window,
 )
@@ -84,24 +83,24 @@ def test_window_from_zero_equals_fixed():
 
 
 def test_scan_all_odd_subgroups():
-    rep = scan_all_odd_subgroups(7)
+    rep = scan_fixed_n(None, 7)
     assert (rep.c_prime, rep.c_leq0) == (4, 4) and rep.rho == "1.00000"
     # 8 pairs through B=13: (11,5) joins the three the smaller bound had
-    rep = scan_all_odd_subgroups(13)
+    rep = scan_fixed_n(None, 13)
     assert (rep.c_prime, rep.c_leq0) == (8, 8)
-    rep31 = scan_all_odd_subgroups(31)
+    rep31 = scan_fixed_n(None, 31)
     assert rep31.c_prime == 20
     # (31,5) carries N = 35 > 0, so not everything is counted
     assert rep31.c_leq0 < rep31.c_prime
     assert rep31.to_json()["n"] == "all"
-    assert scan_all_odd_subgroups(2).rho == "undefined"  # an empty range, as for a fixed n
+    assert scan_fixed_n(None, 2).rho == "undefined"  # an empty range, as for a fixed n
 
 
 def test_all_odd_records_match_the_oracle(tmp_path):
     # the n = 1 pairs count but have no rows; every other pair is the oracle's
     rc1, rc2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    rep = scan_all_odd_subgroups(3000, records=str(rc1))
-    assert rep == scan_all_odd_subgroups(3000, threads=2, records=str(rc2))
+    rep = scan_fixed_n(None, 3000, records=str(rc1))
+    assert rep == scan_fixed_n(None, 3000, threads=2, records=str(rc2))
     assert rc1.read_bytes() == rc2.read_bytes()
     lines = rc1.read_text().splitlines()
     assert lines[0] == "p,n,two_S,N,nonpositive"
@@ -116,7 +115,7 @@ def test_all_odd_records_match_the_oracle(tmp_path):
 
 def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
     full_rc, rc, ck = tmp_path / "full.csv", tmp_path / "r.csv", str(tmp_path / "ck.json")
-    full = scan_all_odd_subgroups(3000, records=str(full_rc))
+    full = scan_fixed_n(None, 3000, records=str(full_rc))
     window = scan_window(None, 0, 3000)
     assert (window.n, window.c_prime, window.c_leq0, window.rho) == (None, full.c_prime, full.c_leq0, full.rho)
     # a scan that dies after its first checkpoint, then resumes
@@ -128,7 +127,7 @@ def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(survey, "_save_checkpoint", save_and_die)
     with pytest.raises(KeyboardInterrupt):
-        scan_all_odd_subgroups(3000, checkpoint=ck, records=str(rc))
+        scan_fixed_n(None, 3000, checkpoint=ck, records=str(rc))
     monkeypatch.setattr(survey, "_save_checkpoint", save)
     data = json.load(open(ck))
     assert data["version"] == 2 and data["n"] is None and data["last_p"] < 3000
@@ -331,6 +330,19 @@ def test_checkpoint_mismatch_errors(tmp_path):
         scan_window(9, 0, 2000, checkpoint=ck)
 
 
+def test_bad_checkpoints_and_records_are_rejected(tmp_path):
+    ck, rc = tmp_path / "ck.json", tmp_path / "r.csv"
+    with pytest.raises(ValueError, match="no checkpoint"):
+        resume(str(ck))
+    scan_fixed_n(9, 5000, checkpoint=str(ck), records=str(rc))
+    rc.write_text(rc.read_text()[:40])  # rows lost after the checkpoint vouched for them
+    with pytest.raises(ValueError, match="shorter than its checkpoint"):
+        resume(str(ck), records=str(rc))
+    ck.write_text(json.dumps({**json.loads(ck.read_text()), "version": 3}))
+    with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        resume(str(ck))
+
+
 def test_checkpoint_written_during_scan(tmp_path):
     ck = str(tmp_path / "ck.json")
     scan_fixed_n(9, 20000, checkpoint=ck)
@@ -379,7 +391,36 @@ def test_scan_rejects_bad_threads_and_bounds():
     with pytest.raises(ValueError):  # n * bound reaches 2^62: the row sums could wrap
         scan_window(1 << 13 | 1, 1 << 49, 10)
     with pytest.raises(ValueError):
-        scan_all_odd_subgroups(1 << 31)
+        scan_fixed_n(None, 1 << 31)
+    with pytest.raises(ValueError, match="lower >= 0"):
+        scan_window(9, -1, 100)
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
+    started, segments, work = [], [], survey._segment_worker
+
+    class SerialPool:  # a stand-in for ProcessPoolExecutor: records its worker count, maps in process
+        def __init__(self, max_workers, initializer):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(survey, "_segment_worker", lambda args: segments.append(args) or work(args))
+    rep = scan_fixed_n(9, 10**4, threads=100_000)
+    assert started == [workers]
+    assert len(segments) == 4 * workers  # planned from the capped count, not one per integer
+    monkeypatch.undo()
+    assert rep == scan_fixed_n(9, 10**4)
 
 
 def test_checkpoint_carries_records_offset(tmp_path):
