@@ -107,12 +107,8 @@ def relative_class_number(p: int, m: int) -> int:
     c = sum((power_table(root, min(step, p - 1 - k), p) * pow(root, k, p) % p).reshape(-1, m).sum(axis=0)
             for k in range(0, p - 1, step))
     g = c[: ctx.n] - c[ctx.n :]
-    s2, top, e = sum(x * x for x in g.tolist()), 1, 0  # top 2^e >= s2^n, top rounded up to 64 bits
-    for bit in bin(ctx.n)[2:]:
-        top, e = top * top * s2 ** int(bit), 2 * e
-        k = max(0, top.bit_length() - 64)
-        top, e = (top >> k) + (k > 0), e + k
-    ells = _crt_primes(m, (top.bit_length() + e + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
+    s2 = sum(x * x for x in g.tolist())
+    ells = _crt_primes(m, ((s2**ctx.n).bit_length() + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
     r, mod = 0, 1
     for ell, x in zip(ells, _resultant_residues(g, m, ells)):
         r += mod * ((x - r) * pow(mod, -1, ell) % ell)

@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an identity-verification suite")
     p.add_argument("--suite", default="all")
     p.add_argument("--max-modulus", type=_intexpr, default=None, help="at least 2 (default: each suite's own)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="for reciprocity, denominators or all (default 0)")
     p.add_argument("--json", action="store_true", help="print the reports, with cases and seconds, as JSON")
     p.set_defaults(fn=cmd_verify)
 

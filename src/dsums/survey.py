@@ -218,6 +218,7 @@ class _Checkpoint:
     c_prime: int
     c_leq0: int
     records_offset: int | None = None  # bytes of the records file covered; absent in version 1
+    version: int = 2  # 1: no records_offset, records go on by plain append
 
 
 def _load_checkpoint(path: str) -> _Checkpoint | None:
@@ -225,7 +226,8 @@ def _load_checkpoint(path: str) -> _Checkpoint | None:
         return None
     with open(path) as fh:
         data = json.load(fh)
-    if data.pop("version", 1) not in (1, 2):
+    data.setdefault("version", 1)
+    if data["version"] not in (1, 2):
         raise ValueError(f"unsupported checkpoint version in {path}")
     return _Checkpoint(**data)
 
@@ -233,7 +235,7 @@ def _load_checkpoint(path: str) -> _Checkpoint | None:
 def _save_checkpoint(path: str, ck: _Checkpoint) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"version": 2, **asdict(ck)}, fh)
+        json.dump({"version": ck.version, **asdict(ck)}, fh)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -242,17 +244,19 @@ def _save_checkpoint(path: str, ck: _Checkpoint) -> None:
 class _RecordSink:
     """CSV sink for record streams. A fresh scan writes the header; a resumed
     one appends after cutting the file back to the byte length its checkpoint
-    vouches for (a version-1 checkpoint holds none: plain append)."""
+    vouches for, and refuses a file that is missing or shorter (a version-1
+    checkpoint holds no length: plain append, or a fresh file)."""
 
     def __init__(self, path: str | None, fresh: bool, offset: int | None = None):
         self.fh = None
         if path is None:
             return
-        if fresh or not (os.path.exists(path) and os.path.getsize(path) > 0):
+        size = os.path.getsize(path) if os.path.exists(path) else 0
+        if offset is not None and size < offset:
+            raise ValueError(f"records file {path} is missing or shorter than its checkpoint says")
+        if fresh or not size:
             self.fh = open(path, "w")
             self.fh.write(CSV_HEADER + "\n")
-        elif offset is not None and offset > os.path.getsize(path):
-            raise ValueError(f"records file {path} is shorter than its checkpoint says")
         else:
             self.fh = open(path, "a")
             self.fh.truncate(offset)  # None: at the current position, the end
@@ -350,6 +354,9 @@ def _scan(
                 f"checkpoint mismatch: file has {(ck.mode, ck.n, ck.A, ck.span_or_B)}, "
                 f"scan wants {(mode, n, lower, span_or_b)}"
             )
+        if ck.version > 1 and (ck.records_offset is None) != (records is None):
+            wrong = "needs the records file it vouches for" if records is None else "was written without records"
+            raise ValueError(f"checkpoint {checkpoint} {wrong}")
         start = ck.last_p + 1
         c_p, c_le = ck.c_prime, ck.c_leq0
     sink = _RecordSink(records, ck is None, ck.records_offset if ck else None)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkernel import factorize, is_prime, order_n_element, power_table, totient
+from .numkernel import factorize, is_prime, mulmod, order_n_element, power_table, totient
 
 __all__ = [
     "DirichletCharacter",
@@ -108,19 +108,29 @@ class UnitGroup:
         self._index: np.ndarray | None = None
         self._index_view: memoryview | None = None
 
+    def torsion(self, q: int) -> np.ndarray:
+        """The units x with x^q = 1 as an int64 array of shape t_i = gcd(orders[i], q), f < 2^50:
+        entry k is prod b_i^k_i mod f with b_i = generators[i]^(orders[i]/t_i) of order t_i,
+        so it has order lcm_i t_i/gcd(t_i, k_i) (_torsion_orders)."""
+        f = self.modulus
+        if f >= 1 << 50:
+            raise ValueError(f"modulus {f} too large for int64 unit products")
+        units = np.ones((), dtype=np.int64)
+        for g, s in zip(self.generators, self.orders):
+            t = math.gcd(s, q)
+            table = power_table(pow(g, s // t, f), t, f)
+            units = mulmod(units[..., np.newaxis], table, f) if units.ndim else table  # no product on axis 0
+        return units
+
     def grid(self) -> np.ndarray:
-        """The units as a read-only int64 array of shape orders: entry l is
-        prod generators[i]^l[i] mod f, so C order runs through the exponent
-        vectors lexicographically."""
+        """The units as a read-only int64 array of shape orders, the torsion of
+        the exponent: entry l is prod generators[i]^l[i] mod f, so C order runs
+        through the exponent vectors lexicographically."""
         if self._grid is None:
-            f = self.modulus
-            if f >= 1 << 31:
-                raise ValueError(f"modulus {f} too large for the int64 unit grid")
-            units = np.ones((), dtype=np.int64)
-            for g, s in zip(self.generators, self.orders):
-                units = np.multiply.outer(units, power_table(g, s, f)) % f
-            units.flags.writeable = False
-            self._grid = units
+            if self.modulus >= 1 << 31:
+                raise ValueError(f"modulus {self.modulus} too large for the int64 unit grid")
+            self._grid = self.torsion(self.exponent)
+            self._grid.flags.writeable = False
         return self._grid
 
     def _flat_index(self) -> np.ndarray:
@@ -237,50 +247,34 @@ def kernel_subgroup(f: int, f_prime: int) -> Subgroup:
     return Subgroup(f, elems, len(elems))
 
 
-@lru_cache(maxsize=256)
-def _units_by_order(f: int) -> dict[int, tuple[int, ...]]:
-    """Units mod f grouped by order: the unit at grid position l has order
-    lcm_i s_i/gcd(s_i, l_i)."""
-    g = unit_group(f)
+def _torsion_orders(shape: tuple[int, ...]) -> np.ndarray:
+    """The order of each entry of a torsion array of this shape: lcm_i t_i/gcd(t_i, k_i) at k."""
     order = np.ones((), dtype=np.int64)
-    for s in g.orders:
-        order = np.lcm.outer(order, s // np.gcd(np.arange(s), s))
-    units, order = g.grid().ravel(), order.ravel()
-    return {int(o): tuple(np.sort(units[order == o]).tolist()) for o in np.unique(order)}
+    for t in shape:
+        order = np.lcm.outer(order, t // np.gcd(np.arange(t), t))
+    return order
 
 
 def elements_of_order(q: int, f: int) -> tuple[int, ...]:
-    """All units of exact multiplicative order q mod f (possibly empty)."""
-    if f < 2:
-        raise ValueError("need f >= 2")
-    g = unit_group(f)
-    if len(g.generators) <= 1:
-        # cyclic: order-q elements are gen^(phi/q * k), gcd(k,q) = 1
-        if g.phi % q:
-            return ()
-        gen = g.generators[0] if g.generators else 1
-        base = pow(gen, g.phi // q, f)
-        out = []
-        x = 1
-        for k in range(q):
-            if math.gcd(k, q) == 1:
-                out.append(x)
-            x = x * base % f
-        return tuple(sorted(out))
-    return _units_by_order(f).get(q, ())
+    """All units of exact multiplicative order q mod f (possibly empty), for f < 2^50."""
+    if f < 2 or q < 1:
+        raise ValueError(f"need f >= 2 and q >= 1, got f={f}, q={q}")
+    units = unit_group(f).torsion(q)
+    return tuple(np.sort(units[_torsion_orders(units.shape) == q]).tolist())
 
 
 def cyclic_subgroups(f: int) -> list[Subgroup]:
-    """Every cyclic subgroup of (Z/fZ)*, each listed once."""
-    by_order = _units_by_order(f)
+    """Every cyclic subgroup of (Z/fZ)*, each listed once: ascending in order,
+    each generated by its least generator."""
+    g = unit_group(f)
+    units, orders = g.grid().ravel(), _torsion_orders(g.orders).ravel()
     subs: list[Subgroup] = []
     covered: set[int] = set()
-    for d in sorted(by_order):
-        for x in by_order[d]:
-            if x not in covered:
-                sub = subgroup_from_generator(f, x)
-                subs.append(sub)
-                covered.update(sub.elements)
+    for x in units[np.lexsort((units, orders))].tolist():
+        if x not in covered:
+            sub = subgroup_from_generator(f, x)
+            subs.append(sub)
+            covered.update(sub.elements)
     return subs
 
 

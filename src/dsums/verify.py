@@ -449,17 +449,20 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_modulus: int | None = None, seed: int = 0) -> list[VerifyReport]:
+def run_suite(name: str, max_modulus: int | None = None, seed: int | None = None) -> list[VerifyReport]:
     """The reports of one suite or of all; an ArithmeticError that escapes a
-    suite's own checks ends that suite as one more failed check."""
+    suite's own checks ends that suite as one more failed check. Only
+    reciprocity and denominators draw random cases and read the seed (default 0)."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if max_modulus is not None and max_modulus < 2:
         raise ValueError(f"need max_modulus >= 2, got {max_modulus}")
+    if seed is not None and name not in ("all", "reciprocity", "denominators"):
+        raise ValueError(f"suite {name} draws no random cases: a seed goes with reciprocity, denominators or all")
     reports = []
     for suite in SUITES if name == "all" else [name]:
         t = _Tally()
         with t.audited():
-            SUITES[suite](t, max_modulus, seed)
+            SUITES[suite](t, max_modulus, seed or 0)
         reports.append(VerifyReport(suite, t.run, t.passed, t.first_failure, time.perf_counter() - t.start))
     return reports

@@ -77,6 +77,19 @@ def test_survey_records_and_checkpoint(tmp_path, capsys):
     assert json.load(open(ck))["last_p"] == 5000
 
 
+def test_survey_rerun_without_its_records_exits_2(tmp_path, capsys):
+    rc, ck = str(tmp_path / "r.csv"), str(tmp_path / "c.json")
+    assert run(capsys, "survey", "--n", "9", "--limit", "5000", "--records", rc, "--checkpoint", ck)[0] == 0
+    code, out, err = run(capsys, "survey", "--n", "9", "--limit", "5000", "--checkpoint", ck)
+    assert (code, out) == (2, "") and err.startswith("error: checkpoint") and "Traceback" not in err
+
+
+def test_verify_seed_goes_with_the_seeded_suites(capsys):
+    for suite in ("reciprocity", "denominators"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-modulus", "60", "--seed", "5")
+        assert code == 0 and out.startswith(f"suite {suite}:")
+
+
 def test_survey_all_odd(capsys):
     code, out, _ = run(capsys, "survey", "--all-odd", "--limit", "7")
     blob = json.loads(out)
@@ -272,6 +285,7 @@ def test_intexpr_is_exact(text, value):
     (["dedekind", "1", "9", "--decimal", "-1"], None),
     (["verify", "--max-modulus", "0"], None),
     (["verify", "--suite", "kernel-theorem", "--max-modulus", "1"], None),
+    (["verify", "--suite", "kernel-theorem", "--seed", "5"], None),  # a suite that draws no random cases
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

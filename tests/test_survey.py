@@ -343,6 +343,53 @@ def test_bad_checkpoints_and_records_are_rejected(tmp_path):
         resume(str(ck))
 
 
+class _Stop(Exception):
+    pass
+
+
+def _scan_stopped_at_first_checkpoint(monkeypatch, ck, rc):
+    """scan_fixed_n(9, 1e5) stopped just after its first checkpoint is saved."""
+    save = survey._save_checkpoint
+
+    def save_then_stop(path, data):
+        save(path, data)
+        raise _Stop
+
+    monkeypatch.setattr(survey, "_save_checkpoint", save_then_stop)
+    with pytest.raises(_Stop):
+        scan_fixed_n(9, 10**5, checkpoint=ck, records=rc)
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case, error", [
+    ("resume without records", "needs the records file"),
+    ("records for a records-less scan", "written without records"),
+    ("records file missing", "missing or shorter"),
+])
+def test_resume_refuses_records_its_checkpoint_does_not_vouch_for(tmp_path, monkeypatch, case, error):
+    ck, rc = str(tmp_path / "ck.json"), tmp_path / "r.csv"
+    _scan_stopped_at_first_checkpoint(monkeypatch, ck, None if case == "records for a records-less scan" else str(rc))
+    if case == "records file missing":
+        rc.unlink()
+    saved, rows = open(ck).read(), rc.read_text() if rc.exists() else None
+    with pytest.raises(ValueError, match=error):
+        resume(ck, records=None if case == "resume without records" else str(rc))
+    assert open(ck).read() == saved and (rc.read_text() if rc.exists() else None) == rows  # nothing written
+    if case == "resume without records":  # the file the checkpoint vouches for completes the scan
+        assert resume(ck, records=str(rc)) == scan_fixed_n(9, 10**5)
+        assert len(rc.read_text().splitlines()) == 1 + 1592
+
+
+def test_version_1_checkpoints_append_records(tmp_path, monkeypatch):
+    ck, rc = str(tmp_path / "ck.json"), tmp_path / "r.csv"
+    _scan_stopped_at_first_checkpoint(monkeypatch, ck, str(rc))
+    data = json.load(open(ck))
+    del data["records_offset"]
+    Path(ck).write_text(json.dumps({**data, "version": 1}))
+    assert resume(ck, records=str(rc)) == scan_fixed_n(9, 10**5)
+    assert len(rc.read_text().splitlines()) == 1 + 1592
+
+
 def test_checkpoint_written_during_scan(tmp_path):
     ck = str(tmp_path / "ck.json")
     scan_fixed_n(9, 20000, checkpoint=ck)

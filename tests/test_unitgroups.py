@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dsums.numkernel import factorize, totient
+from dsums.numkernel import divisors, factorize, totient
 from dsums.unitgroups import (
     characters,
     cyclic_subgroups,
@@ -210,3 +210,47 @@ def test_primitive_value():
 def test_primitive_root_deterministic():
     # the generator of unit_group(p) is the smallest primitive root
     assert [unit_group(p).generators[0] for p in (7, 13, 41)] == [3, 2, 6]
+
+
+# every f up to 200, the 2-power moduli (axes <-1> and <5>) and non-cyclic 91 and 1729
+_ORACLE_MODULI = list(range(2, 201)) + [256, 512, 1024, 1729]
+
+
+def _units_and_orders(f):
+    units = [x for x in range(1, f) if math.gcd(x, f) == 1] or [1]
+    return units, {x: element_order(x, f) for x in units}
+
+
+def test_torsion_and_elements_of_order_match_brute_force():
+    for f in _ORACLE_MODULI:
+        g = unit_group(f)
+        units, orders = _units_and_orders(f)
+        # every q dividing the exponent, and q that divides no order (2 * exponent, primes not dividing phi)
+        for q in list(divisors(g.exponent)) + [2 * g.exponent] + [q for q in (5, 7, 11, 13) if g.phi % q]:
+            torsion = [x for x in units if pow(x, q, f) == 1 % f]
+            assert sorted(g.torsion(q).ravel().tolist()) == torsion, (f, q)
+            assert elements_of_order(q, f) == tuple(x for x in torsion if orders[x] == q), (f, q)
+
+
+def test_cyclic_subgroups_match_brute_force():
+    for f in _ORACLE_MODULI:
+        units, orders = _units_and_orders(f)
+        least_generator = {}
+        for x in units:  # ascending, so the first x to span a subgroup is its least generator
+            least_generator.setdefault(tuple(sorted(pow(x, k, f) for k in range(orders[x]))), x)
+        # each cyclic subgroup once, ascending in order, generated by its least generator
+        want = sorted(least_generator.items(), key=lambda item: (len(item[0]), item[1]))
+        assert [(s.elements, s.generators) for s in cyclic_subgroups(f)] == [(e, (x,)) for e, x in want], f
+
+
+def test_elements_of_order_is_exact_below_2_50_and_refuses_beyond():
+    # the largest prime below 2^50 that is 1 mod 9, and non-cyclic f past the unit grid's 2^31,
+    # the last 7 times the largest prime below 2^50/7 that is 1 mod 3
+    for q, f, count in ((9, 1125899906841973, 6), (4, 2**45, 4), (6, 1125899906841871, 24)):
+        els = elements_of_order(q, f)
+        assert len(els) == count and all(element_order(x, f) == q for x in els)
+    for f in (2**50, 2**50 + 1):
+        with pytest.raises(ValueError, match="too large"):
+            elements_of_order(3, f)
+    with pytest.raises(ValueError):
+        elements_of_order(0, 7)
