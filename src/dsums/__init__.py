@@ -12,15 +12,12 @@ from .dedekind import (
 )
 from .classnumber import (
     bound_chain,
-    field_context,
     general_bound,
     relative_class_number,
     upper_bound_simple,
     upper_bound_subfield,
 )
 from .eisenstein import (
-    EisensteinInteger,
-    RatioClass,
     dedekind_at_ratio,
     e_f,
     order3_subgroups_from_ef,

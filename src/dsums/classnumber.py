@@ -18,7 +18,6 @@ order-3 subfield m = (p-1)/3 among them; bound_chain decides them exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +28,8 @@ from .numkernel import is_prime, order_n_element, power_table, totient
 from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
 __all__ = [
-    "FieldContext",
     "b1_chi_mp",
     "bound_chain",
-    "field_context",
     "general_bound",
     "relative_class_number",
     "upper_bound_simple",
@@ -42,23 +39,14 @@ __all__ = [
 _TABLE_CELLS = 1 << 18  # int64 cells in a block of the index table i*t mod m or of powers of g
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    """The degree-m imaginary subfield K of Q(zeta_p): n = m/2 odd characters, and
-    w_K = 2p roots of unity for the full field, 2 for every proper subfield."""
-
-    p: int
-    m: int
-    n: int
-    w_k: int
-
-
-def field_context(p: int, m: int) -> FieldContext:
+def _roots_of_unity(p: int, m: int) -> int:
+    """w_K of the degree-m imaginary subfield K of Q(zeta_p): 2p for the full field, 2 for
+    every proper subfield; ValueError unless p is an odd prime and (p-1)/m is odd."""
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
     if m < 1 or (p - 1) % m or (p - 1) // m % 2 == 0:
         raise ValueError(f"degree must divide p-1 with an odd cofactor (an imaginary field), got m={m}")
-    return FieldContext(p=p, m=m, n=m // 2, w_k=2 * p if m == p - 1 else 2)
+    return 2 * p if m == p - 1 else 2
 
 
 def _crt_primes(m: int, need_bits: int) -> list[int]:
@@ -99,21 +87,21 @@ def relative_class_number(p: int, m: int) -> int:
 
     R is the product of G(eta) over the n = m/2 roots eta of y^n = -1, and by Parseval
     sum |G(eta)|^2 = n sum g_t^2, so AM-GM gives |R| <= (sum g_t^2)^(n/2)."""
-    ctx = field_context(p, m)
+    w_k, n = _roots_of_unity(p, m), m // 2
     if p >= 1 << 31:
         raise ValueError(f"p = {p} is too large for the int64 power tables")
     # c_t = sum of g^k mod p over k = t (mod m), t = 0..m-1, in chunks of whole rows of m powers
     root, step = unit_group(p).generators[0], max(1, _TABLE_CELLS // m) * m
     c = sum((power_table(root, min(step, p - 1 - k), p) * pow(root, k, p) % p).reshape(-1, m).sum(axis=0)
             for k in range(0, p - 1, step))
-    g = c[: ctx.n] - c[ctx.n :]
+    g = c[:n] - c[n:]
     s2 = sum(x * x for x in g.tolist())
-    ells = _crt_primes(m, ((s2**ctx.n).bit_length() + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
+    ells = _crt_primes(m, ((s2**n).bit_length() + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
     r, mod = 0, 1
     for ell, x in zip(ells, _resultant_residues(g, m, ells)):
         r += mod * ((x - r) * pow(mod, -1, ell) % ell)
         mod *= ell
-    h, rem = divmod((-1) ** ctx.n * ctx.w_k * (r - mod if 2 * r > mod else r), (2 * p) ** ctx.n)
+    h, rem = divmod((-1) ** n * w_k * (r - mod if 2 * r > mod else r), (2 * p) ** n)
     if rem or h < 1:
         raise ArithmeticError(f"h^-({p},{m}) fails the integrality audit: w (-1)^n R is no positive multiple of (2p)^n")
     return h
@@ -148,20 +136,20 @@ def _coef(p: int, m: int) -> Fraction:
 def upper_bound_subfield(p: int, m: int) -> float:
     """Bound h^- <= w_K * (p*M(p,H)/(4 pi^2))^(m/4) with exact M coefficient;
     math.inf when the bound is beyond the float range."""
-    return field_context(p, m).w_k * _power_or_inf(Fraction(p, 4) * _coef(p, m), m / 4)
+    return _roots_of_unity(p, m) * _power_or_inf(Fraction(p, 4) * _coef(p, m), m / 4)
 
 
 def upper_bound_simple(p: int, m: int) -> float:
     """The simplified bound w_K * (p/24)^(m/4): 2p*(p/24)^((p-1)/4) for the full
     field, 2*(p/24)^((p-1)/12) for the order-3 subfield; math.inf beyond floats."""
-    return field_context(p, m).w_k * _power_or_inf(Fraction(p, 24), m / 4)
+    return _roots_of_unity(p, m) * _power_or_inf(Fraction(p, 24), m / 4)
 
 
 def bound_chain(p: int, m: int, h: int) -> tuple[bool, bool]:
     """(h <= upper_bound_subfield, upper_bound_subfield <= upper_bound_simple),
     decided exactly as h^4 <= w_K^4 (p c/4)^m and c <= 1/6, M(p,H) = c pi^2."""
     c = _coef(p, m)
-    return h**4 <= field_context(p, m).w_k ** 4 * (Fraction(p, 4) * c) ** m, c <= Fraction(1, 6)
+    return h**4 <= _roots_of_unity(p, m) ** 4 * (Fraction(p, 4) * c) ** m, c <= Fraction(1, 6)
 
 
 def general_bound(f: int, sub: Subgroup, q_k: int, w_k: int, d_ratio_sqrt: float) -> float:

@@ -111,14 +111,12 @@ def cmd_verify(args) -> int:
 
 def cmd_ef(args) -> int:
     f = args.f
-    reps = representations(f)
-    ratios = e_f(f)
     subs = order3_subgroups_from_ef(f)
     closed = mean_square_closed_h3(f).coefficient * f / 2
     out = {
         "f": f,
-        "representations": [[r.a, r.b] for r in reps],
-        "ratios": sorted(rc.ratio for rc in ratios),
+        "representations": representations(f),  # (a, b) pairs print as JSON lists
+        "ratios": sorted(e_f(f)),
         "subgroups": [list(s.elements) for s in subs],
         "closed_form_tilde_S": str(closed),
         "closed_form_holds": {

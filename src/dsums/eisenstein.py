@@ -11,7 +11,6 @@ are reported once per unordered conjugate pair with the a >= b orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,34 +19,11 @@ from .numkernel import factorize, totient
 from .unitgroups import Subgroup, element_order, subgroup_from_elements
 
 __all__ = [
-    "EisensteinInteger",
-    "RatioClass",
     "dedekind_at_ratio",
     "e_f",
     "order3_subgroups_from_ef",
     "representations",
 ]
-
-
-@dataclass(frozen=True)
-class EisensteinInteger:
-    """A pair (a,b) standing for a + b*zeta_6; norm a^2 + ab + b^2."""
-
-    a: int
-    b: int
-
-    @property
-    def norm(self) -> int:
-        return self.a * self.a + self.a * self.b + self.b * self.b
-
-
-@dataclass(frozen=True)
-class RatioClass:
-    """The order-3 unit a/b mod f attached to a representation of f."""
-
-    modulus: int
-    ratio: int
-    witness: EisensteinInteger
 
 
 def _check_modulus(f: int) -> None:
@@ -78,21 +54,21 @@ def _positive_pairs(f: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs, key=lambda ab: (ab[1], ab[0])))
 
 
-def representations(f: int) -> list[EisensteinInteger]:
-    """Coprime representations of f, one per unordered conjugate pair.
+def representations(f: int) -> list[tuple[int, int]]:
+    """Coprime representations (a, b) of f, one per unordered conjugate pair.
 
     Canonical orientation a >= b; ordered by increasing b. The number of
     representations is 2^(t-1) for t distinct prime divisors.
     """
     _check_modulus(f)
-    reps = [EisensteinInteger(a, b) for a, b in _positive_pairs(f) if a >= b]
+    reps = [(a, b) for a, b in _positive_pairs(f) if a >= b]
     if len(reps) != 1 << (len(factorize(f)) - 1):
         raise ArithmeticError(f"representation count off at f={f}")  # pragma: no cover
     return reps
 
 
-def e_f(f: int) -> list[RatioClass]:
-    """The 2^t ratio classes a/b mod f, each of multiplicative order 3."""
+def e_f(f: int) -> list[int]:
+    """The 2^t ratios a/b mod f, each of multiplicative order 3, in the order of _positive_pairs."""
     _check_modulus(f)
     out = []
     seen = set()
@@ -101,12 +77,12 @@ def e_f(f: int) -> list[RatioClass]:
         if r in seen:
             raise ArithmeticError(f"duplicate ratio {r} at f={f}")  # pragma: no cover
         seen.add(r)
-        out.append(RatioClass(f, r, EisensteinInteger(a, b)))
+        out.append(r)
     if len(out) != 1 << len(factorize(f)):
         raise ArithmeticError(f"|E_f| != 2^t at f={f}")  # pragma: no cover
-    for rc in out:
-        if element_order(rc.ratio, f) != 3:
-            raise ArithmeticError(f"ratio {rc.ratio} mod {f} not of order 3")  # pragma: no cover
+    for r in out:
+        if element_order(r, f) != 3:
+            raise ArithmeticError(f"ratio {r} mod {f} not of order 3")  # pragma: no cover
     return out
 
 
@@ -114,31 +90,29 @@ def order3_subgroups_from_ef(f: int) -> list[Subgroup]:
     """The 2^(t-1) subgroups {1, a/b, b/a} generated by the E_f ratios."""
     subs = []
     seen = set()
-    for rc in e_f(f):
-        inv = rc.ratio * rc.ratio % f  # r^3 = 1, so r^-1 = r^2
-        key = min(rc.ratio, inv)
+    for r in e_f(f):
+        inv = r * r % f  # r^3 = 1, so r^-1 = r^2
+        key = min(r, inv)
         if key in seen:
             continue
         seen.add(key)
-        subs.append(subgroup_from_elements(f, (1, rc.ratio, inv), generators=(key,)))
+        subs.append(subgroup_from_elements(f, (1, r, inv), generators=(key,)))
     return subs
 
 
-def dedekind_at_ratio(f: int, delta: int, rc: RatioClass) -> Fraction:
+def dedekind_at_ratio(f: int, delta: int, r: int) -> Fraction:
     """s(r mod delta, delta) for r in E_f, asserted equal to (delta-1)/(12 delta).
 
     Also asserts the restricted-sum value tilde s(r,f) = phi(f)/(12f). A
     failure here would mean the Dedekind engine itself is broken.
     """
-    if rc.modulus != f:
-        raise ValueError("ratio class lives mod a different f")
     if delta < 1 or f % delta != 0:
         raise ValueError(f"{delta} does not divide {f}")
     expected = Fraction(delta - 1, 12 * delta) if delta > 1 else Fraction(0)
-    got = dedekind_sum(rc.ratio % delta, delta) if delta > 1 else Fraction(0)
+    got = dedekind_sum(r % delta, delta) if delta > 1 else Fraction(0)
     if got != expected:
-        raise ArithmeticError(f"s({rc.ratio} mod {delta}, {delta}) = {got} != {expected}")
-    tilde = dedekind_sum_tilde(rc.ratio, f)
+        raise ArithmeticError(f"s({r} mod {delta}, {delta}) = {got} != {expected}")
+    tilde = dedekind_sum_tilde(r, f)
     if tilde != Fraction(totient(f), 12 * f):
-        raise ArithmeticError(f"tilde s({rc.ratio},{f}) = {tilde} != phi(f)/12f")
+        raise ArithmeticError(f"tilde s({r},{f}) = {tilde} != phi(f)/12f")
     return expected

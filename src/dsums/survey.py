@@ -221,14 +221,45 @@ class _Checkpoint:
     version: int = 2  # 1: no records_offset, records go on by plain append
 
 
+# the JSON types of each field of a version-2 checkpoint; version 1 has no records_offset
+_CHECKPOINT_TYPES = {
+    "version": (int,), "mode": (str,), "n": (int, type(None)), "A": (int,), "span_or_B": (int,),
+    "last_p": (int,), "c_prime": (int,), "c_leq0": (int,), "records_offset": (int, type(None)),
+}
+
+
+def _check_path(path: str, what: str) -> None:
+    """ValueError unless a file can stand at path: it is named, is no directory, and its directory exists."""
+    if not path:
+        raise ValueError(f"empty {what} path")
+    if os.path.isdir(path):
+        raise ValueError(f"{what} path {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{what} path {path} lies in no existing directory")
+
+
 def _load_checkpoint(path: str) -> _Checkpoint | None:
+    """The checkpoint at path, None if there is no file; ValueError unless it is a
+    JSON object with exactly the fields of its version, each of its JSON type."""
+    _check_path(path, "checkpoint")
     if not os.path.exists(path):
         return None
     with open(path) as fh:
         data = json.load(fh)
-    data.setdefault("version", 1)
-    if data["version"] not in (1, 2):
+    if not isinstance(data, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
+    version = data.setdefault("version", 1)
+    if type(version) is not int or version not in (1, 2):  # type(), since a JSON true is no int
         raise ValueError(f"unsupported checkpoint version in {path}")
+    want = {k: t for k, t in _CHECKPOINT_TYPES.items() if version > 1 or k != "records_offset"}
+    missing, unknown = sorted(want.keys() - data.keys()), sorted(data.keys() - want.keys())
+    if missing or unknown:
+        raise ValueError(
+            f"checkpoint {path} does not hold the version-{version} fields: missing {missing}, unknown {unknown}"
+        )
+    wrong = [k for k, v in data.items() if type(v) not in want[k]]
+    if wrong:
+        raise ValueError(f"checkpoint {path} has values of the wrong JSON type in {wrong}")
     return _Checkpoint(**data)
 
 
@@ -347,7 +378,9 @@ def _scan(
         raise ValueError(f"scans work in int64: need bounds below 2^50 and n*bound below 2^62, got n={n}, {upper}")
     start = max(lower, 2)
     c_p = c_le = 0
-    ck = _load_checkpoint(checkpoint) if checkpoint else None
+    if records is not None:
+        _check_path(records, "records")
+    ck = _load_checkpoint(checkpoint) if checkpoint is not None else None
     if ck is not None:
         if (ck.mode, ck.n, ck.A, ck.span_or_B) != (mode, n, lower, span_or_b):
             raise ValueError(

@@ -26,7 +26,6 @@ from .numkernel import factorize, is_prime, mulmod, order_n_element, power_table
 __all__ = [
     "DirichletCharacter",
     "Subgroup",
-    "TraceValue",
     "UnitGroup",
     "characters",
     "cyclic_subgroups",
@@ -189,8 +188,11 @@ class Subgroup:
 
     modulus: int
     elements: tuple[int, ...]
-    order: int
     generators: tuple[int, ...] = ()
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
     @property
     def contains_minus_one(self) -> bool:
@@ -212,13 +214,13 @@ def subgroup_from_generator(f: int, g: int) -> Subgroup:
     while x != 1:
         elems.append(x)
         x = x * g % f
-    return Subgroup(f, tuple(sorted(elems)), len(elems), (g,))
+    return Subgroup(f, tuple(sorted(elems)), (g,))
 
 
 def subgroup_from_elements(f: int, elements, generators: tuple[int, ...] = ()) -> Subgroup:
     """Build and validate a subgroup from an explicit element list."""
     elems = tuple(sorted(set(x % f for x in elements)))
-    sub = Subgroup(f, elems, len(elems), generators)
+    sub = Subgroup(f, elems, generators)
     if any(math.gcd(x, f) != 1 for x in elems):
         raise ValueError("element list contains a non-unit")
     if not sub.is_closed():
@@ -244,7 +246,7 @@ def kernel_subgroup(f: int, f_prime: int) -> Subgroup:
     if f_prime < 1 or f % f_prime != 0:
         raise ValueError(f"{f_prime} does not divide {f}")
     elems = tuple(x for x in range(1, f, f_prime) if math.gcd(x, f) == 1)
-    return Subgroup(f, elems, len(elems))
+    return Subgroup(f, elems)
 
 
 def _torsion_orders(shape: tuple[int, ...]) -> np.ndarray:
@@ -278,17 +280,9 @@ def cyclic_subgroups(f: int) -> list[Subgroup]:
     return subs
 
 
-@dataclass(frozen=True)
-class TraceValue:
-    """Sum of subgroup elements mod f, with gcd(f, T); gcd(f, 0) := f."""
-
-    residue: int
-    gcd: int
-
-
-def trace(sub: Subgroup) -> TraceValue:
-    t = sum(sub.elements) % sub.modulus
-    return TraceValue(t, math.gcd(sub.modulus, t))
+def trace(sub: Subgroup) -> int:
+    """T(H,f), the sum of the subgroup's elements mod f."""
+    return sum(sub.elements) % sub.modulus
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +8,6 @@ from dsums import classnumber
 from dsums.classnumber import (
     b1_chi_mp,
     bound_chain,
-    field_context,
     general_bound,
     relative_class_number,
     upper_bound_simple,
@@ -19,15 +17,16 @@ from dsums.unitgroups import characters, odd_characters_trivial_on, subgroup_fro
 
 
 def test_field_context():
-    ctx = field_context(23, 22)
-    assert [f.name for f in dataclasses.fields(ctx)] == ["p", "m", "n", "w_k"]
-    assert (ctx.p, ctx.m, ctx.n, ctx.w_k) == (23, 22, 11, 46)
-    ctx = field_context(13, 4)
-    assert ctx.n == 2 and ctx.w_k == 2
-    with pytest.raises(ValueError):
-        field_context(13, 3)  # odd degree
-    with pytest.raises(ValueError):
-        field_context(13, 8)  # does not divide p-1
+    # w_K = 2p for the full field, 2 for a proper subfield: the simple bound is w_K (p/24)^(m/4)
+    assert upper_bound_simple(23, 22) == 46 * (23 / 24) ** (22 / 4)
+    assert upper_bound_simple(13, 4) == 2 * (13 / 24) ** (4 / 4)
+    for bound in (upper_bound_simple, upper_bound_subfield, relative_class_number):
+        with pytest.raises(ValueError, match="odd cofactor"):
+            bound(13, 3)  # odd degree
+        with pytest.raises(ValueError, match="odd cofactor"):
+            bound(13, 8)  # does not divide p-1
+        with pytest.raises(ValueError, match="not an odd prime"):
+            bound(15, 2)
 
 
 def test_relative_class_numbers():

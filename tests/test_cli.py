@@ -286,6 +286,13 @@ def test_intexpr_is_exact(text, value):
     (["verify", "--max-modulus", "0"], None),
     (["verify", "--suite", "kernel-theorem", "--max-modulus", "1"], None),
     (["verify", "--suite", "kernel-theorem", "--seed", "5"], None),  # a suite that draws no random cases
+    # paths where no file can be written
+    (["survey", "--n", "9", "--limit", "1e3", "--records", "."], None),
+    (["survey", "--n", "9", "--limit", "1e3", "--checkpoint", "."], None),
+    (["survey", "--n", "9", "--limit", "1e3", "--records", "missing/r.csv"], None),
+    (["survey", "--n", "9", "--limit", "1e3", "--checkpoint", "missing/c.json"], None),
+    (["survey", "--n", "9", "--limit", "1e3", "--records", ""], None),
+    (["survey", "--n", "9", "--limit", "1e3", "--checkpoint", ""], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

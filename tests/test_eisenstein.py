@@ -5,6 +5,7 @@ import pytest
 
 from dsums.dedekind import dedekind_sum_tilde
 from dsums.eisenstein import (
+    _positive_pairs,
     dedekind_at_ratio,
     e_f,
     order3_subgroups_from_ef,
@@ -17,12 +18,12 @@ from dsums.verify import eisenstein_moduli
 
 
 def test_representations_examples():
-    assert [(r.a, r.b) for r in representations(7)] == [(2, 1)]
-    assert [(r.a, r.b) for r in representations(91)] == [(9, 1), (6, 5)]
-    assert [(r.a, r.b) for r in representations(49)] == [(5, 3)]
+    assert representations(7) == [(2, 1)]
+    assert representations(91) == [(9, 1), (6, 5)]
+    assert representations(49) == [(5, 3)]
     for f in (7, 49, 91, 1729):
-        for r in representations(f):
-            assert r.norm == f and math.gcd(r.a, r.b) == 1
+        for a, b in representations(f):
+            assert a * a + a * b + b * b == f and math.gcd(a, b) == 1
 
 
 def test_representations_reject_bad_modulus():
@@ -32,19 +33,20 @@ def test_representations_reject_bad_modulus():
 
 
 def test_ratio_examples():
-    assert sorted(rc.ratio for rc in e_f(7)) == [2, 4]
-    assert sorted(rc.ratio for rc in e_f(91)) == [9, 16, 74, 81]
-    assert sorted(rc.ratio for rc in e_f(49)) == [18, 30]
+    assert sorted(e_f(7)) == [2, 4]
+    assert sorted(e_f(91)) == [9, 16, 74, 81]
+    assert sorted(e_f(49)) == [18, 30]
     assert len(e_f(1729)) == 8
 
 
 def test_ratio_properties():
     for f in (7, 13, 49, 91, 133, 169, 1729):
-        ratios = [rc.ratio for rc in e_f(f)]
+        ratios = e_f(f)
         assert len(set(ratios)) == len(ratios) == 1 << len(factorize(f))
-        for rc in e_f(f):
-            assert element_order(rc.ratio, f) == 3
-            assert rc.ratio == rc.witness.a * pow(rc.witness.b, -1, f) % f
+        # each ratio is a/b mod f for its pair of _positive_pairs, in that order
+        assert ratios == [a * pow(b, -1, f) % f for a, b in _positive_pairs(f)]
+        for r in ratios:
+            assert element_order(r, f) == 3
 
 
 def test_cardinality_sweep():
@@ -74,13 +76,12 @@ def test_counterexample_at_91():
 
 
 def test_dedekind_at_ratio():
-    rc9 = next(rc for rc in e_f(91) if rc.ratio == 9)
-    assert dedekind_at_ratio(91, 13, rc9) == Fraction(1, 13)
-    assert dedekind_at_ratio(91, 91, rc9) == Fraction(90, 12 * 91)
-    rc7 = next(rc for rc in e_f(7) if rc.ratio == 2)
-    assert dedekind_at_ratio(7, 7, rc7) == Fraction(1, 14)
-    for rc in e_f(133):
+    assert 9 in e_f(91) and 2 in e_f(7)
+    assert dedekind_at_ratio(91, 13, 9) == Fraction(1, 13)
+    assert dedekind_at_ratio(91, 91, 9) == Fraction(90, 12 * 91)
+    assert dedekind_at_ratio(7, 7, 2) == Fraction(1, 14)
+    for r in e_f(133):
         for delta in divisors(133):
-            assert dedekind_at_ratio(133, delta, rc) == (
+            assert dedekind_at_ratio(133, delta, r) == (
                 Fraction(delta - 1, 12 * delta) if delta > 1 else 0
             )

@@ -1,0 +1,36 @@
+import ast
+from pathlib import Path
+
+import dsums
+
+SRC = Path(dsums.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read | exported)
+
+
+def test_unused_imports_are_caught():
+    source = "from dataclasses import dataclass\nimport math\nimport os.path\n__all__ = ['math']\nos.sep\n"
+    assert unused_imports(source) == ["dataclass (line 1)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's own imports are its exports, so __init__ is left out
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names and name != "__init__.py"} == {}

@@ -338,9 +338,23 @@ def test_bad_checkpoints_and_records_are_rejected(tmp_path):
     rc.write_text(rc.read_text()[:40])  # rows lost after the checkpoint vouched for them
     with pytest.raises(ValueError, match="shorter than its checkpoint"):
         resume(str(ck), records=str(rc))
-    ck.write_text(json.dumps({**json.loads(ck.read_text()), "version": 3}))
+    good = json.loads(ck.read_text())
+    ck.write_text(json.dumps({**good, "version": 3}))
     with pytest.raises(ValueError, match="unsupported checkpoint version"):
         resume(str(ck))
+    for data, error in (
+        ({k: v for k, v in good.items() if k != "c_leq0"}, r"missing \['c_leq0'\], unknown \[\]"),
+        ({**good, "elapsed_s": 1.5}, r"missing \[\], unknown \['elapsed_s'\]"),
+        ({**good, "last_p": "x"}, "wrong JSON type"),
+        ({**good, "c_prime": True}, "wrong JSON type"),
+        ({**good, "version": True}, "unsupported checkpoint version"),
+        ([good], "not a JSON object"),
+    ):
+        ck.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=error):
+            resume(str(ck), records=str(rc))
+    with pytest.raises(ValueError, match="is a directory"):
+        resume(str(tmp_path))
 
 
 class _Stop(Exception):

@@ -113,12 +113,9 @@ def test_order3_counts_f_up_to_500():
 
 
 def test_trace_examples():
-    t = trace(subgroup_from_elements(9, (1, 4, 7)))
-    assert (t.residue, t.gcd) == (3, 3)
-    t = trace(subgroup_from_elements(7, (1, 2, 4)))
-    assert (t.residue, t.gcd) == (0, 7)
-    t = trace(subgroup_from_elements(11, (1,)))
-    assert (t.residue, t.gcd) == (1, 1)
+    for f, elements, want in ((9, (1, 4, 7), (3, 3)), (7, (1, 2, 4), (0, 7)), (11, (1,), (1, 1))):
+        t = trace(subgroup_from_elements(f, elements))
+        assert (t, math.gcd(f, t)) == want  # gcd(f, 0) = f
 
 
 def test_character_counts():
