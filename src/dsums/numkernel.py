@@ -192,7 +192,9 @@ _PLAIN_CUT = 3_037_000_500
 
 
 def _plain_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return a * b % p
+    r = a * b
+    r %= p  # in place: one fresh array per call, not two
+    return r
 
 
 def _float_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -225,7 +227,8 @@ def _product(p: int | np.ndarray):
 def mulmod(a: np.ndarray, b: np.ndarray, p: int | np.ndarray) -> np.ndarray:
     """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50: the plain
     a*b % p while every p is at most 3037000500, else a float quotient
-    corrected in int64, one form for the whole call."""
+    corrected in int64, one form for the whole call. p broadcasts to the
+    shape of a*b, which the plain form reduces in place."""
     return _product(p)(a, b, p)
 
 

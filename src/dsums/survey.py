@@ -11,13 +11,15 @@ H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
 A scan takes a sieve segment's pairs as one int64 array and keeps every
-step on lanes, one lane per pair or per (p, h0^j): a left-to-right ladder,
-one exact square per exponent bit and a plain int64 multiply by the small
-x, finds each h0 (lanes whose x fails the order test retry with x + 1); n - 2
-products, in about log2(n) doubling steps, give the power table h0^1, ...,
-h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
-column sums give k and 12*S; and the segment's CSV rows are formatted from
-the result columns.
+step on lanes, one lane per pair or per (p, h0^j). The generator search
+tries x = 2, 3, ... in turn, and only the lanes whose x fails the order test
+try x + 1: a prime x runs a left-to-right ladder (one exact square per
+exponent bit and a plain int64 multiply by x), a composite x multiplies two
+stored powers of smaller x, and the last few open lanes finish in Python
+ints. Then n - 2 products, in about log2(n) doubling steps, give the power
+table h0^1, ..., h0^(n-1); one Euclid runs over every (p, h0^j) with
+j <= (n-1)/2; the column sums give k and 12*S; and the segment's CSV rows
+are formatted from the result columns.
 
 Products mod p are numkernel's, exact for p < 2^50: the plain a*b % p while
 every p of the call is at most 3037000500, else a float quotient corrected
@@ -51,7 +53,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkernel import divisors, factorize, power_table, powmod_lanes, primes_in_progression
+from .numkernel import divisors, factorize, mulmod, power_table, powmod_lanes, primes_in_progression
 
 __all__ = [
     "DensityReport",
@@ -62,6 +64,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "p,n,two_S,N,nonpositive"
+
+# At most this many lanes still open in the generator search go on in Python
+# ints: a numpy ladder on a handful of lanes costs more than their pow calls.
+_SCALAR_TAIL = 32
 
 
 @dataclass(frozen=True)
@@ -147,10 +153,13 @@ def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     order for all lanes or an int64 array of orders, with n | p - 1 per lane.
 
     All lanes try h = x^((p-1)/n) with x = 2 first; only the lanes whose h
-    fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1. x
-    stays a plain int, so the ladder spends one mulmod per bit of (p-1)/n
-    (the square; a plain int64 product while every p is below 3.04e9) and
-    multiplies by x as h*x % p."""
+    fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1. Only
+    a prime x runs a ladder (powmod_lanes: one mulmod per exponent bit and an
+    int64 multiply by x). A composite x = q*y, q its least prime, takes
+    x^e = q^e * y^e, one mulmod of two stored powers: q and y are below x, so
+    every lane still open at x has tried both. Once at most _SCALAR_TAIL lanes
+    are open they go on from the same x in Python ints, with the same order
+    of candidates, so every lane gets the same h0 as order_n_element."""
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
     # the order test's exponents n/q for the primes q | n, one row each; a lane
     # with fewer primes than the widest repeats its first exponent
@@ -162,16 +171,27 @@ def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     e = (p - 1) // n
     h0 = np.empty_like(p)
     todo = np.arange(len(p))
+    powers = {}  # x -> x^e, full length; read only on lanes that have tried x
     x = 2
-    while len(todo):
+    while len(todo) > _SCALAR_TAIL:
         pt = p[todo]
-        h = powmod_lanes(x, e[todo], pt)
+        q = factorize(x)[0][0]
+        h = powmod_lanes(x, e[todo], pt) if q == x else mulmod(powers[q][todo], powers[x // q][todo], pt)
+        powers[x] = np.empty_like(p)
+        powers[x][todo] = h
         ok = np.ones(len(todo), dtype=bool)
         for row in tests:
             ok &= powmod_lanes(h, row[todo], pt) != 1
         h0[todo[ok]] = h[ok]
         todo = todo[~ok]
         x += 1
+    for i, pi, ei, ks in zip(todo.tolist(), p[todo].tolist(), e[todo].tolist(), tests[:, todo].T.tolist()):
+        y = x
+        h = pow(y, ei, pi)
+        while any(pow(h, k, pi) == 1 for k in ks):
+            y += 1
+            h = pow(y, ei, pi)
+        h0[i] = h
     return h0
 
 

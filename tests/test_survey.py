@@ -184,6 +184,73 @@ def test_generators_near_2_50_and_with_a_late_x():
         assert survey._generators(n, np.array(ps, dtype=np.int64)).tolist() == h0, n
 
 
+def _winning_x(p: int, n: int) -> int:
+    """The x whose x^((p-1)/n) order_n_element returns, by Python ints."""
+    e, qs = (p - 1) // n, [q for q, _ in factorize(n)]
+    return next(x for x in range(2, p) if all(pow(pow(x, e, p), n // q, p) != 1 for q in qs))
+
+
+# Several hundred lanes or more per case, on each side of the plain-product cut
+# (3037000500), so the ladders, the composite products and the scalar tail all run.
+@pytest.mark.parametrize("lower", [10**9, 10**10])
+@pytest.mark.parametrize("n, span", [(9, 200_000), (15, 200_000), (21, 200_000), (105, 600_000)])
+def test_generators_on_many_lanes(lower, n, span, monkeypatch):
+    ps = primes_in_progression(lower, span, 2 * n, 1)
+    want = [order_n_element(p, n) for p in ps.tolist()]
+    assert len(ps) >= 400
+    for p, h in zip(ps.tolist(), want):
+        assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
+    got = survey._generators(n, ps).tolist()
+    assert got == want
+    wins = [_winning_x(p, n) for p in ps.tolist()]
+    # the scalar tail takes over at the first x with at most _SCALAR_TAIL lanes open
+    tail_x = next(x for x in range(2, max(wins) + 2) if sum(w >= x for w in wins) <= survey._SCALAR_TAIL)
+    assert any(w >= tail_x for w in wins)
+    # a composite x wins only where n has two primes, e.g. 6 = 2*3 for n = 15 when
+    # 2^e has order 3 and 3^e order 5; for n = 9 it fails where its factors failed
+    assert any(not is_prime(w) for w in wins) == (len(factorize(n)) > 1)
+    if n == 15:
+        assert 6 in wins and all(h == pow(6, (p - 1) // 15, p) for p, h, w in zip(ps.tolist(), got, wins) if w == 6)
+    # every lane through the numpy search alone, and every lane through the scalar tail alone
+    for tail in (0, len(ps)):
+        monkeypatch.setattr(survey, "_SCALAR_TAIL", tail)
+        assert survey._generators(n, ps).tolist() == want, tail
+
+
+@pytest.mark.parametrize("lower", [10**9, 10**10])
+def test_all_odd_generators_on_many_lanes(lower, monkeypatch):
+    # one search over lanes of many orders, as the all-odd scan makes it
+    p_d = [(p, d) for p in primes_in_progression(lower, 4000, 2, 1).tolist() for d in divisors(p - 1)[1:] if d % 2]
+    p, d = np.array(p_d, dtype=np.int64).T
+    want = [order_n_element(*pair) for pair in p_d]
+    assert len(p_d) >= 400 and len(set(d.tolist())) >= 50
+    assert survey._generators(d, p).tolist() == want
+    monkeypatch.setattr(survey, "_SCALAR_TAIL", 0)
+    assert survey._generators(d, p).tolist() == want
+
+
+def test_generator_search_ladders_only_prime_bases(monkeypatch):
+    # one segment of the 1e10 survey window: a full-length ladder x^((p-1)/9) runs
+    # only for a prime int x, each x once and in order, on more lanes than the
+    # scalar tail takes; the other ladders are the order test's h^3
+    calls = []
+
+    def spy(x, e, p):
+        calls.append((x, e.copy(), p.copy()))
+        return powmod_lanes(x, e, p)
+
+    monkeypatch.setattr(survey, "powmod_lanes", spy)
+    ps = primes_in_progression(10**10, 125_000 - 1, 18, 1)
+    assert survey._generators(9, ps).tolist() == [order_n_element(p, 9) for p in ps.tolist()]
+    ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // 9)]
+    assert all(np.array_equal(e, np.full_like(p, 3)) for x, e, p in calls if not np.array_equal(e, (p - 1) // 9))
+    bases = [x for x, _ in ladders]
+    assert all(isinstance(x, int) and is_prime(x) for x in bases), bases
+    assert bases == sorted(set(bases)) and bases[:2] == [2, 3]
+    # the last few open lanes go on in Python ints, with no ladder
+    assert all(lanes > survey._SCALAR_TAIL for _, lanes in ladders), ladders
+
+
 def test_ladder_multiplies_a_large_x_through_mulmod():
     # r*x % p with r near 2^50 is exact for x < 2^13 and wraps in int64 from 2^13 on
     p = (1 << 50) - 27  # prime
