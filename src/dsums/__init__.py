@@ -17,12 +17,7 @@ from .classnumber import (
     upper_bound_simple,
     upper_bound_subfield,
 )
-from .eisenstein import (
-    dedekind_at_ratio,
-    e_f,
-    order3_subgroups_from_ef,
-    representations,
-)
+from .eisenstein import e_f, order3_subgroups_from_ef, representations
 from .meansquare import (
     PiSquared,
     euler_correction_pi,

@@ -66,6 +66,14 @@ def _crt_primes(m: int, need_bits: int) -> list[int]:
     return ells
 
 
+def _power_bits(s2: int, n: int) -> int:
+    """(s2**n).bit_length() for s2 >= 1 without the power, floor(n log2 s2) + 1: for
+    n log2 s2 < 2^40 (p < 2^31 keeps it below 2^37) the float is off by less than 2^-11,
+    so only a float within 2^-10 of an integer takes the exact power."""
+    x = n * math.log2(s2)
+    return math.floor(x) + 1 if abs(x - round(x)) > 2**-10 else (s2**n).bit_length()
+
+
 def _resultant_residues(g: np.ndarray, m: int, ells: list[int]) -> list[int]:
     """Res(y^(m/2) + 1, sum g_t y^t) mod each l as prod G(w^i) over the odd
     i < m, w of order m mod l: each G(w^i) is one dot product of g mod l with
@@ -96,7 +104,7 @@ def relative_class_number(p: int, m: int) -> int:
             for k in range(0, p - 1, step))
     g = c[:n] - c[n:]
     s2 = sum(x * x for x in g.tolist())
-    ells = _crt_primes(m, ((s2**n).bit_length() + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
+    ells = _crt_primes(m, (_power_bits(s2, n) + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
     r, mod = 0, 1
     for ell, x in zip(ells, _resultant_residues(g, m, ells)):
         r += mod * ((x - r) * pow(mod, -1, ell) % ell)

@@ -6,24 +6,19 @@ yields the ratio a/b mod f, an element of order 3; ratios come in inverse
 pairs {r, r^2} = {a/b, b/a}, giving 2^(t-1) order-3 subgroups with a closed
 mean-square formula. Conjugation swaps (a,b) <-> (b,a), so representations
 are reported once per unordered conjugate pair with the a >= b orientation.
+The identities these ratios carry, s(r mod delta, delta) = (delta-1)/(12 delta)
+for every delta | f among them, are checked by the eisenstein suite of verify.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .dedekind import dedekind_sum, dedekind_sum_tilde
-from .numkernel import factorize, totient
+from .numkernel import factorize
 from .unitgroups import Subgroup, element_order, subgroup_from_elements
 
-__all__ = [
-    "dedekind_at_ratio",
-    "e_f",
-    "order3_subgroups_from_ef",
-    "representations",
-]
+__all__ = ["e_f", "order3_subgroups_from_ef", "representations"]
 
 
 def _check_modulus(f: int) -> None:
@@ -98,21 +93,3 @@ def order3_subgroups_from_ef(f: int) -> list[Subgroup]:
         seen.add(key)
         subs.append(subgroup_from_elements(f, (1, r, inv), generators=(key,)))
     return subs
-
-
-def dedekind_at_ratio(f: int, delta: int, r: int) -> Fraction:
-    """s(r mod delta, delta) for r in E_f, asserted equal to (delta-1)/(12 delta).
-
-    Also asserts the restricted-sum value tilde s(r,f) = phi(f)/(12f). A
-    failure here would mean the Dedekind engine itself is broken.
-    """
-    if delta < 1 or f % delta != 0:
-        raise ValueError(f"{delta} does not divide {f}")
-    expected = Fraction(delta - 1, 12 * delta) if delta > 1 else Fraction(0)
-    got = dedekind_sum(r % delta, delta) if delta > 1 else Fraction(0)
-    if got != expected:
-        raise ArithmeticError(f"s({r} mod {delta}, {delta}) = {got} != {expected}")
-    tilde = dedekind_sum_tilde(r, f)
-    if tilde != Fraction(totient(f), 12 * f):
-        raise ArithmeticError(f"tilde s({r},{f}) = {tilde} != phi(f)/12f")
-    return expected

@@ -127,19 +127,16 @@ def mean_square_closed_trivial(f: int) -> PiSquared:
 def mean_square_closed_h3(f: int) -> PiSquared:
     """Closed form for M(f,H_3), H_3 built from a representation f=a^2+ab+b^2.
 
-    Valid exactly when every prime divisor of f is 1 mod 3; the coefficient
-    is (1/6)(phi(f)/f)(prod_{p|f}(1+1/p) - 1/f), so tilde S(H_3,f) is f/2 times it.
+    Valid exactly when every prime divisor of f is 1 mod 3: each ratio r of
+    H_3 has tilde s(r,f) = phi(f)/(12f), so M = (2/f)(tilde s(1,f) + phi(f)/(6f)),
+    whose coefficient is (1/6)(phi(f)/f)(prod_{p|f}(1+1/p) - 1/f).
     """
     if f < 3:
         raise ValueError(f"need f >= 3, got {f}")
-    fac = factorize(f)
-    bad = [p for p, _ in fac if p % 3 != 1]
+    bad = [p for p, _ in factorize(f) if p % 3 != 1]
     if bad:
         raise ValueError(f"prime divisor {bad[0]} of {f} is not 1 mod 3")
-    prod = Fraction(1)
-    for p, _ in fac:
-        prod *= 1 + Fraction(1, p)
-    return PiSquared(Fraction(totient(f), 6 * f) * (prod - Fraction(1, f)))
+    return PiSquared(Fraction(2, f) * (tilde_s_one(f) + Fraction(totient(f), 6 * f)))
 
 
 def kernel_sum_closed(p: int, n: int, f_prime: int) -> Fraction:

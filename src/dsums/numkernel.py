@@ -36,11 +36,9 @@ __all__ = [
 # A factorization is a tuple of (prime, exponent) pairs, sorted by prime.
 Factorization = tuple[tuple[int, int], ...]
 
+# The trial divisors of is_prime, and the witness set that makes Miller-Rabin
+# deterministic for every n < 3.3e24, in particular for all 64-bit inputs.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# This witness set makes Miller-Rabin deterministic for every n < 3.3e24,
-# in particular for all 64-bit inputs.
-_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROUNDS_BIG = 64
 
 _TRIAL_LIMIT = 10_000
@@ -80,7 +78,7 @@ def is_prime(n: int) -> bool:
     if n < 41 * 41:
         return True
     if n < 1 << 64:
-        return _miller_rabin(n, _WITNESSES_64)
+        return _miller_rabin(n, _SMALL_PRIMES)
     rng = random.Random(n)
     return _miller_rabin(n, [rng.randrange(2, n - 1) for _ in range(_ROUNDS_BIG)])
 

@@ -418,7 +418,7 @@ def _scan(
     segments = [(n, lo, min(lo + size - 1, upper), records is not None) for lo in range(start, upper + 1, size)]
     try:
         with (
-            ProcessPoolExecutor(workers, initializer=_exit_with_parent) if threads > 1 else nullcontext()
+            ProcessPoolExecutor(workers, initializer=_exit_with_parent) if workers > 1 else nullcontext()
         ) as pool:
             results = pool.map(_segment_worker, segments, chunksize=1) if pool else map(_segment_worker, segments)
             for (_, _, seg_hi, _), (dp, dl, text) in zip(segments, results):

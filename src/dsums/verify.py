@@ -1,8 +1,10 @@
 """Batch verification suites: each runs one family of identities at desk
-scale and reports cases run / passed plus the first failing case.
+scale and tallies its checks in one VerifyReport: cases run / passed, the
+first failing case and the seconds taken.
 
-These back the ``dsums verify`` subcommand and are reused by the
-acceptance tests with the sizes the acceptance criteria pin down.
+The one table SUITES gives each suite's default size and whether it draws
+random cases; through it they back the ``dsums verify`` subcommand and the
+acceptance tests, at the sizes the acceptance criteria pin down.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dedekind import (
     s_one,
     tilde_s_one,
 )
-from .eisenstein import dedekind_at_ratio, e_f, order3_subgroups_from_ef, representations
+from .eisenstein import e_f, order3_subgroups_from_ef, representations
 from .meansquare import (
     euler_correction_pi,
     kernel_sum_closed,
@@ -39,7 +41,7 @@ from .meansquare import (
     subgroup_sum_S,
     subgroup_sum_tilde,
 )
-from .numkernel import divisors, factorize, sieve_upto
+from .numkernel import divisors, factorize, sieve_upto, totient
 from .unitgroups import (
     Subgroup,
     characters,
@@ -55,13 +57,13 @@ from .unitgroups import (
 __all__ = ["VerifyReport", "SUITES", "run_suite", "cross_check_pairs", "eisenstein_moduli"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerifyReport:
     suite: str
-    run: int
-    passed: int
-    first_failure: str | None
-    seconds: float
+    run: int = 0
+    passed: int = 0
+    first_failure: str | None = None
+    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -75,14 +77,6 @@ class VerifyReport:
         if self.first_failure:
             line += f"\n  first failure: {self.first_failure}"
         return line
-
-
-class _Tally:
-    def __init__(self):
-        self.run = 0
-        self.passed = 0
-        self.first_failure: str | None = None
-        self.start = time.perf_counter()
 
     def check(self, ok: bool, detail: str) -> None:
         self.run += 1
@@ -113,9 +107,8 @@ def _coprime_pairs(rng: random.Random, count: int, dmax: int):
     return out
 
 
-def suite_reciprocity(t: _Tally, max_modulus: int | None, seed: int) -> None:
+def suite_reciprocity(t: VerifyReport, dmax: int, seed: int) -> None:
     rng = random.Random(seed)
-    dmax = 10**6 if max_modulus is None else max_modulus
 
     for c, d in _coprime_pairs(rng, 500, dmax):
         if c < 2 or d < 2:
@@ -146,9 +139,8 @@ def suite_reciprocity(t: _Tally, max_modulus: int | None, seed: int) -> None:
     t.equal(dedekind_sum(1, 9), Fraction(14, 27), "s(1,9)")
 
 
-def suite_denominators(t: _Tally, max_modulus: int | None, seed: int) -> None:
+def suite_denominators(t: VerifyReport, dmax: int, seed: int) -> None:
     rng = random.Random(seed)
-    dmax = 10**6 if max_modulus is None else max_modulus
 
     for c, d in _coprime_pairs(rng, 10_000, dmax):
         v = 2 * d * math.gcd(3, d) * dedekind_sum(c, d)
@@ -175,9 +167,7 @@ def suite_denominators(t: _Tally, max_modulus: int | None, seed: int) -> None:
         t.equal(dedekind_sum_tilde(1, f), tilde_s_one(f), f"tilde closed form f={f}")
 
 
-def suite_theorem_parity(t: _Tally, max_modulus: int | None, seed: int) -> None:
-    pcap = 2000 if max_modulus is None else max_modulus
-
+def suite_theorem_parity(t: VerifyReport, pcap: int, seed: int) -> None:
     # odd n > 1 forces 2S integral with the parity of (p-1)/2 and N odd
     for p in sieve_upto(pcap):
         p = int(p)
@@ -211,11 +201,11 @@ _KERNEL_GRID = [
 ]
 
 
-def suite_kernel_theorem(t: _Tally, max_modulus: int | None, seed: int) -> None:
+def suite_kernel_theorem(t: VerifyReport, cap: int, seed: int) -> None:
     for p, n, fp in _KERNEL_GRID:
         pn = p**n
         f = pn * fp
-        if max_modulus is not None and f > max_modulus:
+        if f > cap:
             continue
         ker = kernel_subgroup(f, fp)
         t.equal(ker.order, pn, f"kernel order at (p,n,f')=({p},{n},{fp})")
@@ -239,8 +229,7 @@ def suite_kernel_theorem(t: _Tally, max_modulus: int | None, seed: int) -> None:
         )
 
 
-def suite_constancy(t: _Tally, max_modulus: int | None, seed: int) -> None:
-    cap = 13**6 if max_modulus is None else max_modulus
+def suite_constancy(t: VerifyReport, cap: int, seed: int) -> None:
     for p in (3, 5, 7, 13):
         for m in range(2, 7):
             f = p**m
@@ -282,8 +271,7 @@ def eisenstein_moduli(cap: int) -> list[int]:
     return good
 
 
-def suite_eisenstein(t: _Tally, max_modulus: int | None, seed: int) -> None:
-    cap = 2000 if max_modulus is None else max_modulus
+def suite_eisenstein(t: VerifyReport, cap: int, seed: int) -> None:
     for f in eisenstein_moduli(cap):
         with t.audited():  # e_f audits its ratios
             tt = len(factorize(f))
@@ -298,16 +286,18 @@ def suite_eisenstein(t: _Tally, max_modulus: int | None, seed: int) -> None:
             for sub in subs:
                 t.equal(subgroup_sum_tilde(sub), want, f"closed tilde S at f={f}, H={sub.elements}")
 
-    # every divisor sees the (delta-1)/(12 delta) value
+    # every divisor sees s(r mod delta, delta) = (delta-1)/(12 delta), and tilde s(r,f) = phi(f)/(12f)
     for f in (7, 49, 91, 133, 1729):
         if f > cap:
             continue
         with t.audited():
             for r in e_f(f):
+                tilde = dedekind_sum_tilde(r, f)
                 for delta in divisors(f):
-                    with t.audited():
-                        want = Fraction(delta - 1, 12 * delta)
-                        t.equal(dedekind_at_ratio(f, delta, r), want, f"s at ratio {r}, delta={delta}")
+                    got, want = dedekind_sum(r % delta, delta), Fraction(delta - 1, 12 * delta)
+                    t.check(got == want and tilde == Fraction(totient(f), 12 * f),
+                            f"s({r} mod {delta}, {delta}) = {got} != {want}" if got != want
+                            else f"tilde s({r},{f}) = {tilde} != phi(f)/12f")
 
     # f = 91: order-3 subgroups outside E_f break the closed form
     if cap >= 91:
@@ -367,9 +357,7 @@ def cross_check_pairs(cap: int) -> list[tuple[int, Subgroup]]:
     return out
 
 
-def suite_mean_square(t: _Tally, max_modulus: int | None, seed: int) -> None:
-    cap = 500 if max_modulus is None else max_modulus
-
+def suite_mean_square(t: VerifyReport, cap: int, seed: int) -> None:
     for f, sub in cross_check_pairs(cap):
         with t.audited():  # the character mask audits its count
             exact = float(mean_square_exact(f, sub))
@@ -405,7 +393,7 @@ def suite_mean_square(t: _Tally, max_modulus: int | None, seed: int) -> None:
             t.equal(n_value(p, sub), Fraction(2 * p - (6 * n - 3)), f"Mersenne N at p={p}")
 
 
-def suite_class_number(t: _Tally, max_modulus: int | None, seed: int) -> None:
+def suite_class_number(t: VerifyReport, size: None, seed: int) -> None:
     for p, m, h, label in ((23, 22, 3, "h^-(Q(zeta_23))"), (7, 6, 1, "h^-(Q(zeta_7))"),
                            (13, 4, 1, "h^- degree-4 field at p=13")):
         with t.audited():
@@ -437,32 +425,40 @@ def suite_class_number(t: _Tally, max_modulus: int | None, seed: int) -> None:
             t.equal(euler_correction_pi(f, sub), want, f"Pi({f},H)")
 
 
+# name -> (suite, default size, draws random cases); class-number has no size
 SUITES = {
-    "reciprocity": suite_reciprocity,
-    "denominators": suite_denominators,
-    "theorem-parity": suite_theorem_parity,
-    "kernel-theorem": suite_kernel_theorem,
-    "constancy": suite_constancy,
-    "mean-square": suite_mean_square,
-    "eisenstein": suite_eisenstein,
-    "class-number": suite_class_number,
+    "reciprocity": (suite_reciprocity, 10**6, True),
+    "denominators": (suite_denominators, 10**6, True),
+    "theorem-parity": (suite_theorem_parity, 2000, False),
+    "kernel-theorem": (suite_kernel_theorem, 13**4, False),
+    "constancy": (suite_constancy, 13**6, False),
+    "mean-square": (suite_mean_square, 500, False),
+    "eisenstein": (suite_eisenstein, 2000, False),
+    "class-number": (suite_class_number, None, False),
 }
 
 
 def run_suite(name: str, max_modulus: int | None = None, seed: int | None = None) -> list[VerifyReport]:
     """The reports of one suite or of all; an ArithmeticError that escapes a
-    suite's own checks ends that suite as one more failed check. Only
-    reciprocity and denominators draw random cases and read the seed (default 0)."""
+    suite's own checks ends that suite as one more failed check. max_modulus
+    replaces each sized suite's default; the seed (default 0) goes only where
+    random cases are drawn."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if max_modulus is not None and max_modulus < 2:
         raise ValueError(f"need max_modulus >= 2, got {max_modulus}")
-    if seed is not None and name not in ("all", "reciprocity", "denominators"):
-        raise ValueError(f"suite {name} draws no random cases: a seed goes with reciprocity, denominators or all")
+    names = list(SUITES) if name == "all" else [name]
+    if max_modulus is not None and all(SUITES[s][1] is None for s in names):
+        raise ValueError(f"suite {name} has no size: a max_modulus goes with the other suites or all")
+    if seed is not None and not any(SUITES[s][2] for s in names):
+        seeded = ", ".join(s for s, (_, _, draws) in SUITES.items() if draws)
+        raise ValueError(f"suite {name} draws no random cases: a seed goes with {seeded} or all")
     reports = []
-    for suite in SUITES if name == "all" else [name]:
-        t = _Tally()
-        with t.audited():
-            SUITES[suite](t, max_modulus, seed or 0)
-        reports.append(VerifyReport(suite, t.run, t.passed, t.first_failure, time.perf_counter() - t.start))
+    for suite in names:
+        fn, default, _ = SUITES[suite]
+        rep, start = VerifyReport(suite), time.perf_counter()
+        with rep.audited():
+            fn(rep, max_modulus if max_modulus and default else default, seed or 0)
+        rep.seconds = time.perf_counter() - start
+        reports.append(rep)
     return reports

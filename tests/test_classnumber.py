@@ -13,7 +13,14 @@ from dsums.classnumber import (
     upper_bound_simple,
     upper_bound_subfield,
 )
-from dsums.unitgroups import characters, odd_characters_trivial_on, subgroup_from_elements, subgroup_of_order
+from dsums.numkernel import divisors, sieve_upto
+from dsums.unitgroups import (
+    characters,
+    odd_characters_trivial_on,
+    subgroup_from_elements,
+    subgroup_of_order,
+    unit_group,
+)
 
 
 def test_field_context():
@@ -108,6 +115,26 @@ def test_crt_budget_is_the_parseval_bound(monkeypatch):
     assert budgets == [1007]
     monkeypatch.setattr(classnumber, "_crt_primes", lambda m, bits: crt_primes(m, 1387))
     assert relative_class_number(199, 198) == h
+
+
+def test_crt_budget_bits_match_the_exact_power(monkeypatch):
+    # the budget takes the bit length of (sum g_t^2)^(m/2) from a float log2, never off by one here
+    class Budget(Exception):
+        pass
+
+    def stop(m, bits):
+        raise Budget(bits)
+
+    monkeypatch.setattr(classnumber, "_crt_primes", stop)
+    for p in sieve_upto(400).tolist()[1:]:
+        g = unit_group(p).generators[0]
+        powers = [pow(g, k, p) for k in range(p - 1)]
+        for m in (m for m in divisors(p - 1) if (p - 1) // m % 2):
+            c = [sum(powers[t::m]) for t in range(m)]
+            s2 = sum((c[t] - c[t + m // 2]) ** 2 for t in range(m // 2))
+            with pytest.raises(Budget) as budget:
+                relative_class_number(p, m)
+            assert budget.value.args == (((s2 ** (m // 2)).bit_length() + 1) // 2 + 1,), (p, m)
 
 
 def test_bernoulli_oracle():

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import dsums
-from dsums import cli, eisenstein, meansquare
+from dsums import cli, eisenstein, meansquare, verify
 from dsums.cli import _intexpr, main
 from dsums.verify import VerifyReport
 
@@ -131,9 +131,9 @@ def test_verify_suite_exit_code(capsys):
 
 
 def test_verify_counts_a_failed_audit_as_a_failed_check(capsys, monkeypatch):
-    # with s(2,7) broken, dedekind_at_ratio's audit raises for the ratio 2 mod 7
-    good = eisenstein.dedekind_sum
-    monkeypatch.setattr(eisenstein, "dedekind_sum", lambda c, d: good(c, d) + ((c, d) == (2, 7)))
+    # with s(2,7) broken, the divisor check fails for the ratio 2 mod 7
+    good = verify.dedekind_sum
+    monkeypatch.setattr(verify, "dedekind_sum", lambda c, d: good(c, d) + ((c, d) == (2, 7)))
     code, out, err = run(capsys, "verify", "--suite", "eisenstein", "--max-modulus", "100")
     assert code == 1 and err == ""
     head, failure = out.splitlines()
@@ -293,6 +293,7 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--n", "9", "--limit", "1e3", "--checkpoint", "missing/c.json"], None),
     (["survey", "--n", "9", "--limit", "1e3", "--records", ""], None),
     (["survey", "--n", "9", "--limit", "1e3", "--checkpoint", ""], None),
+    (["verify", "--suite", "class-number", "--max-modulus", "100"], None),  # a suite with no size
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

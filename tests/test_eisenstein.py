@@ -6,13 +6,12 @@ import pytest
 from dsums.dedekind import dedekind_sum_tilde
 from dsums.eisenstein import (
     _positive_pairs,
-    dedekind_at_ratio,
     e_f,
     order3_subgroups_from_ef,
     representations,
 )
 from dsums.meansquare import subgroup_sum_tilde
-from dsums.numkernel import divisors, factorize, totient
+from dsums.numkernel import factorize, totient
 from dsums.unitgroups import element_order, subgroup_from_generator
 from dsums.verify import eisenstein_moduli
 
@@ -73,15 +72,3 @@ def test_counterexample_at_91():
     assert dedekind_sum_tilde(29, 91) == Fraction(-22, 91)
     assert dedekind_sum_tilde(53, 91) == Fraction(-46, 91)
     assert dedekind_sum_tilde(9, 91) == Fraction(6, 91) == Fraction(totient(91), 12 * 91)
-
-
-def test_dedekind_at_ratio():
-    assert 9 in e_f(91) and 2 in e_f(7)
-    assert dedekind_at_ratio(91, 13, 9) == Fraction(1, 13)
-    assert dedekind_at_ratio(91, 91, 9) == Fraction(90, 12 * 91)
-    assert dedekind_at_ratio(7, 7, 2) == Fraction(1, 14)
-    for r in e_f(133):
-        for delta in divisors(133):
-            assert dedekind_at_ratio(133, delta, r) == (
-                Fraction(delta - 1, 12 * delta) if delta > 1 else 0
-            )

@@ -545,7 +545,7 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(survey, "_segment_worker", lambda args: segments.append(args) or work(args))
     rep = scan_fixed_n(9, 10**4, threads=100_000)
-    assert started == [workers]
+    assert started == ([workers] if workers > 1 else [])  # a single worker scans in process, with no pool
     assert len(segments) == 4 * workers  # planned from the capped count, not one per integer
     monkeypatch.undo()
     assert rep == scan_fixed_n(9, 10**4)
