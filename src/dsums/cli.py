@@ -29,7 +29,9 @@ from .unitgroups import kernel_subgroup, subgroup_from_elements, subgroup_from_g
 from .verify import run_suite
 
 _TABLE_N = {"rho5": 5, "rho7": 7, "rho9": 9, "rho11": 11, "rho13": 13, "rho15": 15}
-_INTEXPR = re.compile(r"(\d+)(?:([eE]|\*\*)(\d{1,4}))?")
+_THREADS_HELP = ("at most this many worker processes, one per CPU and per segment (default: DSUMS_THREADS "
+                 "or 1); a scan planned as one segment runs in process")
+_INTEXPR = re.compile(r"(\d+)(?:([eE]|\*\*)(\d{1,4}))?", re.ASCII)  # int() would also read other digits
 
 
 def _intexpr(text: str) -> int:
@@ -44,7 +46,7 @@ def _intexpr(text: str) -> int:
 
 
 def _threads(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    if not (text.strip().isascii() and text.strip().isdigit()) or int(text) < 1:
         raise ValueError(f"--threads and DSUMS_THREADS need a positive integer, got {text!r}")
     return int(text)
 
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_intexpr, default=None, help="bound B (default 1e5)")
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
     p.add_argument("--span", type=_intexpr, default=None)
-    p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
+    p.add_argument("--threads", type=_threads, default=None, help=_THREADS_HELP)
     p.add_argument("--out", choices=("json", "csv"), default="json")
     p.add_argument("--records", default=None, help="CSV path for per-pair records")
     p.add_argument("--checkpoint", default=None, help="JSON checkpoint path (resume-aware)")
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_intexpr, default=None, help="bound B of the rho rows (default 1e5)")
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None, help="rho9-window only")
     p.add_argument("--span", type=_intexpr, default=None, help="rho9-window only")
-    p.add_argument("--threads", type=_threads, default=None, help="worker processes (default: DSUMS_THREADS or 1)")
+    p.add_argument("--threads", type=_threads, default=None, help=_THREADS_HELP)
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("verify", help="run an identity-verification suite")

@@ -33,17 +33,20 @@ p divides 1 + sum h0^j, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd.
 The batched records are tested against meansquare.n_value, which sums the n
 kernel values of H_n one prime at a time and runs the same audits.
 
-Scans checkpoint at segment boundaries (records flushed to disk first, then
-an atomic JSON rename that stores the records' byte length) and can resume
-after a kill at any point; segments may fan out to worker processes, with
-counts merged in ascending order so reports are identical for any worker
-count, and each worker exits once the scan process that started it is gone.
-Primes come from a sieve, so the scans skip primality tests.
+A scan cuts its range into segments sized by its expected work (_plan). Scans
+checkpoint at segment boundaries (records flushed to disk first, then an
+atomic JSON rename that stores the records' byte length) and can resume after
+a kill at any point; segments may fan out to worker processes, with counts
+merged in ascending order so reports are identical for any worker count, and
+each worker exits once the scan process that started it is gone. A
+one-segment plan runs in process, with no pool. Primes come from a sieve, so
+the scans skip primality tests.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -53,7 +56,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkernel import divisors, factorize, mulmod, power_table, powmod_lanes, primes_in_progression
+from .numkernel import divisors, factorize, mulmod, power_table, powmod_lanes, primes_in_progression, totient
 
 __all__ = [
     "DensityReport",
@@ -68,6 +71,12 @@ CSV_HEADER = "p,n,two_S,N,nonpositive"
 # At most this many lanes still open in the generator search go on in Python
 # ints: a numpy ladder on a handful of lanes costs more than their pow calls.
 _SCALAR_TAIL = 32
+
+# Lanes of work per planned segment. A segment's fixed cost (the sieve's set-up,
+# the generator search's ladders, the numpy calls of each step) is about 4 ms
+# near 1e10, the time of about 6k lanes, so at 2^15 lanes it is under a sixth of
+# the segment's time.
+_SEGMENT_LANES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -378,6 +387,29 @@ def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, 
     return len(p) + ones, int(nonpositive.sum()) + ones, text
 
 
+def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[list[tuple[int, int]], int]:
+    """The segments (lo, hi) that tile [start, upper] in ascending order, and the
+    number of workers to run them on.
+
+    The count follows the expected work: span/(phi(2n) ln upper) primes of the
+    progression, each with (n-1)/2 Euclid lanes and one generator lane (the
+    all-odd scan counts (upper+1)/2 lanes a prime). It is one segment per
+    _SEGMENT_LANES lanes, at most 4*workers, at least enough that no segment
+    holds more than 2^20 integers, and past one a multiple of the workers, so
+    that each gets the same share. A one-segment plan gets one worker and runs
+    in process."""
+    span = upper - start + 1
+    if span <= 0:
+        return [], 1
+    lanes = (n + 1) // 2 if n else (upper + 1) // 2
+    primes = span / (totient(n or 1) * math.log(upper))
+    count = max(min(math.ceil(primes * lanes / _SEGMENT_LANES), 4 * workers), -(-span >> 20))
+    if count > 1:
+        count = min(-(-count // workers) * workers, span)  # at least one integer a segment
+    bounds = [start + i * span // count for i in range(count + 1)]
+    return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])], min(workers, count)
+
+
 def _scan(
     mode: str,
     n: int | None,
@@ -413,9 +445,9 @@ def _scan(
         start = ck.last_p + 1
         c_p, c_le = ck.c_prime, ck.c_leq0
     sink = _RecordSink(records, ck is None, ck.records_offset if ck else None)
-    workers = min(threads, os.cpu_count() or 1)  # one per CPU: the pool forks them all at its first submit
-    size = max(1, min(1 << 20, -(-(upper - start + 1) // (4 * workers))))
-    segments = [(n, lo, min(lo + size - 1, upper), records is not None) for lo in range(start, upper + 1, size)]
+    # at most one worker per CPU (the pool forks them all at its first submit) and per segment
+    plan, workers = _plan(n, start, upper, min(threads, os.cpu_count() or 1))
+    segments = [(n, lo, hi, records is not None) for lo, hi in plan]
     try:
         with (
             ProcessPoolExecutor(workers, initializer=_exit_with_parent) if workers > 1 else nullcontext()

@@ -294,6 +294,11 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--n", "9", "--limit", "1e3", "--records", ""], None),
     (["survey", "--n", "9", "--limit", "1e3", "--checkpoint", ""], None),
     (["verify", "--suite", "class-number", "--max-modulus", "100"], None),  # a suite with no size
+    # digits other than ASCII ones (int() reads ARABIC-INDIC ONE as 1)
+    (["tables", "--table", "rho9", "--limit", "\u0661e3"], None),
+    (["survey", "--limit", "1e\u0663"], None),
+    (["survey", "--limit", "100", "--threads", "\u0661"], None),
+    (["survey", "--limit", "100"], "\u0661"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

@@ -136,8 +136,9 @@ def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
 
 
 def test_threads_deterministic(tmp_path):
-    seq = scan_fixed_n(5, 40000, records=str(tmp_path / "seq.csv"))
-    par = scan_fixed_n(5, 40000, threads=2, records=str(tmp_path / "par.csv"))
+    assert survey._plan(5, 2, 10**6, 2)[1] == 2  # enough work for a pool of two
+    seq = scan_fixed_n(5, 10**6, records=str(tmp_path / "seq.csv"))
+    par = scan_fixed_n(5, 10**6, threads=2, records=str(tmp_path / "par.csv"))
     assert seq == par
     assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 
@@ -309,23 +310,29 @@ def test_segment_worker_edge_segments():
     assert survey._segment_worker((None, 7, 7, True)) == (2, 2, "7,3,1,-1,true\n")
 
 
-# From p > 60000 on, the scan gets a "generator" not of order 9: 2 (2^9 = 1
+# n = 9 to 2e6: four segments of 5e5 at threads = 1, so a scan stopped in its
+# third segment or at its first checkpoint is stopped mid-scan
+_MID = (2 * 10**6, 24790, 12796)  # (limit, c_prime, c_leq0)
+
+
+# From p > 1200000 on, the scan gets a "generator" not of order 9: 2 (2^9 = 1
 # only mod 7 and 73), or the cube of a true one, of order 3.
 @pytest.mark.parametrize("fake", [lambda h, p: np.full_like(h, 2), lambda h, p: h * h % p * h % p])
 def test_audits_abort_the_scan(tmp_path, monkeypatch, fake):
+    limit, c_prime, c_leq0 = _MID
     generators = survey._generators
-    monkeypatch.setattr(survey, "_generators", lambda n, p: np.where(p > 60000, fake(generators(n, p), p),
+    monkeypatch.setattr(survey, "_generators", lambda n, p: np.where(p > 1200000, fake(generators(n, p), p),
                                                                       generators(n, p)))
     ck, rc = tmp_path / "ck.json", tmp_path / "r.csv"
     with pytest.raises(ArithmeticError, match="order audit"):
-        scan_fixed_n(9, 10**5, checkpoint=str(ck), records=str(rc))
+        scan_fixed_n(9, limit, checkpoint=str(ck), records=str(rc))
     data = json.loads(ck.read_text())
     ps = [int(ln.split(",")[0]) for ln in rc.read_text().splitlines()[1:]]
-    assert 0 < data["last_p"] <= 60000 and data["records_offset"] == rc.stat().st_size
+    assert 0 < data["last_p"] <= 1200000 and data["records_offset"] == rc.stat().st_size
     assert len(ps) == data["c_prime"] and max(ps) <= data["last_p"]
     monkeypatch.setattr(survey, "_generators", generators)
     rep = resume(str(ck), records=str(rc))
-    assert (rep.c_prime, rep.c_leq0) == (1592, 838)
+    assert (rep.c_prime, rep.c_leq0) == (c_prime, c_leq0)
 
 
 # An alternating sum off by 1 on one lane moves 12S by 2 (6 no longer
@@ -429,7 +436,7 @@ class _Stop(Exception):
 
 
 def _scan_stopped_at_first_checkpoint(monkeypatch, ck, rc):
-    """scan_fixed_n(9, 1e5) stopped just after its first checkpoint is saved."""
+    """scan_fixed_n(9, 2e6) stopped just after its first checkpoint is saved."""
     save = survey._save_checkpoint
 
     def save_then_stop(path, data):
@@ -438,8 +445,9 @@ def _scan_stopped_at_first_checkpoint(monkeypatch, ck, rc):
 
     monkeypatch.setattr(survey, "_save_checkpoint", save_then_stop)
     with pytest.raises(_Stop):
-        scan_fixed_n(9, 10**5, checkpoint=ck, records=rc)
+        scan_fixed_n(9, _MID[0], checkpoint=ck, records=rc)
     monkeypatch.undo()
+    assert json.loads(Path(ck).read_text())["last_p"] < _MID[0]  # not the final checkpoint
 
 
 @pytest.mark.parametrize("case, error", [
@@ -457,8 +465,8 @@ def test_resume_refuses_records_its_checkpoint_does_not_vouch_for(tmp_path, monk
         resume(ck, records=None if case == "resume without records" else str(rc))
     assert open(ck).read() == saved and (rc.read_text() if rc.exists() else None) == rows  # nothing written
     if case == "resume without records":  # the file the checkpoint vouches for completes the scan
-        assert resume(ck, records=str(rc)) == scan_fixed_n(9, 10**5)
-        assert len(rc.read_text().splitlines()) == 1 + 1592
+        assert resume(ck, records=str(rc)) == scan_fixed_n(9, _MID[0])
+        assert len(rc.read_text().splitlines()) == 1 + _MID[1]
 
 
 def test_version_1_checkpoints_append_records(tmp_path, monkeypatch):
@@ -467,8 +475,8 @@ def test_version_1_checkpoints_append_records(tmp_path, monkeypatch):
     data = json.load(open(ck))
     del data["records_offset"]
     Path(ck).write_text(json.dumps({**data, "version": 1}))
-    assert resume(ck, records=str(rc)) == scan_fixed_n(9, 10**5)
-    assert len(rc.read_text().splitlines()) == 1 + 1592
+    assert resume(ck, records=str(rc)) == scan_fixed_n(9, _MID[0])
+    assert len(rc.read_text().splitlines()) == 1 + _MID[1]
 
 
 def test_checkpoint_written_during_scan(tmp_path):
@@ -524,8 +532,13 @@ def test_scan_rejects_bad_threads_and_bounds():
         scan_window(9, -1, 100)
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
-def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
+# n = 15 to 3e6 asks for 7 segments of 2^15 lanes, clamped to 4 per worker;
+# n = 15 to 1e4 is one segment, which runs in process
+@pytest.mark.parametrize("cpus, limit, workers, count", [
+    pytest.param(cpus, limit, workers, count, id=f"{cpus}-{workers}")  # ids: cpus-workers
+    for cpus, limit, workers, count in ((2, 3 * 10**6, 2, 8), (None, 3 * 10**6, 1, 4), (2, 10**4, 1, 1))
+])
+def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, limit, workers, count):
     started, segments, work = [], [], survey._segment_worker
 
     class SerialPool:  # a stand-in for ProcessPoolExecutor: records its worker count, maps in process
@@ -544,11 +557,44 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, workers):
     monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(survey, "_segment_worker", lambda args: segments.append(args) or work(args))
-    rep = scan_fixed_n(9, 10**4, threads=100_000)
+    rep = scan_fixed_n(15, limit, threads=100_000)
     assert started == ([workers] if workers > 1 else [])  # a single worker scans in process, with no pool
-    assert len(segments) == 4 * workers  # planned from the capped count, not one per integer
+    assert len(segments) == count  # planned from the capped count, not one per integer
     monkeypatch.undo()
-    assert rep == scan_fixed_n(9, 10**4)
+    assert rep == scan_fixed_n(15, limit)
+
+
+def test_segment_plan_examples():
+    # (n, start, upper, workers) -> (segments, workers)
+    for args, count, workers in (
+        ((9, 10**10, 10**10 + 10**6, 2), 2, 2),  # the 1e10 window keeps a pool of two
+        ((9, 10**10, 10**10 + 10**6, 1), 2, 1),
+        ((9, 10**13, 10**13 + 10**6, 2), 1, 1),  # fewer primes per integer: one segment, no pool
+        ((9, 2, 10**8, 2), 96, 2),  # 2^20 integers at most
+        ((None, 2, 30000, 2), 8, 2),  # the all-odd scan's lanes grow with p: 4 segments per worker
+        ((None, 2, 31, 2), 1, 1),
+        ((9, 2, 1, 2), 0, 1),  # an empty range
+    ):
+        plan, got = survey._plan(*args)
+        assert (len(plan), got) == (count, workers), args
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([None, 3, 5, 9, 15, 21, 105, 1001]), lower=st.integers(0, 10**13),
+       span=st.integers(0, 10**9), workers=st.integers(1, 8), data=st.data())
+def test_segment_plan_tiles_the_range(n, lower, span, workers, data):
+    upper = lower + span
+    start = data.draw(st.integers(max(lower, 2), max(upper + 1, 2)), label="start")  # a resume starts later
+    plan, got = survey._plan(n, start, upper, workers)
+    if start > upper:
+        assert (plan, got) == ([], 1)
+        return
+    assert plan[0][0] == start and plan[-1][1] == upper
+    assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
+    assert all(0 <= hi - lo < 1 << 20 for lo, hi in plan)
+    assert got == min(workers, len(plan))
+    # each worker gets as many segments, unless the plan is one segment or one integer a segment
+    assert len(plan) % workers == 0 or len(plan) == 1 or len(plan) == upper - start + 1
 
 
 def test_checkpoint_carries_records_offset(tmp_path):
@@ -579,8 +625,9 @@ survey.scan_fixed_n(n, int(sys.argv[6]), threads=int(sys.argv[2]), records=sys.a
 """
 
 
-# (n, limit, c_prime, c_leq0, the pairs with no row): n = 9 to 1e5, or the all-odd scan to 1e4
-_KILLED = {"9": (10**5, 1592, 838, 0), "all": (10**4, 6775, 4766, 1228)}
+# (n, limit, c_prime, c_leq0, the pairs with no row): n = 9 to 2e6, or the all-odd scan to 1e4;
+# each plans at least 4 segments, so the second checkpoint is not the last
+_KILLED = {"9": (*_MID, 0), "all": (10**4, 6775, 4766, 1228)}
 
 
 @pytest.mark.parametrize("when, threads, n", [
@@ -593,6 +640,7 @@ def test_kill_and_resume_keeps_records_consistent(tmp_path, when, threads, n):
     proc = subprocess.run([sys.executable, "-c", _KILLED_SCAN, when, str(threads), rc, ck, n, str(limit)],
                           env=env, timeout=120, start_new_session=True)
     assert proc.returncode == -signal.SIGKILL
+    assert json.loads(Path(ck).read_text())["last_p"] < limit  # killed mid-scan
     rep = resume(ck, threads=threads, records=rc)
     assert (rep.c_prime, rep.c_leq0) == (c_prime, c_leq0)
     lines = open(rc).read().splitlines()
@@ -601,6 +649,9 @@ def test_kill_and_resume_keeps_records_consistent(tmp_path, when, threads, n):
     assert len(rows) == rep.c_prime - ones
     assert sum(r[4] == "true" for r in rows) == rep.c_leq0 - ones
     assert len({(r[0], r[1]) for r in rows}) == len(rows)
+    full = tmp_path / "full.csv"  # an uninterrupted scan gives the same report and rows
+    assert rep == scan_fixed_n(None if n == "all" else int(n), limit, records=str(full))
+    assert Path(rc).read_bytes() == full.read_bytes()
 
 
 # A threads = 2 scan whose workers log their pids, long enough to be killed
