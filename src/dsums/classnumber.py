@@ -6,10 +6,13 @@ h^- = w prod(-B_{1,chi}/2) over the m/2 odd characters of the degree-m field
 and c_t the sum of g^k mod p over k = t (mod m), prod p*B_{1,chi} is the
 integer R = Res(y^(m/2) + 1, sum g_t y^t), g_t = c_t - c_{t+m/2}: the Maillet
 determinant (Carlitz-Olson, Proc. AMS 6, 1955), read mod primes l = 1 (mod m)
-and joined by CRT until the modulus passes 2 (sum g_t^2)^(m/4) >= 2|R|. The
-c_t are summed over chunks of the powers of g, in O(m + 2^18) cells for any
-p < 2^31. The full field takes about 0.005 s at p = 199, 0.16 s at p = 1009
-and 1.2 s at p = 2003 on a 2-core x86 VM; b1_chi_mp stays the oracle.
+and joined by CRT until the modulus passes 2 (sum g_t^2)^(m/4) >= 2|R|. Mod l
+the G(w^i) over the odd i are one length-m/2 DFT, taken by a mixed-radix
+transform over the prime factors of m/2. The c_t are summed over chunks of the
+powers of g, in O(m + 2^18) cells for any p < 2^31. The full field takes about
+0.003 s at p = 199, 0.03 s at p = 1009, 0.1 s at p = 2003 and 0.5 s at p = 4001
+on a 2-core x86 VM (1.7 s at p = 2039, where m/2 = 1019 is prime); b1_chi_mp
+stays the oracle.
 
 The bounds take any imaginary degree m, the full field m = p - 1 and the
 order-3 subfield m = (p-1)/3 among them; bound_chain decides them exactly.
@@ -17,6 +20,7 @@ order-3 subfield m = (p-1)/3 among them; bound_chain decides them exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,7 +28,7 @@ import numpy as np
 from mpmath import mp
 
 from .meansquare import char_value_mp, euler_correction_pi, mean_square_exact
-from .numkernel import is_prime, order_n_element, power_table, totient
+from .numkernel import factorize, is_prime, mulmod, power_table, primes_in_progression, totient
 from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
 __all__ = [
@@ -36,7 +40,9 @@ __all__ = [
     "upper_bound_subfield",
 ]
 
-_TABLE_CELLS = 1 << 18  # int64 cells in a block of the index table i*t mod m or of powers of g
+_TABLE_CELLS = 1 << 18  # int64 cells in a chunk of powers of g
+_LANE_CELLS = 1 << 15  # int64 cells in a block of lanes' powers of w or of gathered butterfly rows
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first tries for a q-th non-power mod l
 
 
 def _roots_of_unity(p: int, m: int) -> int:
@@ -51,16 +57,21 @@ def _roots_of_unity(p: int, m: int) -> int:
 
 def _crt_primes(m: int, need_bits: int) -> list[int]:
     """Primes l = 1 (mod m), downward from the ceiling where (m/2)(l-1)^2 < 2^63
-    (so a dot product of m/2 residues mod l cannot wrap in int64), until their
-    product has more than need_bits bits; ValueError if they run out first."""
+    (so a sum of m/2 products of residues mod l cannot wrap in int64), until their
+    product has more than need_bits bits; ValueError if they run out first. They are
+    sieved from windows of the progression, each sized for about 1.5 times the primes
+    still wanted at a density of one in phi(m) ln(l) integers."""
     top = math.isqrt((2**63 - 1) // (m // 2))
-    ells, mod = [], 1
-    for ell in range(top // m * m + 1, m, -m):
-        if mod.bit_length() > need_bits:
-            break
-        if is_prime(ell):
+    hi, ells, mod = top // m * m + 1, [], 1
+    while mod.bit_length() <= need_bits and hi > m:
+        want = (need_bits - mod.bit_length()) // (hi.bit_length() - 1) + 1
+        lo = max(m + 1, hi - math.ceil(1.5 * want * totient(m) * math.log(hi)))
+        for ell in reversed(primes_in_progression(lo, hi - lo, m, 1).tolist()):
+            if mod.bit_length() > need_bits:
+                break
             ells.append(ell)
             mod *= ell
+        hi = lo - 1
     if mod.bit_length() <= need_bits:
         raise ValueError(f"the primes l = 1 (mod {m}) up to {top + 1} give too few bits for the resultant")
     return ells
@@ -74,17 +85,64 @@ def _power_bits(s2: int, n: int) -> int:
     return math.floor(x) + 1 if abs(x - round(x)) > 2**-10 else (s2**n).bit_length()
 
 
+def _root_of_order(m: int, ell: int, parts: list[tuple[int, int]]) -> int:
+    """An element of order m mod the prime ell = 1 (mod m), parts the prime powers
+    q^k of m: the product over q of x^((ell-1)/q^k), which has order q^k for the
+    first x that is no q-th power mod ell. The x are the primes to 37 first (below
+    the first such prime, every x is a product of q-th powers), then all x < ell.
+    Each x^((ell-1)/m) is raised once, and the q-parts are its small powers."""
+    e, w, ys = (ell - 1) // m, 1, {}
+    for q, qk in parts:
+        for x in itertools.chain(_BASES, range(_BASES[-1] + 1, ell)):  # ell has q-th non-powers below it
+            if x not in ys:
+                ys[x] = pow(x, e, ell)
+            u = pow(ys[x], m // qk, ell)
+            if (u if qk == q else pow(u, qk // q, ell)) != 1:
+                w = w * u % ell
+                break
+    return w
+
+
 def _resultant_residues(g: np.ndarray, m: int, ells: list[int]) -> list[int]:
-    """Res(y^(m/2) + 1, sum g_t y^t) mod each l as prod G(w^i) over the odd
-    i < m, w of order m mod l: each G(w^i) is one dot product of g mod l with
-    the powers of w at i*t mod m, the odd i taken in blocks of bounded size."""
-    rows = max(1, _TABLE_CELLS // (m // 2))
-    res = [1] * len(ells)
-    for lo in range(1, m, 2 * rows):
-        table = np.outer(np.arange(lo, min(lo + 2 * rows, m), 2), np.arange(m // 2)) % m
-        for j, ell in enumerate(ells):
-            pw = power_table(order_n_element(ell, m), m, ell)
-            res[j] = res[j] * math.prod((pw[table] @ (g % ell) % ell).tolist()) % ell
+    """Res(y^(m/2) + 1, sum g_t y^t) mod each l as prod G(w^i) over the odd i < m,
+    w of order m mod l. With zeta = w^2 and a_t = g_t w^t, G(w^(2j+1)) = sum_t a_t zeta^(jt)
+    is a length-n DFT, n = m/2, taken by mixed-radix Cooley-Tukey over the prime factors
+    r of n: each stage is an r-point butterfly, one matrix product per lane with sums of
+    r <= n products below 2^63, then twiddles. Only the product of the n outputs is
+    needed, so they stay in digit-reversed order. The l go in blocks of int64 lanes, and
+    the butterfly rows in blocks, so that no temporary passes max(_LANE_CELLS, m) cells."""
+    n = m // 2
+    parts = [(q, q**k) for q, k in factorize(m)]
+    radices = [r for r, k in factorize(n) for _ in range(k)]
+    res, step = [], max(1, _LANE_CELLS // m)
+    for block in (ells[i : i + step] for i in range(0, len(ells), step)):
+        lanes = len(block)
+        ell = np.array(block, dtype=np.int64)[:, None]
+        w = np.array([_root_of_order(m, l, parts) for l in block], dtype=np.int64)
+        pw = power_table(w, m, ell[:, 0]).T.copy()  # pw[l, k] = w^k mod l
+        x = mulmod(g % ell, pw[:, :n], ell)
+        size = n  # x holds n/size transforms of length size, each stored t = t1*s + t2
+        for r in radices:
+            s = size // r  # t1 goes first, so that one matrix product a lane covers all n/size transforms
+            xt = x.reshape(lanes, n // size, r, s).transpose(0, 2, 1, 3).reshape(lanes, r, n // r)
+            rows = min(r, max(1, _LANE_CELLS // r))
+            per = max(1, _LANE_CELLS // (rows * r))
+            y = np.empty_like(xt)
+            for j0 in range(0, r, rows):  # row j of the butterfly is zeta^(jt n/r) = w^(jt m/r)
+                omega = np.outer(np.arange(j0, min(j0 + rows, r)), np.arange(r))
+                omega %= r
+                omega *= m // r
+                for l0 in range(0, lanes, per):
+                    y[l0 : l0 + per, j0 : j0 + rows] = np.take(pw[l0 : l0 + per], omega, axis=1) @ xt[l0 : l0 + per]
+            y %= ell[:, :, None]
+            if s > 1:  # the twiddles zeta^(j t2 n/size), the same for all n/size transforms
+                twiddle = np.take(pw, np.outer(np.arange(r), np.arange(s)) * (m // size) % m, axis=1)
+                y = mulmod(y.reshape(lanes, r, n // size, s), twiddle[:, :, None], ell[:, :, None, None])
+            x, size = y.reshape(lanes, n), s
+        while x.shape[1] > 1:  # prod of the outputs by halves
+            half = x.shape[1] // 2
+            x = np.concatenate((mulmod(x[:, :half], x[:, half : 2 * half], ell), x[:, 2 * half :]), axis=1)
+        res += x[:, 0].tolist()
     return res
 
 

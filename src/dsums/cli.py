@@ -32,6 +32,18 @@ _TABLE_N = {"rho5": 5, "rho7": 7, "rho9": 9, "rho11": 11, "rho13": 13, "rho15": 
 _THREADS_HELP = ("at most this many worker processes, one per CPU and per segment (default: DSUMS_THREADS "
                  "or 1); a scan planned as one segment runs in process")
 _INTEXPR = re.compile(r"(\d+)(?:([eE]|\*\*)(\d{1,4}))?", re.ASCII)  # int() would also read other digits
+_INT = re.compile(r"[+-]?[0-9]+")  # int() would also read other digits, "_" separators and surrounding spaces
+
+
+def _int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign, nothing else."""
+    if _INT.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"want an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _ints(text: str) -> list[int]:
+    return [_int(x) for x in text.split(",")]
 
 
 def _intexpr(text: str) -> int:
@@ -149,7 +161,7 @@ def cmd_class_number(args) -> int:
 
 def _parse_subgroup(args, f: int):
     if args.elements is not None:
-        return subgroup_from_elements(f, [int(x) for x in args.elements.split(",")])
+        return subgroup_from_elements(f, args.elements)
     if args.gen is not None:
         return subgroup_from_generator(f, args.gen)
     if args.kernel is not None:
@@ -181,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dedekind", help="print s(c,d) exactly")
-    p.add_argument("c", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("c", type=_int)
+    p.add_argument("d", type=_int)
     p.add_argument("--naive", action="store_true", help="use the O(d) sawtooth oracle")
-    p.add_argument("--decimal", type=int, default=0, metavar="N", help="print N >= 0 decimal places instead")
+    p.add_argument("--decimal", type=_int, default=0, metavar="N", help="print N >= 0 decimal places instead")
     p.set_defaults(fn=cmd_dedekind)
 
     p = sub.add_parser("survey", help="scan primes for the sign of N(H_n,p)")
-    p.add_argument("--n", type=int, default=None, help="subgroup order (default 9)")
+    p.add_argument("--n", type=_int, default=None, help="subgroup order (default 9)")
     p.add_argument("--limit", type=_intexpr, default=None, help="bound B (default 1e5)")
     p.add_argument("--from", dest="window_from", type=_intexpr, default=None)
     p.add_argument("--span", type=_intexpr, default=None)
@@ -210,26 +222,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an identity-verification suite")
     p.add_argument("--suite", default="all")
     p.add_argument("--max-modulus", type=_intexpr, default=None, help="at least 2 (default: each suite's own)")
-    p.add_argument("--seed", type=int, default=None, help="for reciprocity, denominators or all (default 0)")
+    p.add_argument("--seed", type=_int, default=None, help="for reciprocity, denominators or all (default 0)")
     p.add_argument("--json", action="store_true", help="print the reports, with cases and seconds, as JSON")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("ef", help="representations f=a^2+ab+b^2 and their subgroups")
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=_int, required=True)
     p.set_defaults(fn=cmd_ef)
 
     p = sub.add_parser("class-number", help="relative class number and bounds")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--p", type=_int, required=True)
+    p.add_argument("--degree", type=_int, default=None)
     p.set_defaults(fn=cmd_class_number)
 
     p = sub.add_parser("mean-square", help="exact M(f,H) as a rational multiple of pi^2")
-    p.add_argument("--f", type=int, required=True)
+    p.add_argument("--f", type=_int, required=True)
     h = p.add_mutually_exclusive_group()  # one way to name H (default the trivial H)
-    h.add_argument("--elements", default=None, help="comma-separated subgroup elements")
-    h.add_argument("--gen", type=int, default=None, help="subgroup generator")
-    h.add_argument("--order", type=int, default=None, help="order-n subgroup (prime f)")
-    h.add_argument("--kernel", type=int, default=None, help="kernel of reduction mod f'")
+    h.add_argument("--elements", type=_ints, default=None, help="comma-separated subgroup elements")
+    h.add_argument("--gen", type=_int, default=None, help="subgroup generator")
+    h.add_argument("--order", type=_int, default=None, help="order-n subgroup (prime f)")
+    h.add_argument("--kernel", type=_int, default=None, help="kernel of reduction mod f'")
     p.add_argument("--numeric", action="store_true", help="also average |L(1,chi)|^2 in floats")
     p.set_defaults(fn=cmd_mean_square)
     return ap

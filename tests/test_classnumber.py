@@ -1,6 +1,8 @@
+import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -13,7 +15,7 @@ from dsums.classnumber import (
     upper_bound_simple,
     upper_bound_subfield,
 )
-from dsums.numkernel import divisors, sieve_upto
+from dsums.numkernel import divisors, factorize, is_prime, order_n_element, sieve_upto
 from dsums.unitgroups import (
     characters,
     odd_characters_trivial_on,
@@ -78,14 +80,97 @@ def test_a_wrong_residue_trips_the_integrality_audit(monkeypatch):
             relative_class_number(p, m)
 
 
-def test_index_table_blocks_agree(monkeypatch):
-    # blocks of 1, 7 and 30 odd i at p = 199 (the last one short) against one block;
-    # at (1009, 48) the powers of g come in chunks of 1 and 14 rows (the last one short)
+def test_blocks_agree(monkeypatch):
+    # the l in blocks of 1 lane with the butterfly rows one at a time, then at p = 199 in
+    # blocks of 3 and of 15 lanes (the last one short), against the default; at (1009, 48)
+    # the powers of g come in chunks of 1 and 14 rows (the last one short)
     fields = ((199, 198), (181, 60), (1009, 48))
     want = [relative_class_number(p, m) for p, m in fields]
     for cells in (1, 7 * 99, 30 * 99):
         monkeypatch.setattr(classnumber, "_TABLE_CELLS", cells)
+        monkeypatch.setattr(classnumber, "_LANE_CELLS", cells)
         assert [relative_class_number(p, m) for p, m in fields] == want, cells
+
+
+def _quadratic_product(g, m, ell):
+    """prod over the odd i < m of sum_t g_t w^(it) mod ell, w of order m, one sum at a time."""
+    w = order_n_element(ell, m)
+    pw = np.array([pow(w, k, ell) for k in range(m)], dtype=np.int64)
+    sums = pw[np.outer(np.arange(1, m, 2), np.arange(m // 2)) % m] @ (np.asarray(g) % ell) % ell
+    return math.prod(sums.tolist()) % ell
+
+
+@pytest.mark.parametrize("n", [1, 23, 128, 99, 509, 1001])  # 99 = 3^2 11, 1001 = 7 11 13
+def test_transform_matches_the_quadratic_product(monkeypatch, n):
+    m, rng = 2 * n, np.random.default_rng(n)
+    ells = classnumber._crt_primes(m, 60)  # two or three primes below the int64 ceiling
+    g = rng.integers(-(10**6), 10**6, n)
+    want = [_quadratic_product(g, m, ell) for ell in ells]
+    for cells in (1, 2 * m + 1, 1 << 18):  # 1 lane and 1 row, 2 lanes, all at once
+        monkeypatch.setattr(classnumber, "_LANE_CELLS", cells)
+        assert classnumber._resultant_residues(g, m, ells) == want, cells
+    parts = [(q, q**k) for q, k in factorize(m)]
+    for ell in ells:
+        w = classnumber._root_of_order(m, ell, parts)
+        assert pow(w, m, ell) == 1 and all(pow(w, m // q, ell) != 1 for q, _ in parts), ell
+
+
+def test_crt_primes_are_the_descending_primes():
+    # the sieve windows give the primes l = 1 (mod m) of a plain descent from the ceiling
+    def descent(m, bits):
+        top, ells, mod = math.isqrt((2**63 - 1) // (m // 2)), [], 1
+        for ell in range(top // m * m + 1, m, -m):
+            if mod.bit_length() > bits:
+                break
+            if is_prime(ell):
+                ells.append(ell)
+                mod *= ell
+        return ells if mod.bit_length() > bits else None
+
+    for m, bits in ((2, 300), (4, 1), (198, 1007), (4000, 3000), (30030, 4000)):
+        assert classnumber._crt_primes(m, bits) == descent(m, bits), (m, bits)
+    for m in range(2, 400, 2):  # one prime: 32 of these first windows hold none
+        assert classnumber._crt_primes(m, 1) == descent(m, 1), m
+    assert descent(510510, 2000) is None
+    with pytest.raises(ValueError, match="too few bits"):
+        classnumber._crt_primes(510510, 2000)
+
+
+def test_subfield_class_numbers_divide_the_full_field():
+    # h^-(K) divides h^-(Q(zeta_p)) for each imaginary subfield K, as Q(zeta_p)/K is ramified
+    # at p (Washington, GTM 83, ch. 4)
+    for p in sieve_upto(199).tolist()[2:]:
+        full = relative_class_number(p, p - 1)
+        for m in divisors(p - 1)[:-1]:
+            if (p - 1) // m % 2:
+                assert full % relative_class_number(p, m) == 0, (p, m)
+
+
+def test_kummer_criterion():
+    # p | h^-(Q(zeta_p)) exactly when p is irregular, i.e. divides a B_k with k even,
+    # 2 <= k <= p - 3; for those k, sum_{a<p} a^k = p B_k (mod p^2)
+    irregular = []
+    for p in sieve_upto(199).tolist()[2:]:
+        a2 = np.arange(1, p, dtype=np.int64) ** 2 % p**2
+        power, sums = a2.copy(), []
+        for _ in range(2, p - 2, 2):
+            sums.append(int(power.sum()) % p**2)
+            power = power * a2 % p**2
+        if 0 in sums:
+            irregular.append(p)
+        assert (relative_class_number(p, p - 1) % p == 0) == (0 in sums), p
+    assert irregular == [37, 59, 67, 101, 103, 131, 149, 157]
+
+
+def test_full_fields_are_pinned():
+    # the digit count and sha256 of the decimal h^-(Q(zeta_p)), pinned so that any
+    # change of method has to reproduce these fields digit for digit
+    for p, digits, sha in (
+        (1009, 358, "aa5cc30f460e7b5fb288d1d96ca5638303d4153d9f7e72f7b129957f7c3c85ef"),
+        (2003, 858, "46e7cc3eab117c0f0d2d835417da5e17ffc454fd171bc96a7fc8bded8acf7a90"),
+    ):
+        h = str(relative_class_number(p, p - 1))
+        assert (len(h), hashlib.sha256(h.encode()).hexdigest()) == (digits, sha), p
 
 
 def test_class_number_memory_is_bounded():

@@ -3,6 +3,7 @@ import json
 import math
 import pkgutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -73,8 +74,8 @@ def test_survey_records_and_checkpoint(tmp_path, capsys):
     code, out, _ = run(capsys, "survey", "--n", "9", "--limit", "5000",
                        "--records", rc, "--checkpoint", ck)
     assert code == 0
-    assert open(rc).readline().strip() == "p,n,two_S,N,nonpositive"
-    assert json.load(open(ck))["last_p"] == 5000
+    assert Path(rc).read_text().splitlines()[0] == "p,n,two_S,N,nonpositive"
+    assert json.loads(Path(ck).read_text())["last_p"] == 5000
 
 
 def test_survey_rerun_without_its_records_exits_2(tmp_path, capsys):
@@ -102,8 +103,8 @@ def test_survey_all_odd_takes_the_scan_options(capsys, tmp_path):
         rc, ck = str(tmp_path / f"r{threads}.csv"), str(tmp_path / f"c{threads}.json")
         code, out, _ = run(capsys, "survey", "--all-odd", "--limit", "3000", "--threads", threads,
                            "--records", rc, "--checkpoint", ck)
-        assert code == 0 and json.load(open(ck))["n"] is None
-        outs.append((out, open(rc).read()))
+        assert code == 0 and json.loads(Path(ck).read_text())["n"] is None
+        outs.append((out, Path(rc).read_text()))
     assert outs[0] == outs[1] and json.loads(outs[0][0])["c_prime"] == 2002
 
 
@@ -299,6 +300,19 @@ def test_intexpr_is_exact(text, value):
     (["survey", "--limit", "1e\u0663"], None),
     (["survey", "--limit", "100", "--threads", "\u0661"], None),
     (["survey", "--limit", "100"], "\u0661"),
+    # plain integers take ASCII digits and a sign only: no other digits, "_" or spaces
+    (["dedekind", "\u0661", "\u0669"], None),
+    (["dedekind", "1", "9", "--decimal", "\u0663"], None),
+    (["class-number", "--p", " 2_3"], None),
+    (["class-number", "--p", "13", "--degree", "4 "], None),
+    (["survey", "--n", "\u0669", "--limit", "1e3"], None),
+    (["verify", "--suite", "reciprocity", "--seed", "1_0"], None),
+    (["ef", "--f", "9\u0661"], None),
+    (["mean-square", "--f", "91", "--gen", "\u0669"], None),
+    (["mean-square", "--f", "7", "--order", "\u0663"], None),
+    (["mean-square", "--f", "9", "--kernel", "\u0663"], None),
+    (["mean-square", "--f", "91", "--elements", "1,\u0669,81"], None),
+    (["mean-square", "--f", "91", "--elements", "1, 9, 81"], None),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

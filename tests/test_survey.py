@@ -129,7 +129,7 @@ def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         scan_fixed_n(None, 3000, checkpoint=ck, records=str(rc))
     monkeypatch.setattr(survey, "_save_checkpoint", save)
-    data = json.load(open(ck))
+    data = json.loads(Path(ck).read_text())
     assert data["version"] == 2 and data["n"] is None and data["last_p"] < 3000
     assert resume(ck, records=str(rc)) == full
     assert rc.read_bytes() == full_rc.read_bytes()
@@ -355,7 +355,7 @@ def test_sum_audits_reject_a_wrong_alternating_sum(monkeypatch, delta, audit):
 def test_records_csv(tmp_path):
     path = str(tmp_path / "records.csv")
     rep = scan_fixed_n(9, 3000, records=path)
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == "p,n,two_S,N,nonpositive"
     assert len(lines) == rep.c_prime + 1
     p, n, two_s, big_n, flag = lines[1].split(",")
@@ -460,10 +460,10 @@ def test_resume_refuses_records_its_checkpoint_does_not_vouch_for(tmp_path, monk
     _scan_stopped_at_first_checkpoint(monkeypatch, ck, None if case == "records for a records-less scan" else str(rc))
     if case == "records file missing":
         rc.unlink()
-    saved, rows = open(ck).read(), rc.read_text() if rc.exists() else None
+    saved, rows = Path(ck).read_text(), rc.read_text() if rc.exists() else None
     with pytest.raises(ValueError, match=error):
         resume(ck, records=None if case == "resume without records" else str(rc))
-    assert open(ck).read() == saved and (rc.read_text() if rc.exists() else None) == rows  # nothing written
+    assert Path(ck).read_text() == saved and (rc.read_text() if rc.exists() else None) == rows  # nothing written
     if case == "resume without records":  # the file the checkpoint vouches for completes the scan
         assert resume(ck, records=str(rc)) == scan_fixed_n(9, _MID[0])
         assert len(rc.read_text().splitlines()) == 1 + _MID[1]
@@ -472,7 +472,7 @@ def test_resume_refuses_records_its_checkpoint_does_not_vouch_for(tmp_path, monk
 def test_version_1_checkpoints_append_records(tmp_path, monkeypatch):
     ck, rc = str(tmp_path / "ck.json"), tmp_path / "r.csv"
     _scan_stopped_at_first_checkpoint(monkeypatch, ck, str(rc))
-    data = json.load(open(ck))
+    data = json.loads(Path(ck).read_text())
     del data["records_offset"]
     Path(ck).write_text(json.dumps({**data, "version": 1}))
     assert resume(ck, records=str(rc)) == scan_fixed_n(9, _MID[0])
@@ -482,7 +482,7 @@ def test_version_1_checkpoints_append_records(tmp_path, monkeypatch):
 def test_checkpoint_written_during_scan(tmp_path):
     ck = str(tmp_path / "ck.json")
     scan_fixed_n(9, 20000, checkpoint=ck)
-    data = json.load(open(ck))
+    data = json.loads(Path(ck).read_text())
     assert data["mode"] == "fixed" and data["n"] == 9
     assert data["last_p"] == 20000
     assert os.path.exists(ck) and not os.path.exists(ck + ".tmp")
@@ -600,7 +600,7 @@ def test_segment_plan_tiles_the_range(n, lower, span, workers, data):
 def test_checkpoint_carries_records_offset(tmp_path):
     ck, rc = str(tmp_path / "ck.json"), str(tmp_path / "r.csv")
     scan_fixed_n(9, 5000, checkpoint=ck, records=rc)
-    data = json.load(open(ck))
+    data = json.loads(Path(ck).read_text())
     assert data["version"] == 2 and data["records_offset"] == os.path.getsize(rc)
 
 
@@ -643,7 +643,7 @@ def test_kill_and_resume_keeps_records_consistent(tmp_path, when, threads, n):
     assert json.loads(Path(ck).read_text())["last_p"] < limit  # killed mid-scan
     rep = resume(ck, threads=threads, records=rc)
     assert (rep.c_prime, rep.c_leq0) == (c_prime, c_leq0)
-    lines = open(rc).read().splitlines()
+    lines = Path(rc).read_text().splitlines()
     assert lines[0] == "p,n,two_S,N,nonpositive"
     rows = [ln.split(",") for ln in lines[1:]]
     assert len(rows) == rep.c_prime - ones
