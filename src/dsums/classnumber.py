@@ -11,8 +11,7 @@ the G(w^i) over the odd i are one length-m/2 DFT, taken by a mixed-radix
 transform over the prime factors of m/2. The c_t are summed over chunks of the
 powers of g, in O(m + 2^18) cells for any p < 2^31. The full field takes about
 0.003 s at p = 199, 0.03 s at p = 1009, 0.1 s at p = 2003 and 0.5 s at p = 4001
-on a 2-core x86 VM (1.7 s at p = 2039, where m/2 = 1019 is prime); b1_chi_mp
-stays the oracle.
+on a 2-core x86 VM (1.7 s at p = 2039, where m/2 = 1019 is prime).
 
 The bounds take any imaginary degree m, the full field m = p - 1 and the
 order-3 subfield m = (p-1)/3 among them; bound_chain decides them exactly.
@@ -25,9 +24,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
-from .meansquare import char_value_mp, euler_correction_pi, mean_square_exact
+from .meansquare import euler_correction_pi, mean_square_exact
 from .numkernel import factorize, is_prime, mulmod, power_table, primes_in_progression, totient
 from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
@@ -174,15 +172,15 @@ def relative_class_number(p: int, m: int) -> int:
 
 
 def b1_chi_mp(chi: DirichletCharacter):
-    """Generalized Bernoulli number B_{1,chi} = (1/f) sum_a a*chi(a).
+    """Generalized Bernoulli number B_{1,chi} = (1/f) sum_a a*chi(a), term by term at the
+    caller's mp.workdps precision; the h^- checks of perfbench's lfunctions workload call it."""
+    from mpmath import mp
 
-    Independent oracle for h^- = Q w prod(-B_{1,chi}/2) over odd chi; used
-    by the test-suite at the current mpmath precision.
-    """
-    f = chi.modulus
-    acc = mp.mpc(0)
+    f, acc = chi.modulus, mp.mpc(0)
     for a in range(1, f):
-        acc += a * char_value_mp(chi, a)
+        if math.gcd(a, f) == 1:
+            t = chi.angle(a)
+            acc += a * mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator)
     return acc / f
 
 

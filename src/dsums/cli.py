@@ -48,7 +48,7 @@ def _ints(text: str) -> list[int]:
 
 def _intexpr(text: str) -> int:
     """Accept 100000, 1e5 or 10**5 on the command line, parsed exactly."""
-    m = _INTEXPR.fullmatch(text.strip())
+    m = _INTEXPR.fullmatch(text)
     if m is None:
         raise argparse.ArgumentTypeError(f"want an integer like 100000, 1e5 or 10**5, got {text!r}")
     a, op, k = m.groups()
@@ -58,7 +58,9 @@ def _intexpr(text: str) -> int:
 
 
 def _threads(text: str) -> int:
-    if not (text.strip().isascii() and text.strip().isdigit()) or int(text) < 1:
+    """A positive integer by _int's rule; ValueError, not ArgumentTypeError, so that main
+    reports a bad DSUMS_THREADS as a usage error too."""
+    if _INT.fullmatch(text) is None or int(text) < 1:
         raise ValueError(f"--threads and DSUMS_THREADS need a positive integer, got {text!r}")
     return int(text)
 

@@ -13,9 +13,8 @@ L(1,chi) at once; mean_square_numeric averages |L|^2 over the grid mask of
 X_f^-(H). Measured against mean_square_exact with |H| = 3, the relative error
 is below 1e-15 for prime f = 20011, 99991 and 1000003 and for composite
 f = 9919 and 99463; f = 1000003 takes about 0.5 s and 210 MB on a
-2-core x86 VM. An
-independent digamma-series oracle cross-checks single L-values in the
-test-suite.
+2-core x86 VM. The digamma-series oracle that cross-checks single L-values
+lives in the tests.
 
 The Euler factor Pi(f,H) of the class-number bound is an exact rational:
 X_f^-(H) is Galois-stable, so the primitive values chi*(q) come in full sets
@@ -30,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
 
 from .dedekind import dedekind_sum_parts, tilde_s_one, tilde_sum_numerator
 from .numkernel import divisors, factorize, is_prime, mobius, totient
@@ -38,11 +36,9 @@ from .unitgroups import DirichletCharacter, Subgroup, euler_phase_orders, odd_ch
 
 __all__ = [
     "PiSquared",
-    "char_value_mp",
     "euler_correction_pi",
     "kernel_sum_closed",
     "l_one_numeric",
-    "l_one_series_mp",
     "mean_order_closed",
     "mean_square_closed_h3",
     "mean_square_closed_trivial",
@@ -52,6 +48,24 @@ __all__ = [
     "subgroup_sum_S",
     "subgroup_sum_tilde",
 ]
+
+
+def _machin_pi(digits: int) -> int:
+    """floor(pi * 10^digits) up to a few units, from 16 atan(1/5) - 4 atan(1/239) in integers."""
+    scale = 10 ** (digits + 10)
+
+    def atan_inv(k: int) -> int:
+        total, term, n, sign = 0, scale // k, 1, 1
+        while term:
+            total += sign * (term // n)
+            term, n, sign = term // (k * k), n + 2, -sign
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) // 10**10
+
+
+_PI_DIGITS = 100
+_PI2 = _machin_pi(_PI_DIGITS) ** 2  # pi^2 * 10^200, to a relative 1e-99
 
 
 @dataclass(frozen=True)
@@ -64,10 +78,25 @@ class PiSquared:
         return float(self.coefficient) * math.pi**2
 
     def approx_decimal(self) -> str:
-        """c * pi^2 to 30 significant digits."""
-        with mp.workdps(40):
-            v = mp.mpf(self.coefficient.numerator) / self.coefficient.denominator * mp.pi**2
-            return mp.nstr(v, 30, strip_zeros=False)
+        """c * pi^2 rounded half-even to 30 significant digits, in fixed form for
+        decimal exponents -10 < e < 30 and as d.ddd...e+NN outside them."""
+        num, den = abs(self.coefficient.numerator), self.coefficient.denominator
+        if num == 0:
+            return "0.0"
+        x, y = num * _PI2, den * 10 ** (2 * _PI_DIGITS)  # c pi^2 = x/y, off by a relative 1e-99 at most
+        e = len(str(x)) - len(str(y))  # the decimal exponent of x/y, or one more
+        if x * 10 ** max(0, -e) < y * 10 ** max(0, e):
+            e -= 1
+        y *= 10 ** max(0, e - 29)
+        q, r = divmod(x * 10 ** max(0, 29 - e), y)  # 10^29 <= q < 10^30
+        if 2 * r > y or 2 * r == y and q % 2:
+            q += 1
+        if q == 10**30:
+            q, e = 10**29, e + 1
+        d, split, tail = str(q), 1, f"e{e:+d}"
+        if -10 < e < 30:
+            d, split, tail = "0" * -e + d, max(e, 0) + 1, ""
+        return ("-" if self.coefficient < 0 else "") + d[:split] + "." + d[split:] + tail
 
     def to_json(self) -> dict:
         return {
@@ -203,30 +232,6 @@ def mean_square_numeric(f: int, sub: Subgroup) -> float:
     if sub.modulus != f:
         raise ValueError("subgroup lives mod a different f")
     return float(np.mean(np.abs(_l_table(f)[odd_character_mask(sub)]) ** 2))
-
-
-def char_value_mp(chi: DirichletCharacter, x: int):
-    """chi(x) at current mpmath precision (exact rational phase)."""
-    if math.gcd(x, chi.modulus) != 1:
-        return mp.mpc(0)
-    a = chi.angle(x)
-    return mp.expjpi(2 * mp.mpf(a.numerator) / a.denominator)
-
-
-def l_one_series_mp(chi: DirichletCharacter) -> complex:
-    """Independent slow oracle: L(1,chi) = -(1/f) sum_a chi(a) psi(a/f), at 30 digits.
-
-    The digamma route sums the Dirichlet series by Euler-Maclaurin inside
-    mpmath; it shares no code with the cotangent path.
-    """
-    if not chi.is_odd:
-        raise ValueError("series oracle needs an odd character")
-    f = chi.modulus
-    with mp.workdps(30):
-        acc = mp.mpc(0)
-        for a in unit_group(f).units:
-            acc += char_value_mp(chi, a) * mp.digamma(mp.mpf(a) / f)
-        return complex(-acc / f)
 
 
 def euler_correction_pi(f: int, sub: Subgroup) -> Fraction:

@@ -17,7 +17,6 @@ from dsums.classnumber import (
 )
 from dsums.numkernel import divisors, factorize, is_prime, order_n_element, sieve_upto
 from dsums.unitgroups import (
-    characters,
     odd_characters_trivial_on,
     subgroup_from_elements,
     subgroup_of_order,
@@ -53,17 +52,44 @@ def test_quadratic_fields_match_dirichlet():
         assert relative_class_number(p, 2) == s // (1 if p % 8 == 7 else 3), p
 
 
+def bareiss_det(rows):
+    """det of a square integer matrix by fraction-free (Bareiss) elimination: every
+    quotient is exact, so the entries stay integers with no modulus and no CRT."""
+    a, n, sign, prev = [list(r) for r in rows], len(rows), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        pivot, top = a[k][k], a[k][k + 1 :]
+        for i in range(k + 1, n):
+            lead = a[i][k]
+            a[i][k + 1 :] = [(x * pivot - lead * y) // prev for x, y in zip(a[i][k + 1 :], top)]
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def determinant_class_number(p, m):
+    """h^- = w (-1)^n R / (2p)^n, n = m/2, with R = Res(y^n + 1, sum g_t y^t) the determinant
+    of the negacyclic matrix of the g_t (y^n + 1 is monic, and that matrix multiplies by
+    sum g_t y^t mod y^n + 1); w = 2p for the full field, else 2. Plain ints throughout."""
+    for g in range(2, p):  # the first primitive root: its powers run over all p - 1 units
+        powers = [pow(g, k, p) for k in range(p - 1)]
+        if len(set(powers)) == p - 1:
+            break
+    c, n = [sum(powers[t::m]) for t in range(m)], m // 2
+    gt = [c[t] - c[t + n] for t in range(n)]
+    rows = [[gt[j - i] if j >= i else -gt[j - i + n] for j in range(n)] for i in range(n)]
+    h, rem = divmod((-1) ** n * (2 * p if m == p - 1 else 2) * bareiss_det(rows), (2 * p) ** n)
+    assert rem == 0 and h > 0, (p, m)
+    return h
+
+
 def test_oracle_at_p_211():
-    # beyond the old conductor limit of 200: the resultant against the
-    # Bernoulli product at 30 digits more than h^- has
+    # beyond the old conductor limit of 200: the resultant against its determinant
     for p, m in ((211, 210), (211, 42)):
-        h = relative_class_number(p, m)
-        with mp.workdps(len(str(h)) + 30):
-            prod = mp.mpc(1)
-            for ch in odd_characters_trivial_on(subgroup_of_order((p - 1) // m, p)):
-                prod *= -b1_chi_mp(ch) / 2
-            want = (2 * p if m == p - 1 else 2) * prod
-            assert abs(want - h) < mp.mpf("1e-6"), (p, m)
+        assert relative_class_number(p, m) == determinant_class_number(p, m), (p, m)
 
 
 def test_a_wrong_residue_trips_the_integrality_audit(monkeypatch):
@@ -222,22 +248,32 @@ def test_crt_budget_bits_match_the_exact_power(monkeypatch):
             assert budget.value.args == (((s2 ** (m // 2)).bit_length() + 1) // 2 + 1,), (p, m)
 
 
+def test_determinant_oracle():
+    assert bareiss_det([[7]]) == 7
+    assert bareiss_det([[0, 1], [1, 0]]) == bareiss_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1  # row swaps
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert bareiss_det([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]) == 4
+    # every imaginary subfield with 5 <= p < 100, and larger full fields and subfields
+    fields = [(p, m) for p in sieve_upto(99).tolist()[2:] for m in divisors(p - 1) if (p - 1) // m % 2]
+    fields += [(181, 180), (191, 190), (199, 198), (181, 60), (199, 66)]
+    assert len(fields) == 64
+    for p, m in fields:
+        assert relative_class_number(p, m) == determinant_class_number(p, m), (p, m)
+
+
 def test_bernoulli_oracle():
     # h^- = Q w prod(-B_{1,chi}/2) over the odd characters trivial on the
     # order-(p-1)/m subgroup H, independently; Q = 1, w = 2p for the full
     # field, else 2
-    for p, m in ((7, 6), (23, 22), (181, 180), (191, 190), (199, 198), (181, 60), (199, 66)):
-        h_elements = {pow(x, m, p) for x in range(1, p)}
+    for p, m in ((7, 6), (23, 22), (181, 60)):
         with mp.workdps(60):
             prod = mp.mpc(1)
-            count = 0
-            for ch in characters(p):
-                if ch.is_odd and ch.is_trivial_on(h_elements):
-                    prod *= -b1_chi_mp(ch) / 2
-                    count += 1
-            assert count == m // 2
+            chars = odd_characters_trivial_on(subgroup_of_order((p - 1) // m, p))
+            assert len(chars) == m // 2
+            for ch in chars:
+                prod *= -b1_chi_mp(ch) / 2
             h = (2 * p if m == p - 1 else 2) * prod
-            assert abs(h.imag) < mp.mpf("1e-30") * abs(h)  # h^- reaches 2e32 at p = 199
+            assert abs(h.imag) < mp.mpf("1e-30") * abs(h)
             want = int(mp.nint(h.real))
             assert abs(h.real - want) < mp.mpf("1e-6")
         assert relative_class_number(p, m) == want

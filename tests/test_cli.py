@@ -9,7 +9,7 @@ import pytest
 
 import dsums
 from dsums import cli, eisenstein, meansquare, verify
-from dsums.cli import _intexpr, main
+from dsums.cli import _intexpr, _threads, main
 from dsums.verify import VerifyReport
 
 
@@ -263,6 +263,13 @@ def test_intexpr_is_exact(text, value):
     assert _intexpr(text) == value
 
 
+def test_threads_take_the_integer_rule():
+    assert [_threads(text) for text in ("1", "2", "+2", "012")] == [1, 2, 2, 12]
+    for text in (" 2", "2 ", "2\n", "0", "-1", "2_0", "\u0662", ""):
+        with pytest.raises(ValueError, match="positive integer"):
+            _threads(text)
+
+
 @pytest.mark.parametrize("argv, threads_env", [
     (["survey", "--limit", "10**-1"], None),
     (["survey", "--limit", "1e400"], None),
@@ -313,6 +320,12 @@ def test_intexpr_is_exact(text, value):
     (["mean-square", "--f", "9", "--kernel", "\u0663"], None),
     (["mean-square", "--f", "91", "--elements", "1,\u0669,81"], None),
     (["mean-square", "--f", "91", "--elements", "1, 9, 81"], None),
+    # no spaces around a bound or a thread count either
+    (["survey", "--limit", " 1e3"], None),
+    (["survey", "--limit", "1e3 "], None),
+    (["survey", "--limit", "100", "--threads", " 2"], None),
+    (["survey", "--limit", "100"], " 2"),
+    (["survey", "--limit", "100"], "+0"),
 ])
 def test_bad_input_exits_2_without_traceback(capsys, monkeypatch, tmp_path, argv, threads_env):
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dsums
@@ -34,3 +37,10 @@ def test_no_module_imports_a_name_it_never_uses():
     # the package's own imports are its exports, so __init__ is left out
     found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names and name != "__init__.py"} == {}
+
+
+def test_the_cli_imports_without_mpmath():
+    # numpy is the only runtime dependency: mpmath serves the tests and perfbench's checks
+    code = "import sys, dsums.cli; assert 'mpmath' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True,
+                   timeout=60)

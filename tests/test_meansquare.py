@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from mpmath import mp
 
 from dsums import meansquare
 from dsums.meansquare import (
@@ -12,7 +13,6 @@ from dsums.meansquare import (
     euler_correction_pi,
     kernel_sum_closed,
     l_one_numeric,
-    l_one_series_mp,
     mean_order_closed,
     mean_square_closed_h3,
     mean_square_closed_trivial,
@@ -27,12 +27,14 @@ from dsums.eisenstein import order3_subgroups_from_ef
 from dsums.numkernel import divisors, factorize
 from dsums.unitgroups import (
     characters,
+    cyclic_subgroups,
     elements_of_order,
     kernel_subgroup,
     odd_characters_trivial_on,
     subgroup_from_elements,
     subgroup_from_generator,
     subgroup_of_order,
+    unit_group,
 )
 from dsums.verify import cross_check_pairs, trivial_subgroup
 
@@ -164,6 +166,19 @@ def test_l_one_rejects_even():
         l_one_numeric(even)
 
 
+def l_one_series_mp(chi):
+    """L(1,chi) = -(1/f) sum_a chi(a) psi(a/f) at 30 digits: the digamma route sums the
+    Dirichlet series by Euler-Maclaurin inside mpmath and shares no code with the
+    cotangent path."""
+    f = chi.modulus
+    with mp.workdps(30):
+        acc = mp.mpc(0)
+        for a in unit_group(f).units:
+            t = chi.angle(a)
+            acc += mp.expjpi(2 * mp.mpf(t.numerator) / t.denominator) * mp.digamma(mp.mpf(a) / f)
+        return complex(-acc / f)
+
+
 def test_l_one_against_series_oracle():
     # >= 10 cases spanning prime, prime power and composite moduli
     cases = []
@@ -249,3 +264,38 @@ def test_pisquared_rendering():
     assert len(blob["approx_decimal"].replace(".", "").lstrip("0")) >= 30
     json.dumps(blob)  # serializable
     assert abs(float(ms) - math.pi**2 / 7) < 1e-14
+
+
+def mp_decimal(c):
+    """c pi^2 at 40 digits, printed by mp.nstr to 30 significant digits."""
+    with mp.workdps(40):
+        return mp.nstr(mp.mpf(c.numerator) / c.denominator * mp.pi**2, 30, strip_zeros=False)
+
+
+def test_approx_decimal_matches_mpmath():
+    # every distinct M(f,H)/pi^2 over the cyclic H without -1, f < 200
+    coefs = {mean_square_exact(f, sub).coefficient
+             for f in range(3, 200) for sub in cyclic_subgroups(f) if not sub.contains_minus_one}
+    assert len(coefs) == 1169
+    for c in coefs:
+        assert PiSquared(c).approx_decimal() == mp_decimal(c), c
+    # the fixed form holds for decimal exponents -10 < e < 30, including a rounding that
+    # carries into a new leading digit
+    cases = {
+        Fraction(0): "0.0",
+        Fraction(-1, 6): "-1.64493406684822643647241516665",
+        Fraction(1, 10**9): "0.00000000986960440108935861883449099988",
+        Fraction(1, 10**20): "9.86960440108935861883449099988e-20",
+        Fraction(10**28): "98696044010893586188344909998.8",
+        Fraction(10**29): "986960440108935861883449099988.",
+        Fraction(10**40): "9.86960440108935861883449099988e+40",
+    }
+    for c, want in cases.items():
+        assert PiSquared(c).approx_decimal() == want == mp_decimal(c), c
+    with mp.workdps(80):
+        just_below_ten = Fraction(int(mp.floor(10**61 / mp.pi**2)), 10**60)  # c pi^2 = 9.99...9 (59 nines)
+    assert PiSquared(just_below_ten).approx_decimal() == "10.0000000000000000000000000000"
+    edges = [k * Fraction(10) ** j for k in (1, 3, 7, 11) for j in range(-35, 16)]
+    edges += [just_below_ten * Fraction(10) ** j for j in range(-12, 31)] + [Fraction(-(3**500), 7**300)]
+    for c in edges:
+        assert PiSquared(c).approx_decimal() == mp_decimal(c), c
