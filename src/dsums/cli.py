@@ -58,10 +58,10 @@ def _intexpr(text: str) -> int:
 
 
 def _threads(text: str) -> int:
-    """A positive integer by _int's rule; ValueError, not ArgumentTypeError, so that main
-    reports a bad DSUMS_THREADS as a usage error too."""
+    """A positive integer by _int's rule. argparse prints the message for --threads, and
+    main for DSUMS_THREADS."""
     if _INT.fullmatch(text) is None or int(text) < 1:
-        raise ValueError(f"--threads and DSUMS_THREADS need a positive integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--threads and DSUMS_THREADS need a positive integer, got {text!r}")
     return int(text)
 
 
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         if getattr(args, "threads", 1) is None:  # survey or tables without --threads
             args.threads = _threads(os.environ.get("DSUMS_THREADS", "1"))
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

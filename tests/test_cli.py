@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -266,8 +267,28 @@ def test_intexpr_is_exact(text, value):
 def test_threads_take_the_integer_rule():
     assert [_threads(text) for text in ("1", "2", "+2", "012")] == [1, 2, 2, 12]
     for text in (" 2", "2 ", "2\n", "0", "-1", "2_0", "\u0662", ""):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(argparse.ArgumentTypeError, match="positive integer"):
             _threads(text)
+
+
+_THREADS_RULE = "--threads and DSUMS_THREADS need a positive integer, got"
+
+
+@pytest.mark.parametrize("argv, threads_env, tail", [
+    (["--threads", "0"], None, f"dsums survey: error: argument --threads: {_THREADS_RULE} '0'\n"),
+    (["--threads", " 2"], None, f"dsums survey: error: argument --threads: {_THREADS_RULE} ' 2'\n"),
+    ([], "0", f"error: {_THREADS_RULE} '0'\n"),  # the whole stderr
+])
+def test_a_bad_thread_count_names_the_rule(capsys, monkeypatch, argv, threads_env, tail):
+    monkeypatch.delenv("DSUMS_THREADS", raising=False)
+    if threads_env is not None:
+        monkeypatch.setenv("DSUMS_THREADS", threads_env)
+    try:
+        code = main(["survey", "--n", "9", "--limit", "1e3", *argv])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and (err.endswith(tail) if argv else err == tail)
 
 
 @pytest.mark.parametrize("argv, threads_env", [
