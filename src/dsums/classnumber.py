@@ -19,14 +19,13 @@ order-3 subfield m = (p-1)/3 among them; bound_chain decides them exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .meansquare import euler_correction_pi, mean_square_exact
-from .numkernel import factorize, is_prime, mulmod, power_table, primes_in_progression, totient
+from .numkernel import factorize, is_prime, mulmod, order_n_element, power_table, primes_in_progression, totient
 from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
 
 _TABLE_CELLS = 1 << 18  # int64 cells in a chunk of powers of g
 _LANE_CELLS = 1 << 15  # int64 cells in a block of lanes' powers of w or of gathered butterfly rows
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the first tries for a q-th non-power mod l
 
 
 def _roots_of_unity(p: int, m: int) -> int:
@@ -83,40 +81,21 @@ def _power_bits(s2: int, n: int) -> int:
     return math.floor(x) + 1 if abs(x - round(x)) > 2**-10 else (s2**n).bit_length()
 
 
-def _root_of_order(m: int, ell: int, parts: list[tuple[int, int]]) -> int:
-    """An element of order m mod the prime ell = 1 (mod m), parts the prime powers
-    q^k of m: the product over q of x^((ell-1)/q^k), which has order q^k for the
-    first x that is no q-th power mod ell. The x are the primes to 37 first (below
-    the first such prime, every x is a product of q-th powers), then all x < ell.
-    Each x^((ell-1)/m) is raised once, and the q-parts are its small powers."""
-    e, w, ys = (ell - 1) // m, 1, {}
-    for q, qk in parts:
-        for x in itertools.chain(_BASES, range(_BASES[-1] + 1, ell)):  # ell has q-th non-powers below it
-            if x not in ys:
-                ys[x] = pow(x, e, ell)
-            u = pow(ys[x], m // qk, ell)
-            if (u if qk == q else pow(u, qk // q, ell)) != 1:
-                w = w * u % ell
-                break
-    return w
-
-
 def _resultant_residues(g: np.ndarray, m: int, ells: list[int]) -> list[int]:
     """Res(y^(m/2) + 1, sum g_t y^t) mod each l as prod G(w^i) over the odd i < m,
-    w of order m mod l. With zeta = w^2 and a_t = g_t w^t, G(w^(2j+1)) = sum_t a_t zeta^(jt)
+    w = order_n_element(l, m). With zeta = w^2 and a_t = g_t w^t, G(w^(2j+1)) = sum_t a_t zeta^(jt)
     is a length-n DFT, n = m/2, taken by mixed-radix Cooley-Tukey over the prime factors
     r of n: each stage is an r-point butterfly, one matrix product per lane with sums of
     r <= n products below 2^63, then twiddles. Only the product of the n outputs is
     needed, so they stay in digit-reversed order. The l go in blocks of int64 lanes, and
     the butterfly rows in blocks, so that no temporary passes max(_LANE_CELLS, m) cells."""
     n = m // 2
-    parts = [(q, q**k) for q, k in factorize(m)]
     radices = [r for r, k in factorize(n) for _ in range(k)]
     res, step = [], max(1, _LANE_CELLS // m)
     for block in (ells[i : i + step] for i in range(0, len(ells), step)):
         lanes = len(block)
         ell = np.array(block, dtype=np.int64)[:, None]
-        w = np.array([_root_of_order(m, l, parts) for l in block], dtype=np.int64)
+        w = np.array([order_n_element(l, m) for l in block], dtype=np.int64)
         pw = power_table(w, m, ell[:, 0]).T.copy()  # pw[l, k] = w^k mod l
         x = mulmod(g % ell, pw[:, :n], ell)
         size = n  # x holds n/size transforms of length size, each stored t = t1*s + t2

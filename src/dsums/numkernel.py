@@ -169,20 +169,26 @@ def divisors(n: int) -> tuple[int, ...]:
 
 
 def order_n_element(p: int, n: int) -> int:
-    """A generator of the unique order-n subgroup of (Z/pZ)*, p prime, n | p-1:
-    1 for n = 1, else the first h = x^((p-1)/n), x = 2, 3, ..., whose order
-    passes the test against the primes dividing n (p-1 is never factored)."""
+    """A generator of the unique order-n subgroup of (Z/pZ)*, p prime, n | p-1: the
+    product over the prime powers q^k || n of x_q^((p-1)/q^k), which has order q^k,
+    x_q the least prime that is no q-th power mod p (x_q^((p-1)/q) != 1). The least
+    q-th non-power is prime, since a product of q-th powers is one, so for n = q^k this
+    is the first x^((p-1)/n), x = 2, 3, ..., of order n. 1 for n = 1; p - 1 is never
+    factored."""
     if n < 1 or (p - 1) % n:
         raise ValueError(f"{n} does not divide {p} - 1")
-    if n == 1:
-        return 1
-    qs = [q for q, _ in factorize(n)]
-    e = (p - 1) // n
-    for x in range(2, p):
-        h = pow(x, e, p)
-        if all(pow(h, n // q, p) != 1 for q in qs):
-            return h
-    raise ValueError(f"no element of order {n} mod {p}")
+    e, h, ys = (p - 1) // n, 1, {}  # ys: x -> x^e, raised once for all the q
+    for q, k in factorize(n):
+        for x in filter(is_prime, range(2, p)):
+            if x not in ys:
+                ys[x] = pow(x, e, p)
+            u = pow(ys[x], n // q**k, p)  # x^((p-1)/q^k)
+            if pow(u, q ** (k - 1), p) != 1:  # x^((p-1)/q)
+                h = h * u % p
+                break
+        else:
+            raise ValueError(f"no element of order {n} mod {p}")
+    return h
 
 
 # (p - 1)^2 < 2^63 for every p <= _PLAIN_CUT, so below it a*b % p is exact in int64
@@ -249,15 +255,19 @@ def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
 def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50.
 
-    Each bit of e, from the top, costs one square and, where the bit is set,
-    a multiply by x, both with the product mulmod picks for the largest p.
+    The top bit of the largest e sets r to x or 1 with no product; each lower
+    bit costs one square and, where the bit is set, a multiply by x, both with
+    the product mulmod picks for the largest p. So e = 1 costs no product.
     When x is a plain int below 2^13 the multiply is r*x % p, exact in int64
     for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63).
     """
     mul = _product(p)
     small = isinstance(x, int) and x < 1 << 13
+    top = int(np.max(e, initial=0)).bit_length() - 1
     r = np.ones_like(p)
-    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
+    if top >= 0:
+        r = np.where((e >> top) & 1 == 1, x, r)
+    for bit in reversed(range(top)):
         r = mul(r, r, p)
         r = np.where((e >> bit) & 1 == 1, r * x % p if small else mul(r, x, p), r)
     return r

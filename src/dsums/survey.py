@@ -1,10 +1,12 @@
 """Prime scans for the sign of N(H_n,p) = 12*S(H_n,p) - p.
 
 For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
-(Z/pZ)* from its generator h0 (the first power x^((p-1)/n), x = 2, 3, ...,
-of exact order n) and records the exact integers 2S and N. No float or
-fraction enters the N <= 0 decision. The all-odd scan (n = None) takes the
-pairs (p, n) for every odd n | p - 1, one batch per n, in the same driver.
+(Z/pZ)* from its generator h0 = order_n_element(p, n) (the product over the
+prime powers q^k || n of x_q^((p-1)/q^k), x_q the least prime that is no q-th
+power mod p) and records the exact integers 2S and N; both depend on H_n
+alone, not on which generator it has. No float or fraction enters the N <= 0
+decision. The all-odd scan (n = None) takes the pairs (p, n) for every odd
+n | p - 1, one batch per n, in the same driver.
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
@@ -12,14 +14,14 @@ H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
 A scan takes a sieve segment's pairs as one int64 array and keeps every
 step on lanes, one lane per pair or per (p, h0^j). The generator search
-tries x = 2, 3, ... in turn, and only the lanes whose x fails the order test
-try x + 1: a prime x runs a left-to-right ladder (one exact square per
-exponent bit and a plain int64 multiply by x), a composite x multiplies two
-stored powers of smaller x, and the last few open lanes finish in Python
-ints. Then n - 2 products, in about log2(n) doubling steps, give the power
-table h0^1, ..., h0^(n-1); one Euclid runs over every (p, h0^j) with
-j <= (n-1)/2; the column sums give k and 12*S; and the segment's CSV rows
-are formatted from the result columns.
+makes one pass per prime power q^k || n and tries the primes x = 2, 3, 5, ...
+in turn: only the lanes where x is a q-th power try the next x, each x runs a
+left-to-right ladder (one exact square per exponent bit and a plain int64
+multiply by x), and the last few open lanes finish in Python ints. Then
+n - 2 products, in about log2(n) doubling steps, give the power table h0^1,
+..., h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
+column sums give k and 12*S; and the segment's CSV rows are formatted from
+the result columns.
 
 Products mod p are numkernel's, exact for p < 2^50: the plain a*b % p while
 every p of the call is at most 3037000500, else a float quotient corrected
@@ -45,6 +47,7 @@ the scans skip primality tests.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -56,7 +59,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkernel import divisors, factorize, mulmod, power_table, powmod_lanes, primes_in_progression, totient
+from .numkernel import (
+    divisors,
+    factorize,
+    is_prime,
+    mulmod,
+    order_n_element,
+    power_table,
+    powmod_lanes,
+    primes_in_progression,
+    totient,
+)
 
 __all__ = [
     "DensityReport",
@@ -161,46 +174,36 @@ def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     """order_n_element(p, n) on every lane of the int64 primes p; n > 1 is one
     order for all lanes or an int64 array of orders, with n | p - 1 per lane.
 
-    All lanes try h = x^((p-1)/n) with x = 2 first; only the lanes whose h
-    fails the order test (h^(n/q) = 1 for a prime q | n) go on to x + 1. Only
-    a prime x runs a ladder (powmod_lanes: one mulmod per exponent bit and an
-    int64 multiply by x). A composite x = q*y, q its least prime, takes
-    x^e = q^e * y^e, one mulmod of two stored powers: q and y are below x, so
-    every lane still open at x has tried both. Once at most _SCALAR_TAIL lanes
-    are open they go on from the same x in Python ints, with the same order
-    of candidates, so every lane gets the same h0 as order_n_element."""
+    One pass per prime power q^k || n, the r-th pass taking each lane's r-th
+    one (none where its n has fewer primes): all lanes try u = x^((p-1)/q^k)
+    with x = 2 first, and only the lanes where u^(q^(k-1)) = x^((p-1)/q) is 1
+    go on to the next prime x. Each x runs one ladder (powmod_lanes: one
+    mulmod per exponent bit and an int64 multiply by x); a lane multiplies its
+    winning u into h0. Once at most _SCALAR_TAIL lanes of a pass are open,
+    those lanes take order_n_element in Python ints and leave the later passes."""
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
-    # the order test's exponents n/q for the primes q | n, one row each; a lane
-    # with fewer primes than the widest repeats its first exponent
+    # (q^k, q^(k-1)) for the prime powers q^k || n, one row each; a lane with fewer
+    # primes than the widest has (1, 1) in the rest
     values, index = np.unique(n, return_inverse=True)
-    exps = [[v // q for q, _ in factorize(v)] for v in values.tolist()]
-    width = max(map(len, exps), default=1)
-    table = np.array([f + f[:1] * (width - len(f)) for f in exps], dtype=np.int64).reshape(len(values), width)
-    tests = table[index.ravel()].T
-    e = (p - 1) // n
-    h0 = np.empty_like(p)
-    todo = np.arange(len(p))
-    powers = {}  # x -> x^e, full length; read only on lanes that have tried x
-    x = 2
-    while len(todo) > _SCALAR_TAIL:
-        pt = p[todo]
-        q = factorize(x)[0][0]
-        h = powmod_lanes(x, e[todo], pt) if q == x else mulmod(powers[q][todo], powers[x // q][todo], pt)
-        powers[x] = np.empty_like(p)
-        powers[x][todo] = h
-        ok = np.ones(len(todo), dtype=bool)
-        for row in tests:
-            ok &= powmod_lanes(h, row[todo], pt) != 1
-        h0[todo[ok]] = h[ok]
-        todo = todo[~ok]
-        x += 1
-    for i, pi, ei, ks in zip(todo.tolist(), p[todo].tolist(), e[todo].tolist(), tests[:, todo].T.tolist()):
-        y = x
-        h = pow(y, ei, pi)
-        while any(pow(h, k, pi) == 1 for k in ks):
-            y += 1
-            h = pow(y, ei, pi)
-        h0[i] = h
+    parts = [[(q**k, q ** (k - 1)) for q, k in factorize(v)] for v in values.tolist()]
+    width = max(map(len, parts), default=1)
+    table = np.array([f + [(1, 1)] * (width - len(f)) for f in parts], dtype=np.int64).reshape(len(values), width, 2)
+    h0 = np.ones_like(p)
+    tail = np.zeros(len(p), dtype=bool)
+    for qk, test in table[index.ravel()].transpose(1, 2, 0):
+        e = (p - 1) // qk
+        todo = np.flatnonzero((qk > 1) & ~tail)
+        bases = filter(is_prime, itertools.count(2))
+        while len(todo) > _SCALAR_TAIL:
+            pt = p[todo]
+            u = powmod_lanes(next(bases), e[todo], pt)
+            ok = powmod_lanes(u, test[todo], pt) != 1
+            won = todo[ok]
+            h0[won] = mulmod(h0[won], u[ok], pt[ok])
+            todo = todo[~ok]
+        tail[todo] = True
+    for i in np.flatnonzero(tail).tolist():
+        h0[i] = order_n_element(int(p[i]), int(n[i]))
     return h0
 
 

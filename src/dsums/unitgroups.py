@@ -231,7 +231,7 @@ def subgroup_from_elements(f: int, elements, generators: tuple[int, ...] = ()) -
 def subgroup_of_order(n: int, p: int) -> Subgroup:
     """The unique order-n subgroup of the cyclic group (Z/pZ)*, p odd prime.
 
-    Generated by the first power x^((p-1)/n) of exact order n.
+    Generated by order_n_element(p, n); the subgroup does not depend on the generator.
     """
     if p < 3 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")

@@ -135,10 +135,9 @@ def test_transform_matches_the_quadratic_product(monkeypatch, n):
     for cells in (1, 2 * m + 1, 1 << 18):  # 1 lane and 1 row, 2 lanes, all at once
         monkeypatch.setattr(classnumber, "_LANE_CELLS", cells)
         assert classnumber._resultant_residues(g, m, ells) == want, cells
-    parts = [(q, q**k) for q, k in factorize(m)]
     for ell in ells:
-        w = classnumber._root_of_order(m, ell, parts)
-        assert pow(w, m, ell) == 1 and all(pow(w, m // q, ell) != 1 for q, _ in parts), ell
+        w = order_n_element(ell, m)
+        assert pow(w, m, ell) == 1 and all(pow(w, m // q, ell) != 1 for q, _ in factorize(m)), ell
 
 
 def test_crt_primes_are_the_descending_primes():

@@ -278,7 +278,7 @@ _THREADS_RULE = "--threads and DSUMS_THREADS need a positive integer, got"
     (["--threads", "0"], None, f"dsums survey: error: argument --threads: {_THREADS_RULE} '0'\n"),
     (["--threads", " 2"], None, f"dsums survey: error: argument --threads: {_THREADS_RULE} ' 2'\n"),
     ([], "0", f"error: {_THREADS_RULE} '0'\n"),  # the whole stderr
-])
+], ids=["flag-0", "flag-space-2", "env-0"])
 def test_a_bad_thread_count_names_the_rule(capsys, monkeypatch, argv, threads_env, tail):
     monkeypatch.delenv("DSUMS_THREADS", raising=False)
     if threads_env is not None:

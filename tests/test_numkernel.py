@@ -85,17 +85,39 @@ def test_is_prime_above_64_bits():
     assert not is_prime(m89 - 2)
 
 
-def test_order_n_element_matches_the_search_from_one():
-    def search_from_one(p, n):  # the search as it was, with x = 1 first
+def test_ladder_exponents_of_one_bit():
+    # exponents of at most one bit start the ladder at x or 1 and take no product
+    p = np.array([7, 3037000507, (1 << 50) - 27], dtype=np.int64)
+    x = np.array([3, 5, (1 << 50) - 28], dtype=np.int64)
+    for e in ([0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1]):
+        want = [pow(int(a), k, int(q)) for a, k, q in zip(x, e, p)]
+        assert powmod_lanes(x, np.array(e, dtype=np.int64), p).tolist() == want, e
+        assert powmod_lanes(2, np.array(e, dtype=np.int64), p).tolist() == [pow(2, k, int(q)) for k, q in zip(e, p)], e
+
+
+def test_order_n_element_is_the_product_of_the_least_non_powers():
+    def first_x(p, n):  # the first x^((p-1)/n), x = 1, 2, ..., of order n
         qs = [q for q, _ in factorize(n)]
         for x in range(1, p):
             h = pow(x, (p - 1) // n, p)
             if all(pow(h, n // q, p) != 1 for q in qs):
                 return h
 
+    def by_definition(p, n):  # prod over q^k || n of x_q^((p-1)/q^k), x_q the least q-th non-power
+        h = 1
+        for q, k in factorize(n):
+            x = next(x for x in range(2, p) if pow(x, (p - 1) // q, p) != 1)
+            assert is_prime(x), (p, q, x)
+            h = h * pow(x, (p - 1) // q**k, p) % p
+        return h
+
     for p in sieve_upto(2000).tolist():
         for n in divisors(p - 1):
-            assert order_n_element(p, n) == search_from_one(p, n), (p, n)
+            h = order_n_element(p, n)
+            assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
+            assert h == by_definition(p, n), (p, n)
+            if len(factorize(n)) <= 1:
+                assert h == first_x(p, n), (p, n)
 
 
 # the int64 product is plain a*b % p up to 3037000500, where (p-1)^2 < 2^63 still holds

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import signal
 import subprocess
@@ -185,14 +186,13 @@ def test_generators_near_2_50_and_with_a_late_x():
         assert survey._generators(n, np.array(ps, dtype=np.int64)).tolist() == h0, n
 
 
-def _winning_x(p: int, n: int) -> int:
-    """The x whose x^((p-1)/n) order_n_element returns, by Python ints."""
-    e, qs = (p - 1) // n, [q for q, _ in factorize(n)]
-    return next(x for x in range(2, p) if all(pow(pow(x, e, p), n // q, p) != 1 for q in qs))
+def _least_non_power(p: int, q: int) -> int:
+    """The least x >= 2 that is no q-th power mod p, by Python ints."""
+    return next(x for x in range(2, p) if pow(x, (p - 1) // q, p) != 1)
 
 
 # Several hundred lanes or more per case, on each side of the plain-product cut
-# (3037000500), so the ladders, the composite products and the scalar tail all run.
+# (3037000500), so the ladders of every pass and the scalar tail all run.
 @pytest.mark.parametrize("lower", [10**9, 10**10])
 @pytest.mark.parametrize("n, span", [(9, 200_000), (15, 200_000), (21, 200_000), (105, 600_000)])
 def test_generators_on_many_lanes(lower, n, span, monkeypatch):
@@ -201,17 +201,16 @@ def test_generators_on_many_lanes(lower, n, span, monkeypatch):
     assert len(ps) >= 400
     for p, h in zip(ps.tolist(), want):
         assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
-    got = survey._generators(n, ps).tolist()
-    assert got == want
-    wins = [_winning_x(p, n) for p in ps.tolist()]
-    # the scalar tail takes over at the first x with at most _SCALAR_TAIL lanes open
+    assert survey._generators(n, ps).tolist() == want
+    # each part's base is prime and the least q-th non-power, and h0 is the product of its powers
+    bases = {q: [_least_non_power(p, q) for p in ps.tolist()] for q, _ in factorize(n)}
+    assert all(is_prime(x) for xs in bases.values() for x in xs)
+    assert want == [math.prod(pow(bases[q][i], (p - 1) // q**k, p) for q, k in factorize(n)) % p
+                    for i, p in enumerate(ps.tolist())]
+    # the scalar tail takes over the first pass at the first x with at most _SCALAR_TAIL lanes open
+    wins = bases[factorize(n)[0][0]]
     tail_x = next(x for x in range(2, max(wins) + 2) if sum(w >= x for w in wins) <= survey._SCALAR_TAIL)
     assert any(w >= tail_x for w in wins)
-    # a composite x wins only where n has two primes, e.g. 6 = 2*3 for n = 15 when
-    # 2^e has order 3 and 3^e order 5; for n = 9 it fails where its factors failed
-    assert any(not is_prime(w) for w in wins) == (len(factorize(n)) > 1)
-    if n == 15:
-        assert 6 in wins and all(h == pow(6, (p - 1) // 15, p) for p, h, w in zip(ps.tolist(), got, wins) if w == 6)
     # every lane through the numpy search alone, and every lane through the scalar tail alone
     for tail in (0, len(ps)):
         monkeypatch.setattr(survey, "_SCALAR_TAIL", tail)
@@ -231,9 +230,9 @@ def test_all_odd_generators_on_many_lanes(lower, monkeypatch):
 
 
 def test_generator_search_ladders_only_prime_bases(monkeypatch):
-    # one segment of the 1e10 survey window: a full-length ladder x^((p-1)/9) runs
-    # only for a prime int x, each x once and in order, on more lanes than the
-    # scalar tail takes; the other ladders are the order test's h^3
+    # one segment of the 1e10 survey window, n = 9 and 15: in the pass of each q^k || n a
+    # full-length ladder x^((p-1)/q^k) runs only for a prime int x, each x once and in order,
+    # on more lanes than the scalar tail takes; the other ladders are the order test's u^(q^(k-1))
     calls = []
 
     def spy(x, e, p):
@@ -241,15 +240,20 @@ def test_generator_search_ladders_only_prime_bases(monkeypatch):
         return powmod_lanes(x, e, p)
 
     monkeypatch.setattr(survey, "powmod_lanes", spy)
-    ps = primes_in_progression(10**10, 125_000 - 1, 18, 1)
-    assert survey._generators(9, ps).tolist() == [order_n_element(p, 9) for p in ps.tolist()]
-    ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // 9)]
-    assert all(np.array_equal(e, np.full_like(p, 3)) for x, e, p in calls if not np.array_equal(e, (p - 1) // 9))
-    bases = [x for x, _ in ladders]
-    assert all(isinstance(x, int) and is_prime(x) for x in bases), bases
-    assert bases == sorted(set(bases)) and bases[:2] == [2, 3]
-    # the last few open lanes go on in Python ints, with no ladder
-    assert all(lanes > survey._SCALAR_TAIL for _, lanes in ladders), ladders
+    for n in (9, 15):
+        calls.clear()
+        ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
+        assert survey._generators(n, ps).tolist() == [order_n_element(p, n) for p in ps.tolist()]
+        exps = {q ** (k - 1) for q, k in factorize(n)}  # {3} for n = 9, {1} for n = 15
+        tests = [e for _, e, p in calls if not any(np.array_equal(e, (p - 1) // q**k) for q, k in factorize(n))]
+        assert tests and all(set(e.tolist()) <= exps for e in tests), n
+        for q, k in factorize(n):
+            ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // q**k)]
+            bases = [x for x, _ in ladders]
+            assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
+            assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
+            # the last few open lanes go on in Python ints, with no ladder
+            assert all(lanes > survey._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
 
 
 def test_ladder_multiplies_a_large_x_through_mulmod():
