@@ -12,6 +12,7 @@ CLI and reports rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -179,7 +180,7 @@ def order_n_element(p: int, n: int) -> int:
         raise ValueError(f"{n} does not divide {p} - 1")
     e, h, ys = (p - 1) // n, 1, {}  # ys: x -> x^e, raised once for all the q
     for q, k in factorize(n):
-        for x in filter(is_prime, range(2, p)):
+        for x in itertools.chain(_trial_primes(), filter(is_prime, range(_TRIAL_LIMIT + 1, p))):
             if x not in ys:
                 ys[x] = pow(x, e, p)
             u = pow(ys[x], n // q**k, p)  # x^((p-1)/q^k)
@@ -255,19 +256,15 @@ def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
 def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50.
 
-    The top bit of the largest e sets r to x or 1 with no product; each lower
-    bit costs one square and, where the bit is set, a multiply by x, both with
-    the product mulmod picks for the largest p. So e = 1 costs no product.
+    Each bit of e, from the top, costs one square and, where the bit is set,
+    a multiply by x, both with the product mulmod picks for the largest p.
     When x is a plain int below 2^13 the multiply is r*x % p, exact in int64
     for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63).
     """
     mul = _product(p)
     small = isinstance(x, int) and x < 1 << 13
-    top = int(np.max(e, initial=0)).bit_length() - 1
     r = np.ones_like(p)
-    if top >= 0:
-        r = np.where((e >> top) & 1 == 1, x, r)
-    for bit in reversed(range(top)):
+    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
         r = mul(r, r, p)
         r = np.where((e >> bit) & 1 == 1, r * x % p if small else mul(r, x, p), r)
     return r

@@ -14,10 +14,11 @@ H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
 A scan takes a sieve segment's pairs as one int64 array and keeps every
 step on lanes, one lane per pair or per (p, h0^j). The generator search
-makes one pass per prime power q^k || n and tries the primes x = 2, 3, 5, ...
-in turn: only the lanes where x is a q-th power try the next x, each x runs a
-left-to-right ladder (one exact square per exponent bit and a plain int64
-multiply by x), and the last few open lanes finish in Python ints. Then
+tries the primes x = 2, 3, 5, ... in turn on the lanes with a prime power
+q^k || n still open: each x runs one left-to-right ladder x^((p-1)/n) (one
+exact square per exponent bit and a plain int64 multiply by x), whose small
+powers close each q^k for which x is no q-th power, and the last few open
+lanes finish in Python ints. Then
 n - 2 products, in about log2(n) doubling steps, give the power table h0^1,
 ..., h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
 column sums give k and 12*S; and the segment's CSV rows are formatted from
@@ -174,35 +175,39 @@ def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
     """order_n_element(p, n) on every lane of the int64 primes p; n > 1 is one
     order for all lanes or an int64 array of orders, with n | p - 1 per lane.
 
-    One pass per prime power q^k || n, the r-th pass taking each lane's r-th
-    one (none where its n has fewer primes): all lanes try u = x^((p-1)/q^k)
-    with x = 2 first, and only the lanes where u^(q^(k-1)) = x^((p-1)/q) is 1
-    go on to the next prime x. Each x runs one ladder (powmod_lanes: one
-    mulmod per exponent bit and an int64 multiply by x); a lane multiplies its
-    winning u into h0. Once at most _SCALAR_TAIL lanes of a pass are open,
-    those lanes take order_n_element in Python ints and leave the later passes."""
+    The bases x are the primes 2, 3, 5, ... in turn, each tried only on the
+    lanes with a prime power q^k || n still open. Each x runs one ladder
+    y = x^((p-1)/n) (powmod_lanes: one mulmod per exponent bit and an int64
+    multiply by x); then one pass per row of prime powers (the r-th row holds
+    each lane's r-th q^k) takes u = y^(n/q^k) = x^((p-1)/q^k) on the lanes
+    where q^k is open, and closes q^k with u where u^(q^(k-1)) = x^((p-1)/q)
+    is not 1. h0 is the product of the u. Once at most _SCALAR_TAIL lanes are
+    open they take order_n_element in Python ints."""
     n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
-    # (q^k, q^(k-1)) for the prime powers q^k || n, one row each; a lane with fewer
-    # primes than the widest has (1, 1) in the rest
+    # (n/q^k, q^(k-1)) for the prime powers q^k || n, one row each; a lane with fewer
+    # primes than the widest has (0, 0) in the rest
     values, index = np.unique(n, return_inverse=True)
-    parts = [[(q**k, q ** (k - 1)) for q, k in factorize(v)] for v in values.tolist()]
+    parts = [[(v // q**k, q ** (k - 1)) for q, k in factorize(v)] for v in values.tolist()]
     width = max(map(len, parts), default=1)
-    table = np.array([f + [(1, 1)] * (width - len(f)) for f in parts], dtype=np.int64).reshape(len(values), width, 2)
-    h0 = np.ones_like(p)
-    tail = np.zeros(len(p), dtype=bool)
-    for qk, test in table[index.ravel()].transpose(1, 2, 0):
-        e = (p - 1) // qk
-        todo = np.flatnonzero((qk > 1) & ~tail)
-        bases = filter(is_prime, itertools.count(2))
-        while len(todo) > _SCALAR_TAIL:
-            pt = p[todo]
-            u = powmod_lanes(next(bases), e[todo], pt)
-            ok = powmod_lanes(u, test[todo], pt) != 1
-            won = todo[ok]
-            h0[won] = mulmod(h0[won], u[ok], pt[ok])
-            todo = todo[~ok]
-        tail[todo] = True
-    for i in np.flatnonzero(tail).tolist():
+    table = np.array([f + [(0, 0)] * (width - len(f)) for f in parts], dtype=np.int64).reshape(len(values), width, 2)
+    cofactor, test = table.transpose(2, 1, 0)[:, :, index.ravel()]  # each (width, lanes), rows contiguous
+    found = (cofactor == 0).astype(np.int64)  # u once q^k is closed, 0 while it is open, 1 on the padding
+    e = (p - 1) // n
+    todo = np.arange(len(p))
+    bases = filter(is_prime, itertools.count(2))
+    while len(todo) > _SCALAR_TAIL:
+        pt = p[todo]
+        y = powmod_lanes(next(bases), e[todo], pt)
+        for row, c, t in zip(found, cofactor, test):
+            lanes = np.flatnonzero(row[todo] == 0)
+            u = powmod_lanes(y[lanes], c[todo[lanes]], pt[lanes]) if width > 1 else y[lanes]  # one row: n = q^k
+            ok = powmod_lanes(u, t[todo[lanes]], pt[lanes]) != 1
+            row[todo[lanes[ok]]] = u[ok]
+        todo = todo[(found[:, todo] == 0).any(axis=0)]
+    h0 = found[0]
+    for row in found[1:]:
+        h0 = mulmod(h0, row, p)
+    for i in todo.tolist():
         h0[i] = order_n_element(int(p[i]), int(n[i]))
     return h0
 

@@ -85,16 +85,6 @@ def test_is_prime_above_64_bits():
     assert not is_prime(m89 - 2)
 
 
-def test_ladder_exponents_of_one_bit():
-    # exponents of at most one bit start the ladder at x or 1 and take no product
-    p = np.array([7, 3037000507, (1 << 50) - 27], dtype=np.int64)
-    x = np.array([3, 5, (1 << 50) - 28], dtype=np.int64)
-    for e in ([0, 0, 0], [1, 1, 1], [0, 1, 0], [1, 0, 1]):
-        want = [pow(int(a), k, int(q)) for a, k, q in zip(x, e, p)]
-        assert powmod_lanes(x, np.array(e, dtype=np.int64), p).tolist() == want, e
-        assert powmod_lanes(2, np.array(e, dtype=np.int64), p).tolist() == [pow(2, k, int(q)) for k, q in zip(e, p)], e
-
-
 def test_order_n_element_is_the_product_of_the_least_non_powers():
     def first_x(p, n):  # the first x^((p-1)/n), x = 1, 2, ..., of order n
         qs = [q for q, _ in factorize(n)]

@@ -192,7 +192,7 @@ def _least_non_power(p: int, q: int) -> int:
 
 
 # Several hundred lanes or more per case, on each side of the plain-product cut
-# (3037000500), so the ladders of every pass and the scalar tail all run.
+# (3037000500), so the ladders, the passes over each row and the scalar tail all run.
 @pytest.mark.parametrize("lower", [10**9, 10**10])
 @pytest.mark.parametrize("n, span", [(9, 200_000), (15, 200_000), (21, 200_000), (105, 600_000)])
 def test_generators_on_many_lanes(lower, n, span, monkeypatch):
@@ -207,10 +207,11 @@ def test_generators_on_many_lanes(lower, n, span, monkeypatch):
     assert all(is_prime(x) for xs in bases.values() for x in xs)
     assert want == [math.prod(pow(bases[q][i], (p - 1) // q**k, p) for q, k in factorize(n)) % p
                     for i, p in enumerate(ps.tolist())]
-    # the scalar tail takes over the first pass at the first x with at most _SCALAR_TAIL lanes open
-    wins = bases[factorize(n)[0][0]]
-    tail_x = next(x for x in range(2, max(wins) + 2) if sum(w >= x for w in wins) <= survey._SCALAR_TAIL)
-    assert any(w >= tail_x for w in wins)
+    # a lane is open until its last part closes, and the scalar tail takes over at the first
+    # x with at most _SCALAR_TAIL lanes open
+    last = [max(xs) for xs in zip(*bases.values())]
+    tail_x = next(x for x in range(2, max(last) + 2) if sum(w >= x for w in last) <= survey._SCALAR_TAIL)
+    assert any(w >= tail_x for w in last)
     # every lane through the numpy search alone, and every lane through the scalar tail alone
     for tail in (0, len(ps)):
         monkeypatch.setattr(survey, "_SCALAR_TAIL", tail)
@@ -230,9 +231,9 @@ def test_all_odd_generators_on_many_lanes(lower, monkeypatch):
 
 
 def test_generator_search_ladders_only_prime_bases(monkeypatch):
-    # one segment of the 1e10 survey window, n = 9 and 15: in the pass of each q^k || n a
-    # full-length ladder x^((p-1)/q^k) runs only for a prime int x, each x once and in order,
-    # on more lanes than the scalar tail takes; the other ladders are the order test's u^(q^(k-1))
+    # one segment of the 1e10 survey window, n = 9 and 15: a full-length ladder x^((p-1)/n)
+    # runs only for a prime int x, each x once and in order, on more lanes than the scalar
+    # tail takes; the other ladders raise it to n/q^k and the result to q^(k-1), q^k || n
     calls = []
 
     def spy(x, e, p):
@@ -244,16 +245,15 @@ def test_generator_search_ladders_only_prime_bases(monkeypatch):
         calls.clear()
         ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
         assert survey._generators(n, ps).tolist() == [order_n_element(p, n) for p in ps.tolist()]
-        exps = {q ** (k - 1) for q, k in factorize(n)}  # {3} for n = 9, {1} for n = 15
-        tests = [e for _, e, p in calls if not any(np.array_equal(e, (p - 1) // q**k) for q, k in factorize(n))]
-        assert tests and all(set(e.tolist()) <= exps for e in tests), n
-        for q, k in factorize(n):
-            ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // q**k)]
-            bases = [x for x, _ in ladders]
-            assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
-            assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
-            # the last few open lanes go on in Python ints, with no ladder
-            assert all(lanes > survey._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
+        ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // n)]
+        bases = [x for x, _ in ladders]
+        assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
+        assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
+        # the last few open lanes go on in Python ints, with no ladder
+        assert all(lanes > survey._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
+        exps = {n // q**k for q, k in factorize(n)} | {q ** (k - 1) for q, k in factorize(n)}
+        others = [(x, e) for x, e, p in calls if not np.array_equal(e, (p - 1) // n)]
+        assert others and all(not isinstance(x, int) and set(e.tolist()) <= exps for x, e in others), n
 
 
 def test_ladder_multiplies_a_large_x_through_mulmod():
