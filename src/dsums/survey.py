@@ -3,10 +3,10 @@
 For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
 (Z/pZ)* from its generator h0 = order_n_element(p, n) (the product over the
 prime powers q^k || n of x_q^((p-1)/q^k), x_q the least prime that is no q-th
-power mod p) and records the exact integers 2S and N; both depend on H_n
-alone, not on which generator it has. No float or fraction enters the N <= 0
-decision. The all-odd scan (n = None) takes the pairs (p, n) for every odd
-n | p - 1, one batch per n, in the same driver.
+power mod p) and records the exact integers 2S and N, which depend on H_n
+alone, not on which generator it has. No float or
+fraction enters the N <= 0 decision. The all-odd scan (n = None) takes the
+pairs (p, n) for every odd n | p - 1, one batch per n, in the same driver.
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
@@ -18,11 +18,10 @@ tries the primes x = 2, 3, 5, ... in turn on the lanes with a prime power
 q^k || n still open: each x runs one left-to-right ladder x^((p-1)/n) (one
 exact square per exponent bit and a plain int64 multiply by x), whose small
 powers close each q^k for which x is no q-th power, and the last few open
-lanes finish in Python ints. Then
-n - 2 products, in about log2(n) doubling steps, give the power table h0^1,
-..., h0^(n-1); one Euclid runs over every (p, h0^j) with j <= (n-1)/2; the
-column sums give k and 12*S; and the segment's CSV rows are formatted from
-the result columns.
+lanes finish in Python ints. Then n - 2 products, in about log2(n) doubling
+steps, give the power table h0^1, ..., h0^(n-1); one Euclid runs over every
+(p, h0^j) with j <= (n-1)/2; the column sums give k and 12*S; and the
+segment's CSV rows are formatted from the result columns.
 
 Products mod p are numkernel's, exact for p < 2^50: the plain a*b % p while
 every p of the call is at most 3037000500, else a float quotient corrected
