@@ -223,8 +223,8 @@ def _float_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def _product(p: int | np.ndarray):
     """The exact product for the moduli p, chosen from the largest. Callers
-    choose once per call: an np.max in every product made the 1e10 survey
-    window slower."""
+    choose once per call, or once per block of moduli (classnumber's blocks
+    of l): an np.max in every product made the 1e10 survey window slower."""
     top = p if isinstance(p, int) else int(np.max(p, initial=0))
     return _plain_mulmod if top <= _PLAIN_CUT else _float_mulmod
 
@@ -258,15 +258,32 @@ def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarra
 
     Each bit of e, from the top, costs one square and, where the bit is set,
     a multiply by x, both with the product mulmod picks for the largest p.
-    When x is a plain int below 2^13 the multiply is r*x % p, exact in int64
-    for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63).
+    The result is one fresh array; x, e and p are only read. On the plain
+    product the square is taken in place. When x is a plain int below 2^13
+    the multiply is r*t % p in place, t = bit*(x-1) + 1 in one reused array,
+    exact in int64 for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63); a larger or
+    an array x is multiplied by mulmod's product and copied in where the bit
+    is set.
     """
     mul = _product(p)
     small = isinstance(x, int) and x < 1 << 13
-    r = np.ones_like(p)
+    r = np.ones(np.broadcast_shapes(np.shape(x), np.shape(e), np.shape(p)), dtype=np.int64)
+    bit_lanes = np.empty_like(r)
     for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
-        r = mul(r, r, p)
-        r = np.where((e >> bit) & 1 == 1, r * x % p if small else mul(r, x, p), r)
+        if mul is _plain_mulmod:
+            np.multiply(r, r, out=r)
+            np.remainder(r, p, out=r)
+        else:
+            r = mul(r, r, p)
+        np.right_shift(e, bit, out=bit_lanes)
+        bit_lanes &= 1
+        if small:
+            bit_lanes *= x - 1
+            bit_lanes += 1
+            r *= bit_lanes
+            r %= p
+        else:
+            np.copyto(r, mul(r, x, p), where=bit_lanes.astype(bool))
     return r
 
 

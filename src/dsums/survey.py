@@ -20,8 +20,12 @@ exact square per exponent bit and a plain int64 multiply by x), whose small
 powers close each q^k for which x is no q-th power, and the last few open
 lanes finish in Python ints. Then n - 2 products, in about log2(n) doubling
 steps, give the power table h0^1, ..., h0^(n-1); one Euclid runs over every
-(p, h0^j) with j <= (n-1)/2; the column sums give k and 12*S; and the
-segment's CSV rows are formatted from the result columns.
+(p, h0^j) with j <= (n-1)/2, parking each finished lane on a Fibonacci pair
+that by Lame's bound outlasts every live lane (p < 2^50 takes at most 71
+steps) and dropping the parked lanes in one compaction once they are a
+quarter of the live ones; the column sums give k and 12*S; and the
+segment's CSV rows are one uint8 matrix of right-aligned ASCII digits,
+decoded once.
 
 Products mod p are numkernel's, exact for p < 2^50: the plain a*b % p while
 every p of the call is at most 3037000500, else a float quotient corrected
@@ -126,24 +130,43 @@ def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
     return "".join(out)
 
 
+# A finished lane is parked on the Fibonacci pair (F92, F91), with q = q_prev = 0, until
+# the next compaction. Euclid on (F(m+1), F(m)) takes m - 1 steps, so a parked lane needs
+# 90 more to reach a zero remainder; by Lame a lane with d < 2^50 < F74 takes at most 71
+# steps in all, so no parked lane finishes or divides by zero before the batch ends.
+_PARK = (7540113804746346429, 4660046610375530309)
+
+# Parked lanes leave the arrays once they are at least a quarter of the live ones,
+# since each compaction copies six arrays. On the n = 9 lanes below 1e6 and on random
+# lanes near 1e13, shares from 1 to 1/4 timed alike and 1/8 and 1/16 were slower.
+_COMPACT_SHARE = 4
+
+
 def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The continued-fraction kernel of dedekind_sum_parts on every lane at once.
 
-    For int64 arrays with 0 < c < d and gcd(c, d) = 1, c/d = [0; a_1, ..., a_r]:
-    returns alt = sum (-1)^(i+1) a_i, whether r is odd, and c* = c^-1 mod d
-    from the convergent denominators. All lanes start together, so step i
-    adds (-1)^(i+1) a_i on every lane still running; a lane leaves the
-    arrays when its remainder reaches 0. The partial quotients, their
-    alternating partial sums and the convergent denominators are all <= d.
+    For int64 arrays with 0 < c < d < 2^50 and gcd(c, d) = 1 (the scans keep
+    p < 2^50), c/d = [0; a_1, ..., a_r]: returns alt = sum (-1)^(i+1) a_i,
+    whether r is odd, and c* = c^-1 mod d from the convergent denominators.
+    All lanes start together, so step i adds (-1)^(i+1) a_i on every lane
+    still running. The partial quotients, their alternating partial sums and
+    the convergent denominators are all <= d.
+
+    A lane whose remainder reaches 0 has its outputs recorded and is parked on
+    _PARK with q = q_prev = 0: it keeps stepping, but by Lame (r <= 71 for
+    d < 2^50) it cannot finish before every live lane has, its q stays 0 and
+    its alt drifts by +-1 a step. Parked lanes leave the arrays through one
+    index array once they are at least 1/_COMPACT_SHARE of the live ones.
     """
     alt_out, inv_out = np.empty_like(c), np.empty_like(c)
     odd_out = np.empty(len(c), dtype=bool)
     lane = np.arange(len(c))
-    a, b = d, c
+    a, b = d, c.copy()  # after the first step a is this copy, which parking writes to
     alt = np.zeros_like(c)
     q_prev, q = np.zeros_like(c), np.ones_like(c)  # convergent denominators q_{i-1}, q_i
     odd = False  # whether the number of steps taken is odd
-    while len(lane):
+    live, parked = len(c), 0
+    while live:
         k = a // b
         a, b = b, a - k * b
         if odd:
@@ -154,18 +177,24 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         k += q_prev
         q_prev, q = q, k
         odd = not odd
-        done = b == 0
-        if done.any():
+        done = np.flatnonzero(b == 0)
+        if len(done):
             out = lane[done]
             alt_out[out], odd_out[out], inv_out[out] = alt[done], odd, q_prev[done]
-            keep = ~done
-            # one array at a time, so that each old array is freed before the next copy
-            lane = lane[keep]
-            a = a[keep]
-            b = b[keep]
-            alt = alt[keep]
-            q_prev = q_prev[keep]
-            q = q[keep]
+            a[done], b[done] = _PARK
+            q_prev[done] = q[done] = 0
+            live -= len(done)
+            parked += len(done)
+            if live and _COMPACT_SHARE * parked >= live:
+                keep = np.flatnonzero(q)  # q >= 1 on every live lane
+                # one array at a time, so that each old array is freed before the next copy
+                lane = lane.take(keep)
+                a = a.take(keep)
+                b = b.take(keep)
+                alt = alt.take(keep)
+                q_prev = q_prev.take(keep)
+                q = q.take(keep)
+                parked = 0
     # c * q_{r-1} = (-1)^(r-1) (mod d)
     return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
 
@@ -366,6 +395,39 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+# the last field of a record row, "false\n" or "true\n" (and a zero byte, dropped)
+_FLAG_BYTES = np.frombuffer(b"false\ntrue\n\0", dtype=np.uint8).reshape(2, 6)
+
+
+def _csv_rows(columns: tuple[np.ndarray, ...], flags: np.ndarray) -> str:
+    """The rows "{},...,{},{}\n".format(*ints, "true" or "false") of equal-length
+    int64 columns and a bool column, as one uint8 matrix with a row of bytes per
+    record: each integer right-aligned in a field as wide as its column's widest
+    value, with a sign byte before the leading digit of a negative one, and zero
+    bytes for the padding, which one mask drops before the single decode."""
+    fields = [(v, len(str(int(np.abs(v).max(initial=0)))), v < 0) for v in columns]
+    widths = [digits + bool(neg.any()) for _, digits, neg in fields]
+    out = np.zeros((len(flags), sum(widths) + len(widths) + _FLAG_BYTES.shape[1]), dtype=np.uint8)
+    end = 0  # one past the field in hand
+    for (v, digits, neg), width in zip(fields, widths):
+        end += width
+        x = np.abs(v)
+        for k in range(digits):  # the k-th digit from the right, a zero byte past the leading one
+            lead = x != 0
+            x, digit = np.divmod(x, 10)
+            digit += ord("0")
+            if k:
+                digit *= lead
+            out[:, end - 1 - k] = digit
+        if width > digits:
+            rows = np.flatnonzero(neg)
+            out[rows, end - 1 - np.count_nonzero(out[rows, end - digits : end], axis=1)] = ord("-")
+        out[:, end] = ord(",")
+        end += 1
+    out[:, end:] = _FLAG_BYTES[flags.view(np.uint8)]
+    return out[out != 0].tobytes().decode("ascii")
+
+
 def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, str]:
     """(pairs, nonpositive count, CSV rows or "") of the segment [lo, hi], lo <= hi.
 
@@ -387,10 +449,7 @@ def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, 
     for k, lanes in zip(values.tolist(), np.split(order, starts[1:])):
         two_s[lanes], big_n[lanes] = _batch_records(k, p[lanes], h0[lanes])
     nonpositive = big_n <= 0
-    text = ""
-    if want_records:  # rows of CSV_HEADER
-        flags = np.where(nonpositive, "true", "false").tolist()
-        text = "".join(map("{},{},{},{},{}\n".format, p.tolist(), d.tolist(), two_s.tolist(), big_n.tolist(), flags))
+    text = _csv_rows((p, d, two_s, big_n), nonpositive) if want_records else ""  # rows of CSV_HEADER
     return len(p) + ones, int(nonpositive.sum()) + ones, text
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dsums import numkernel
 from dsums.numkernel import (
     divisors,
     factorize,
@@ -130,6 +131,24 @@ def test_lane_layer_is_exact_across_the_plain_product_cut(ps):
     assert powmod_lanes(top, exps, p).tolist() == [pow(q - 1, q - 2, q) for q in ps]
     assert powmod_lanes(top, np.full_like(p, 2), p).tolist() == [1] * len(ps)
     assert power_table(top, 5, p).T.tolist() == [[pow(q - 1, k, q) for k in range(5)] for q in ps]
+
+
+# moduli below the cut (the plain product, squared in place) and moduli with one above it (the float form)
+@pytest.mark.parametrize("ps, plain", [([1_000_003, _BELOW_CUT], True), ([1_000_003, _ABOVE_CUT, _NEAR_2_50], False)],
+                         ids=["plain", "float"])
+def test_powmod_lanes_matches_pow_and_reads_its_arguments_only(ps, plain):
+    assert (max(ps) <= numkernel._PLAIN_CUT) is plain
+    rng = random.Random(len(ps))
+    p = np.array([q for q in ps for _ in range(4)], dtype=np.int64)
+    # e = 0, e = 1 and large exponents, one of each on lanes of every modulus
+    e = np.array([k for q in ps for k in (0, 1, q - 2, rng.randrange(q))], dtype=np.int64)
+    xs = np.array([rng.randrange(q) for q in p.tolist()], dtype=np.int64)
+    for arr in (p, e, xs):
+        arr.flags.writeable = False  # an in-place write raises
+    # an array x; plain ints each side of 2^13, where the multiply moves from r*t % p to the product
+    for x in (xs, 2, (1 << 13) - 1, 1 << 13):
+        want = [pow(x if isinstance(x, int) else a, k, q) for a, k, q in zip(xs.tolist(), e.tolist(), p.tolist())]
+        assert powmod_lanes(x, e, p).tolist() == want, x
 
 
 @pytest.mark.parametrize("p", [1_000_003, _BELOW_CUT, _ABOVE_CUT, _NEAR_2_50])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import dsums
 from dsums import survey
-from dsums.dedekind import dedekind_sum_naive
+from dsums.dedekind import dedekind_sum_naive, dedekind_sum_parts
 from dsums.meansquare import n_value
 from dsums.numkernel import divisors, factorize, is_prime, mulmod, order_n_element, powmod_lanes, primes_in_progression
 from dsums.survey import (
@@ -302,6 +302,87 @@ def test_mulmod_corrects_both_ways_near_2_50():
     assert (r < 0).any() and (r >= p).any()
     got = mulmod(a, b, p).tolist()
     assert got == [x * y % m for x, y, m in zip(a.tolist(), b.tolist(), p.tolist())]
+
+
+def _fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _continued_fraction(c: int, d: int) -> tuple[int, bool, int]:
+    """(alt, r odd, c^-1 mod d) of c/d = [0; a_1, ..., a_r], by Python ints."""
+    a, b, alt, r = d, c, 0, 0
+    while b:
+        k, (a, b) = a // b, (b, a % b)
+        alt += k if r % 2 == 0 else -k
+        r += 1
+    return alt, r % 2 == 1, pow(c, -1, d)
+
+
+# 0 keeps every finished lane parked to the end of the batch
+@pytest.mark.parametrize("share", [survey._COMPACT_SHARE, 0])
+def test_euclid_lanes_match_dedekind_sum_parts(monkeypatch, share):
+    monkeypatch.setattr(survey, "_COMPACT_SHARE", share)
+    rng = np.random.default_rng(73)
+    lanes = [(_fibonacci(72), _fibonacci(73))]  # Lame's worst case below 2^50: 71 steps
+    for top in (10**6, 10**13):
+        d = rng.integers(top - top // 10, top, 300).tolist()
+        lanes += [(1, x) for x in d[:100]] + [(x - 1, x) for x in d[100:200]]  # 1 step, 2 steps
+        lanes += [(c, x) for x in d[200:] for c in rng.integers(1, x, 3).tolist() if math.gcd(c, x) == 1]
+    rng.shuffle(lanes)
+    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
+    c.flags.writeable = d.flags.writeable = False  # the kernel only reads its arguments
+    with np.errstate(divide="raise"):  # a parked lane that reaches b = 0 would divide by zero
+        alt, odd, inv = survey._euclid_lanes(c, d)
+        empty = survey._euclid_lanes(c[:0], d[:0])
+    assert [len(x) for x in empty] == [0, 0, 0]
+    assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
+    # 12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)), in Python ints
+    got = zip(lanes, alt.tolist(), odd.tolist(), inv.tolist())
+    twelve_ds = [x + x_inv + m * (a - (3 if o else 1)) for (x, m), a, o, x_inv in got]
+    assert twelve_ds == [dedekind_sum_parts(*lane)[0] for lane in lanes]
+
+
+def _format_rows(p, d, two_s, big_n, flags) -> str:
+    return "".join(map("{},{},{},{},{}\n".format, p.tolist(), d.tolist(), two_s.tolist(), big_n.tolist(),
+                       np.where(flags, "true", "false").tolist()))
+
+
+def test_csv_rows_match_the_format_string():
+    ints = np.array([0, 1, -1, 9, -9, 10, -10, 99, 100, 999_999, -1_000_000, 10**12, -(10**12) + 1,
+                     (1 << 62) - 1, -(1 << 62)], dtype=np.int64)
+    rng = np.random.default_rng(10)
+    cases = [
+        (ints, ints[::-1].copy(), ints, -ints, ints <= 0),  # 2S and N of 0, +-1, negative, widths across 10^k
+        (np.abs(ints), np.full_like(ints, 9), np.zeros_like(ints), ints, ints > 0),
+        (ints[:0], ints[:0], ints[:0], ints[:0], ints[:0] > 0),  # an empty segment
+    ]
+    for digits in range(1, 19):  # one column whose widths cross 10^(digits-1), the rest random signs
+        v = np.concatenate((np.arange(10**digits - 12, 10**digits + 12), rng.integers(-(10**digits), 10**digits, 50)))
+        cases.append((np.abs(v), rng.integers(3, 2000, len(v)), v, -v[::-1], rng.integers(0, 2, len(v)) == 1))
+    for case in cases:
+        assert survey._csv_rows(case[:4], case[4]) == _format_rows(*case)
+
+
+@pytest.mark.parametrize("segment", [(None, 9000, 11_000, True), (9, 0, 10**5, True)], ids=["all-odd", "n=9"])
+def test_segment_rows_match_the_format_string(monkeypatch, segment):
+    # the columns the worker hands over, d varying in the all-odd scan, and p crossing 10^4
+    csv_rows, seen = survey._csv_rows, []
+
+    def spy(columns, flags):
+        text = csv_rows(columns, flags)
+        assert text == _format_rows(*columns, flags)
+        seen.append(columns)
+        return text
+
+    monkeypatch.setattr(survey, "_csv_rows", spy)
+    text = survey._segment_worker(segment)[2]
+    (p, d, _, _), = seen
+    assert len(text.splitlines()) == len(p) > 1000 and p.min() < 10**4 <= p.max()
+    if segment[0] is None:
+        assert len(set(d.tolist())) > 10
 
 
 def test_segment_worker_edge_segments():
