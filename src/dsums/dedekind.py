@@ -3,7 +3,10 @@
 Two routes to s(c,d): a provably-correct O(d) sawtooth-sum oracle and an
 O(log d) integer kernel on the continued fraction of c/d, through which
 every exact s(c,d) in the package goes; the test-suite proves them equal on
-a dense grid. The coprime-restricted sum (Moebius combination of ordinary
+a dense grid. The kernel runs one pair at a time in Python ints
+(dedekind_sum_parts) or on int64 lanes for d < 2^50 (_euclid_lanes, which
+serves the prime scans and returns the parts for the caller to combine).
+The coprime-restricted sum (Moebius combination of ordinary
 sums over divisors) and the closed forms used elsewhere live here too.
 
 Conventions: s(c,1) = 0 for every c; evaluation depends on c mod d only, so
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .numkernel import divisors, factorize, mobius, totient
 
@@ -85,6 +90,79 @@ def dedekind_sum_parts(c: int, d: int) -> tuple[int, int]:
     if sign < 0:
         return c + q_prev + d * (alt - 3), 12 * d
     return c + d - q_prev + d * (alt - 1), 12 * d
+
+
+# A finished lane is parked on the Fibonacci pair (F92, F91), with q = q_prev = 0, until
+# the next compaction. Euclid on (F(m+1), F(m)) takes m - 1 steps, so a parked lane needs
+# 90 more to reach a zero remainder; by Lame a lane with d < 2^50 < F74 takes at most 71
+# steps in all, so no parked lane finishes or divides by zero before the batch ends.
+_PARK = (7540113804746346429, 4660046610375530309)
+
+# Parked lanes leave the arrays once they are at least a quarter of the live ones,
+# since each compaction copies six arrays. On the n = 9 lanes below 1e6 and on random
+# lanes near 1e13, shares from 1 to 1/4 timed alike and 1/8 and 1/16 were slower.
+_COMPACT_SHARE = 4
+
+
+def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The continued-fraction kernel of dedekind_sum_parts on every lane at once.
+
+    For int64 arrays with 0 < c < d < 2^50 and gcd(c, d) = 1 (the scans keep
+    p < 2^50), c/d = [0; a_1, ..., a_r]: returns alt = sum (-1)^(i+1) a_i,
+    whether r is odd, and c* = c^-1 mod d from the convergent denominators.
+    All lanes start together, so step i adds (-1)^(i+1) a_i on every lane
+    still running. The partial quotients, their alternating partial sums and
+    the convergent denominators are all <= d.
+
+    12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)); at composite d
+    the term d*alt can pass 2^63, so a caller that is not sure it fits
+    combines the parts in Python ints.
+
+    A lane whose remainder reaches 0 has its outputs recorded and is parked on
+    _PARK with q = q_prev = 0: it keeps stepping, but by Lame (r <= 71 for
+    d < 2^50) it cannot finish before every live lane has, its q stays 0 and
+    its alt drifts by +-1 a step. Parked lanes leave the arrays through one
+    index array once they are at least 1/_COMPACT_SHARE of the live ones.
+    """
+    alt_out, inv_out = np.empty_like(c), np.empty_like(c)
+    odd_out = np.empty(len(c), dtype=bool)
+    lane = np.arange(len(c))
+    a, b = d, c.copy()  # after the first step a is this copy, which parking writes to
+    alt = np.zeros_like(c)
+    q_prev, q = np.zeros_like(c), np.ones_like(c)  # convergent denominators q_{i-1}, q_i
+    odd = False  # whether the number of steps taken is odd
+    live, parked = len(c), 0
+    while live:
+        k = a // b
+        a, b = b, a - k * b
+        if odd:
+            alt -= k
+        else:
+            alt += k
+        k *= q
+        k += q_prev
+        q_prev, q = q, k
+        odd = not odd
+        done = np.flatnonzero(b == 0)
+        if len(done):
+            out = lane[done]
+            alt_out[out], odd_out[out], inv_out[out] = alt[done], odd, q_prev[done]
+            a[done], b[done] = _PARK
+            q_prev[done] = q[done] = 0
+            live -= len(done)
+            parked += len(done)
+            if live and _COMPACT_SHARE * parked >= live:
+                keep = np.flatnonzero(q)  # q >= 1 on every live lane
+                # one array at a time, so that each old array is freed before the next copy
+                lane = lane.take(keep)
+                a = a.take(keep)
+                b = b.take(keep)
+                alt = alt.take(keep)
+                q_prev = q_prev.take(keep)
+                q = q.take(keep)
+                parked = 0
+    # c * q_{r-1} = (-1)^(r-1) (mod d)
+    return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
 
 
 def dedekind_sum(c: int, d: int) -> Fraction:

@@ -1,8 +1,9 @@
 """Arithmetic substrate: primality, factorization, multiplicative functions,
-a sieve of the primes in a window of an arithmetic progression, and the
-int64 lane layer: one exact product mod p < 2^50 (mulmod), a power table
-and a power ladder, each choosing the plain a*b % p or a float-quotient
-product once per call from the largest modulus.
+the search for an element of order n mod p (order_n_element, and _generators
+on int64 lanes), a sieve of the primes in a window of an arithmetic
+progression, and the int64 lane layer: one exact product mod p < 2^50
+(mulmod), a power table and a power ladder, each choosing the plain
+a*b % p or a float-quotient product once per call from the largest modulus.
 
 Exact rational values everywhere in this package are `fractions.Fraction`:
 always reduced, denominator positive, so ``str()`` renders "num/den" in
@@ -192,6 +193,47 @@ def order_n_element(p: int, n: int) -> int:
     return h
 
 
+# At most this many lanes still open in the lane search go on in Python ints:
+# a numpy ladder on a handful of lanes costs more than their pow calls.
+_SCALAR_TAIL = 32
+
+
+def _generators(n: int, p: np.ndarray) -> np.ndarray:
+    """order_n_element(p, n) on every lane of the int64 primes p < 2^50, for one
+    order n > 1 that divides every p - 1.
+
+    The bases x are the primes 2, 3, 5, ... in turn, each tried only on the
+    lanes with a prime power q^k || n still open. Each x runs one ladder
+    y = x^((p-1)/n) (powmod_lanes: one mulmod per exponent bit and an int64
+    multiply by x); then one pass per q^k takes u = y^(n/q^k) = x^((p-1)/q^k)
+    on the lanes where q^k is open, and closes q^k with u where
+    u^(q^(k-1)) = x^((p-1)/q) is not 1. h0 is the product of the u. Once at
+    most _SCALAR_TAIL lanes are open, from the start or after some bases, they
+    take order_n_element in Python ints."""
+    if len(p) <= _SCALAR_TAIL:  # the numpy search's set-up alone costs more than these pow calls
+        return np.array([order_n_element(x, n) for x in p.tolist()], dtype=np.int64)
+    parts = [(n // q**k, q ** (k - 1)) for q, k in factorize(n)]
+    found = np.zeros((len(parts), len(p)), dtype=np.int64)  # row per q^k: u once closed, 0 while open
+    e = (p - 1) // n
+    todo = np.arange(len(p))
+    bases = filter(is_prime, itertools.count(2))
+    while len(todo) > _SCALAR_TAIL:
+        pt = p[todo]
+        y = powmod_lanes(next(bases), e[todo], pt)
+        for row, (cofactor, test) in zip(found, parts):
+            lanes = np.flatnonzero(row[todo] == 0)
+            u = powmod_lanes(y[lanes], cofactor, pt[lanes]) if cofactor > 1 else y[lanes]  # 1: n = q^k
+            ok = powmod_lanes(u, test, pt[lanes]) != 1
+            row[todo[lanes[ok]]] = u[ok]
+        todo = todo[(found[:, todo] == 0).any(axis=0)]
+    h0 = found[0]
+    for row in found[1:]:
+        h0 = mulmod(h0, row, p)
+    for i in todo.tolist():
+        h0[i] = order_n_element(int(p[i]), n)
+    return h0
+
+
 # (p - 1)^2 < 2^63 for every p <= _PLAIN_CUT, so below it a*b % p is exact in int64
 _PLAIN_CUT = 3_037_000_500
 
@@ -253,8 +295,9 @@ def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
     return pows
 
 
-def powmod_lanes(x: int | np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50.
+def powmod_lanes(x: int | np.ndarray, e: int | np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50;
+    e is an int64 array or one int for every lane.
 
     Each bit of e, from the top, costs one square and, where the bit is set,
     a multiply by x, both with the product mulmod picks for the largest p.

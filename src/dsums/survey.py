@@ -1,36 +1,24 @@
 """Prime scans for the sign of N(H_n,p) = 12*S(H_n,p) - p.
 
-For each prime p = 1 (mod 2n) the scanner builds the order-n subgroup of
-(Z/pZ)* from its generator h0 = order_n_element(p, n) (the product over the
-prime powers q^k || n of x_q^((p-1)/q^k), x_q the least prime that is no q-th
-power mod p) and records the exact integers 2S and N, which depend on H_n
-alone, not on which generator it has. No float or
-fraction enters the N <= 0 decision. The all-odd scan (n = None) takes the
-pairs (p, n) for every odd n | p - 1, one batch per n, in the same driver.
+For each prime p = 1 (mod 2n) the scanner takes the order-n subgroup H_n of
+(Z/pZ)* from its generator h0 = order_n_element(p, n) and records the exact
+integers 2S and N, which depend on H_n alone, not on which generator it has.
+No float or fraction enters the N <= 0 decision. The all-odd scan (n = None)
+takes the pairs (p, n) for every odd n | p - 1, one batch per n, in the same
+driver.
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
-A scan takes a sieve segment's pairs as one int64 array and keeps every
-step on lanes, one lane per pair or per (p, h0^j). The generator search
-tries the primes x = 2, 3, 5, ... in turn on the lanes with a prime power
-q^k || n still open: each x runs one left-to-right ladder x^((p-1)/n) (one
-exact square per exponent bit and a plain int64 multiply by x), whose small
-powers close each q^k for which x is no q-th power, and the last few open
-lanes finish in Python ints. Then n - 2 products, in about log2(n) doubling
-steps, give the power table h0^1, ..., h0^(n-1); one Euclid runs over every
-(p, h0^j) with j <= (n-1)/2, parking each finished lane on a Fibonacci pair
-that by Lame's bound outlasts every live lane (p < 2^50 takes at most 71
-steps) and dropping the parked lanes in one compaction once they are a
-quarter of the live ones; the column sums give k and 12*S; and the
-segment's CSV rows are one uint8 matrix of right-aligned ASCII digits,
-decoded once.
-
-Products mod p are numkernel's, exact for p < 2^50: the plain a*b % p while
-every p of the call is at most 3037000500, else a float quotient corrected
-in int64. The scans reject bounds >= 2^50, and n*upper >= 2^62 so that no
-per-prime sum (each within about n*p of 0) wraps (n = upper when all-odd).
+A batch keeps every step on int64 lanes, one lane per prime or per (p, h0^j):
+numkernel's _generators gives h0, power_table gives h0^1, ..., h0^(n-1),
+dedekind's _euclid_lanes gives (alt, r odd, c*) of every h0^j/p with
+j <= (n-1)/2, and the column sums give k and 12*S. A segment's CSV rows are
+one uint8 matrix of right-aligned ASCII digits, decoded once. The lane
+products are exact for p < 2^50; the scans reject bounds >= 2^50, and
+n*upper >= 2^62 so that no per-prime sum (each within about n*p of 0) wraps
+(n = upper when all-odd).
 
 Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
@@ -51,7 +39,6 @@ the scans skip primality tests.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import multiprocessing
@@ -63,17 +50,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .numkernel import (
-    divisors,
-    factorize,
-    is_prime,
-    mulmod,
-    order_n_element,
-    power_table,
-    powmod_lanes,
-    primes_in_progression,
-    totient,
-)
+from .dedekind import _euclid_lanes
+from .numkernel import _generators, divisors, power_table, primes_in_progression, totient
 
 __all__ = [
     "DensityReport",
@@ -84,10 +62,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "p,n,two_S,N,nonpositive"
-
-# At most this many lanes still open in the generator search go on in Python
-# ints: a numpy ladder on a handful of lanes costs more than their pow calls.
-_SCALAR_TAIL = 32
 
 # Lanes of work per planned segment. A segment's fixed cost (the sieve's set-up,
 # the generator search's ladders, the numpy calls of each step) is about 4 ms
@@ -130,116 +104,6 @@ def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
     return "".join(out)
 
 
-# A finished lane is parked on the Fibonacci pair (F92, F91), with q = q_prev = 0, until
-# the next compaction. Euclid on (F(m+1), F(m)) takes m - 1 steps, so a parked lane needs
-# 90 more to reach a zero remainder; by Lame a lane with d < 2^50 < F74 takes at most 71
-# steps in all, so no parked lane finishes or divides by zero before the batch ends.
-_PARK = (7540113804746346429, 4660046610375530309)
-
-# Parked lanes leave the arrays once they are at least a quarter of the live ones,
-# since each compaction copies six arrays. On the n = 9 lanes below 1e6 and on random
-# lanes near 1e13, shares from 1 to 1/4 timed alike and 1/8 and 1/16 were slower.
-_COMPACT_SHARE = 4
-
-
-def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The continued-fraction kernel of dedekind_sum_parts on every lane at once.
-
-    For int64 arrays with 0 < c < d < 2^50 and gcd(c, d) = 1 (the scans keep
-    p < 2^50), c/d = [0; a_1, ..., a_r]: returns alt = sum (-1)^(i+1) a_i,
-    whether r is odd, and c* = c^-1 mod d from the convergent denominators.
-    All lanes start together, so step i adds (-1)^(i+1) a_i on every lane
-    still running. The partial quotients, their alternating partial sums and
-    the convergent denominators are all <= d.
-
-    A lane whose remainder reaches 0 has its outputs recorded and is parked on
-    _PARK with q = q_prev = 0: it keeps stepping, but by Lame (r <= 71 for
-    d < 2^50) it cannot finish before every live lane has, its q stays 0 and
-    its alt drifts by +-1 a step. Parked lanes leave the arrays through one
-    index array once they are at least 1/_COMPACT_SHARE of the live ones.
-    """
-    alt_out, inv_out = np.empty_like(c), np.empty_like(c)
-    odd_out = np.empty(len(c), dtype=bool)
-    lane = np.arange(len(c))
-    a, b = d, c.copy()  # after the first step a is this copy, which parking writes to
-    alt = np.zeros_like(c)
-    q_prev, q = np.zeros_like(c), np.ones_like(c)  # convergent denominators q_{i-1}, q_i
-    odd = False  # whether the number of steps taken is odd
-    live, parked = len(c), 0
-    while live:
-        k = a // b
-        a, b = b, a - k * b
-        if odd:
-            alt -= k
-        else:
-            alt += k
-        k *= q
-        k += q_prev
-        q_prev, q = q, k
-        odd = not odd
-        done = np.flatnonzero(b == 0)
-        if len(done):
-            out = lane[done]
-            alt_out[out], odd_out[out], inv_out[out] = alt[done], odd, q_prev[done]
-            a[done], b[done] = _PARK
-            q_prev[done] = q[done] = 0
-            live -= len(done)
-            parked += len(done)
-            if live and _COMPACT_SHARE * parked >= live:
-                keep = np.flatnonzero(q)  # q >= 1 on every live lane
-                # one array at a time, so that each old array is freed before the next copy
-                lane = lane.take(keep)
-                a = a.take(keep)
-                b = b.take(keep)
-                alt = alt.take(keep)
-                q_prev = q_prev.take(keep)
-                q = q.take(keep)
-                parked = 0
-    # c * q_{r-1} = (-1)^(r-1) (mod d)
-    return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
-
-
-def _generators(n: int | np.ndarray, p: np.ndarray) -> np.ndarray:
-    """order_n_element(p, n) on every lane of the int64 primes p; n > 1 is one
-    order for all lanes or an int64 array of orders, with n | p - 1 per lane.
-
-    The bases x are the primes 2, 3, 5, ... in turn, each tried only on the
-    lanes with a prime power q^k || n still open. Each x runs one ladder
-    y = x^((p-1)/n) (powmod_lanes: one mulmod per exponent bit and an int64
-    multiply by x); then one pass per row of prime powers (the r-th row holds
-    each lane's r-th q^k) takes u = y^(n/q^k) = x^((p-1)/q^k) on the lanes
-    where q^k is open, and closes q^k with u where u^(q^(k-1)) = x^((p-1)/q)
-    is not 1. h0 is the product of the u. Once at most _SCALAR_TAIL lanes are
-    open they take order_n_element in Python ints."""
-    n = np.broadcast_to(np.asarray(n, dtype=np.int64), p.shape)
-    # (n/q^k, q^(k-1)) for the prime powers q^k || n, one row each; a lane with fewer
-    # primes than the widest has (0, 0) in the rest
-    values, index = np.unique(n, return_inverse=True)
-    parts = [[(v // q**k, q ** (k - 1)) for q, k in factorize(v)] for v in values.tolist()]
-    width = max(map(len, parts), default=1)
-    table = np.array([f + [(0, 0)] * (width - len(f)) for f in parts], dtype=np.int64).reshape(len(values), width, 2)
-    cofactor, test = table.transpose(2, 1, 0)[:, :, index.ravel()]  # each (width, lanes), rows contiguous
-    found = (cofactor == 0).astype(np.int64)  # u once q^k is closed, 0 while it is open, 1 on the padding
-    e = (p - 1) // n
-    todo = np.arange(len(p))
-    bases = filter(is_prime, itertools.count(2))
-    while len(todo) > _SCALAR_TAIL:
-        pt = p[todo]
-        y = powmod_lanes(next(bases), e[todo], pt)
-        for row, c, t in zip(found, cofactor, test):
-            lanes = np.flatnonzero(row[todo] == 0)
-            u = powmod_lanes(y[lanes], c[todo[lanes]], pt[lanes]) if width > 1 else y[lanes]  # one row: n = q^k
-            ok = powmod_lanes(u, t[todo[lanes]], pt[lanes]) != 1
-            row[todo[lanes[ok]]] = u[ok]
-        todo = todo[(found[:, todo] == 0).any(axis=0)]
-    h0 = found[0]
-    for row in found[1:]:
-        h0 = mulmod(h0, row, p)
-    for i in todo.tolist():
-        h0[i] = order_n_element(int(p[i]), int(n[i]))
-    return h0
-
-
 def _audit(bad: np.ndarray, p: np.ndarray, n: int, what: str, name: str, value: np.ndarray) -> None:
     """Raise ArithmeticError for the first lane where `bad` holds."""
     if bad.any():
@@ -247,11 +111,12 @@ def _audit(bad: np.ndarray, p: np.ndarray, n: int, what: str, name: str, value: 
         raise ArithmeticError(f"{what} audit failed at p={p[i]}, n={n}: {name}={value[i]}")
 
 
-def _batch_records(n: int, p: np.ndarray, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batch_records(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The audited (2S, N) of H_n, one lane for each of the int64 primes
-    p = 1 (mod 2n), whose generators h0 come from _generators; the caller
-    keeps p < 2^50 and n*p < 2^62 (_scan)."""
+    p = 1 (mod 2n), from the generators h0 of one lane search of order n;
+    the caller keeps p < 2^50 and n*p < 2^62 (_scan)."""
     m = (n - 1) // 2
+    h0 = _generators(n, p)
     powers = power_table(h0, n, p)[1:]  # row j-1 holds h0^j mod p
     alt, odd, inv = _euclid_lanes(powers[:m].ravel(), np.tile(p, m))
     # the inverse of h0^j is h0^(n-j) (so h0^n = 1), and no h0^j with 0 < j < n is 1
@@ -432,8 +297,8 @@ def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, 
     """(pairs, nonpositive count, CSV rows or "") of the segment [lo, hi], lo <= hi.
 
     n = None takes (p, d) for every odd prime p and odd d > 1 dividing p - 1, and counts
-    p's n = 1 pair (no row) as nonpositive. One generator search runs over all pairs, then
-    one batch of records per d."""
+    p's n = 1 pair (no row) as nonpositive. The pairs of each order d, all of them for a
+    fixed n, go to one batch of records, which runs its own generator search."""
     n, lo, hi, want_records = args
     p = primes_in_progression(lo, hi - lo, 2 * (n or 1), 1)
     ones = 0 if n else len(p)  # the n = 1 pairs
@@ -442,12 +307,11 @@ def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, 
     else:
         p_d = [(q, d) for q in p.tolist() for d in divisors(q - 1)[1:] if d % 2]
         p, d = np.array(p_d, dtype=np.int64).reshape(-1, 2).T
-    h0 = _generators(d, p)
     two_s, big_n = np.empty_like(p), np.empty_like(p)
     order = np.argsort(d, kind="stable")
     values, starts = np.unique(d[order], return_index=True)
     for k, lanes in zip(values.tolist(), np.split(order, starts[1:])):
-        two_s[lanes], big_n[lanes] = _batch_records(k, p[lanes], h0[lanes])
+        two_s[lanes], big_n[lanes] = _batch_records(k, p[lanes])
     nonpositive = big_n <= 0
     text = _csv_rows((p, d, two_s, big_n), nonpositive) if want_records else ""  # rows of CSV_HEADER
     return len(p) + ones, int(nonpositive.sum()) + ones, text

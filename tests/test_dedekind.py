@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
+from dsums import dedekind
 from dsums.dedekind import (
     dedekind_sum,
     dedekind_sum_naive,
+    dedekind_sum_parts,
     dedekind_sum_tilde,
     dedekind_sum_tilde_naive,
     s_near_one_closed,
@@ -119,3 +122,60 @@ def test_near_one_closed_preconditions():
         s_near_one_closed(27, 3)  # 27 does not divide 9
     with pytest.raises(ValueError):
         s_near_one_closed(9, 2)
+
+
+def _fibonacci(k: int) -> int:
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def _continued_fraction(c: int, d: int) -> tuple[int, bool, int]:
+    """(alt, r odd, c^-1 mod d) of c/d = [0; a_1, ..., a_r], by Python ints."""
+    a, b, alt, r = d, c, 0, 0
+    while b:
+        k, (a, b) = a // b, (b, a % b)
+        alt += k if r % 2 == 0 else -k
+        r += 1
+    return alt, r % 2 == 1, pow(c, -1, d)
+
+
+# 0 keeps every finished lane parked to the end of the batch
+@pytest.mark.parametrize("share", [dedekind._COMPACT_SHARE, 0])
+def test_euclid_lanes_match_dedekind_sum_parts(monkeypatch, share):
+    monkeypatch.setattr(dedekind, "_COMPACT_SHARE", share)
+    rng = np.random.default_rng(73)
+    lanes = [(_fibonacci(72), _fibonacci(73))]  # Lame's worst case below 2^50: 71 steps
+    for top in (10**6, 10**13):
+        d = rng.integers(top - top // 10, top, 300).tolist()
+        lanes += [(1, x) for x in d[:100]] + [(x - 1, x) for x in d[100:200]]  # 1 step, 2 steps
+        lanes += [(c, x) for x in d[200:] for c in rng.integers(1, x, 3).tolist() if math.gcd(c, x) == 1]
+    rng.shuffle(lanes)
+    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
+    c.flags.writeable = d.flags.writeable = False  # the kernel only reads its arguments
+    with np.errstate(divide="raise"):  # a parked lane that reaches b = 0 would divide by zero
+        alt, odd, inv = dedekind._euclid_lanes(c, d)
+        empty = dedekind._euclid_lanes(c[:0], d[:0])
+    assert [len(x) for x in empty] == [0, 0, 0]
+    assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
+    # 12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)), in Python ints
+    got = zip(lanes, alt.tolist(), odd.tolist(), inv.tolist())
+    twelve_ds = [x + x_inv + m * (a - (3 if o else 1)) for (x, m), a, o, x_inv in got]
+    assert twelve_ds == [dedekind_sum_parts(*lane)[0] for lane in lanes]
+
+
+# The paper's constancy theorem: for n <= m/2 the elements of order q^n mod f = q^m are
+# c = 1 + k*f', f' = q^(m-n) and k prime to q, and s(c, f) = s_near_one_closed(f, f') for
+# each. Here f*(alt - (1 or 3)) passes 2^63 on every lane, so an int64 combine would wrap
+# and the parts are combined in Python ints.
+@pytest.mark.parametrize("q, n, m", [(3, 10, 31), (5, 7, 21), (7, 5, 17)])
+def test_euclid_lanes_hold_the_constancy_theorem_at_prime_powers(q, n, m):
+    f, f_prime = q**m, q ** (m - n)
+    k = np.arange(1, q**n, dtype=np.int64)
+    c = 1 + f_prime * k[k % q != 0]
+    alt, odd, inv = dedekind._euclid_lanes(c, np.full_like(c, f))
+    terms = [f * (a - (3 if o else 1)) for a, o in zip(alt.tolist(), odd.tolist())]
+    assert min(map(abs, terms)) >= 1 << 63
+    got = [x + x_inv + t for x, x_inv, t in zip(c.tolist(), inv.tolist(), terms)]
+    assert len(got) == (q - 1) * q ** (n - 1) and set(got) == {12 * f * s_near_one_closed(f, f_prime)}

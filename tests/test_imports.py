@@ -44,3 +44,40 @@ def test_the_cli_imports_without_mpmath():
     code = "import sys, dsums.cli; assert 'mpmath' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True,
                    timeout=60)
+
+
+def package_imports(source: str) -> set[str]:
+    """The dsums modules a module's source imports, relative or absolute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("dsums")):
+            path = node.module.split(".")[node.level == 0:] if node.module else []  # the part after "dsums"
+            out |= {path[0]} if path else {alias.name for alias in node.names}  # from . import x
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("dsums.")}
+    return out
+
+
+def test_package_imports_are_caught():
+    source = "from . import survey as s\nfrom .numkernel import mulmod\nimport dsums.dedekind\nfrom dsums.cli import main\n"
+    assert package_imports(source) == {"survey", "numkernel", "dedekind", "cli"}
+
+
+def test_the_import_graph_has_no_cycle_and_only_the_entry_points_import_the_scans():
+    # the kernels live in numkernel and dedekind: survey holds the scan driver and imports them
+    graph = {path.stem: package_imports(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name for name, deps in graph.items() if "survey" in deps} == {"__init__", "cli"}
+    done, active = set(), []
+
+    def visit(name: str) -> None:
+        assert name not in active, " -> ".join(active[active.index(name):] + [name])
+        if name not in done:
+            active.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            active.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    assert len(done) == len(graph) >= 10 and graph["survey"] >= {"numkernel", "dedekind"}

@@ -111,6 +111,111 @@ def test_order_n_element_is_the_product_of_the_least_non_powers():
                 assert h == first_x(p, n), (p, n)
 
 
+# windows near 0, 1e10, 1e12 and 1e13, each side of the plain-product cut
+_WINDOWS = ((0, 4000), (10**10, 4000), (10**12, 3000), (10**13, 2000))
+
+
+def test_batched_generators_have_exact_order():
+    for lower, span in _WINDOWS:
+        for n in (3, 5, 9, 15, 21):
+            ps = primes_in_progression(lower, span, 2 * n, 1)
+            h0 = numkernel._generators(n, ps).tolist()
+            assert h0 == [order_n_element(p, n) for p in ps.tolist()], (lower, n)
+            for h, p in zip(h0, ps.tolist()):
+                assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
+
+
+# The pairs (p, d) of the all-odd scan: every odd d > 1 dividing p - 1. Its segments
+# search one order at a time, so each order's lanes make one call.
+@pytest.mark.parametrize("lower, span", [(3, 3000), (10**9, 4000), (10**10, 4000)])
+def test_all_odd_generators_one_order_at_a_time(lower, span, monkeypatch):
+    by_order = {}
+    for p in primes_in_progression(lower, span, 2, 1).tolist():
+        for d in divisors(p - 1)[1:]:
+            if d % 2:
+                by_order.setdefault(d, []).append(p)
+    assert sum(map(len, by_order.values())) >= 400 and len(by_order) >= 50
+    # every order through the scalar tail where it is short, and every one through the numpy search
+    for tail in (numkernel._SCALAR_TAIL, 0):
+        monkeypatch.setattr(numkernel, "_SCALAR_TAIL", tail)
+        for d, ps in by_order.items():
+            want = [order_n_element(p, d) for p in ps]
+            assert numkernel._generators(d, np.array(ps, dtype=np.int64)).tolist() == want, (lower, d, tail)
+
+
+def test_generators_near_2_50_and_with_a_late_x():
+    # the 40 largest primes p = 1 (mod 2n) below 2^50: about a fifth of them
+    # need x >= 5, and one for n = 3 takes x = 13
+    for n in (3, 9, 15, 21):
+        ps, p = [], (1 << 50) - 1 - ((1 << 50) - 2) % (2 * n)
+        while len(ps) < 40:
+            if is_prime(p):
+                ps.append(p)
+            p -= 2 * n
+        h0 = [order_n_element(p, n) for p in ps]
+        assert any(h not in {pow(x, (p - 1) // n, p) for x in (2, 3, 4)} for h, p in zip(h0, ps)), n
+        assert numkernel._generators(n, np.array(ps, dtype=np.int64)).tolist() == h0, n
+
+
+def _least_non_power(p: int, q: int) -> int:
+    """The least x >= 2 that is no q-th power mod p, by Python ints."""
+    return next(x for x in range(2, p) if pow(x, (p - 1) // q, p) != 1)
+
+
+# Several hundred lanes or more per case, on each side of the plain-product cut
+# (3037000500), so the ladders, the passes over each row and the scalar tail all run.
+@pytest.mark.parametrize("lower", [10**9, 10**10])
+@pytest.mark.parametrize("n, span", [(9, 200_000), (15, 200_000), (21, 200_000), (105, 600_000)])
+def test_generators_on_many_lanes(lower, n, span, monkeypatch):
+    ps = primes_in_progression(lower, span, 2 * n, 1)
+    want = [order_n_element(p, n) for p in ps.tolist()]
+    assert len(ps) >= 400
+    for p, h in zip(ps.tolist(), want):
+        assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
+    assert numkernel._generators(n, ps).tolist() == want
+    # each part's base is prime and the least q-th non-power, and h0 is the product of its powers
+    bases = {q: [_least_non_power(p, q) for p in ps.tolist()] for q, _ in factorize(n)}
+    assert all(is_prime(x) for xs in bases.values() for x in xs)
+    assert want == [math.prod(pow(bases[q][i], (p - 1) // q**k, p) for q, k in factorize(n)) % p
+                    for i, p in enumerate(ps.tolist())]
+    # a lane is open until its last part closes, and the scalar tail takes over at the first
+    # x with at most _SCALAR_TAIL lanes open
+    last = [max(xs) for xs in zip(*bases.values())]
+    tail_x = next(x for x in range(2, max(last) + 2) if sum(w >= x for w in last) <= numkernel._SCALAR_TAIL)
+    assert any(w >= tail_x for w in last)
+    # every lane through the numpy search alone, and every lane through the scalar tail alone
+    for tail in (0, len(ps)):
+        monkeypatch.setattr(numkernel, "_SCALAR_TAIL", tail)
+        assert numkernel._generators(n, ps).tolist() == want, tail
+
+
+def test_generator_search_ladders_only_prime_bases(monkeypatch):
+    # one segment of the 1e10 survey window, n = 9 and 15: a full-length ladder x^((p-1)/n)
+    # runs only for a prime int x, each x once and in order, on more lanes than the scalar
+    # tail takes; the other ladders raise it to the int n/q^k and the result to the int
+    # q^(k-1), q^k || n
+    calls = []
+
+    def spy(x, e, p):
+        calls.append((x, e if isinstance(e, int) else e.copy(), p.copy()))
+        return powmod_lanes(x, e, p)
+
+    monkeypatch.setattr(numkernel, "powmod_lanes", spy)
+    for n in (9, 15):
+        ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
+        calls.clear()  # the sieve's own ladder
+        assert numkernel._generators(n, ps).tolist() == [order_n_element(p, n) for p in ps.tolist()]
+        ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // n)]
+        bases = [x for x, _ in ladders]
+        assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
+        assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
+        # the last few open lanes go on in Python ints, with no ladder
+        assert all(lanes > numkernel._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
+        exps = {n // q**k for q, k in factorize(n)} | {q ** (k - 1) for q, k in factorize(n)}
+        others = [(x, e) for x, e, p in calls if not np.array_equal(e, (p - 1) // n)]
+        assert others and all(not isinstance(x, int) and isinstance(e, int) and e in exps for x, e in others), n
+
+
 # the int64 product is plain a*b % p up to 3037000500, where (p-1)^2 < 2^63 still holds
 _CUT = 3_037_000_500
 _BELOW_CUT = next(p for p in range(_CUT, 0, -1) if is_prime(p))

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import signal
 import subprocess
@@ -16,9 +15,9 @@ from hypothesis import strategies as st
 
 import dsums
 from dsums import survey
-from dsums.dedekind import dedekind_sum_naive, dedekind_sum_parts
+from dsums.dedekind import dedekind_sum_naive
 from dsums.meansquare import n_value
-from dsums.numkernel import divisors, factorize, is_prime, mulmod, order_n_element, powmod_lanes, primes_in_progression
+from dsums.numkernel import divisors, is_prime, mulmod, powmod_lanes, primes_in_progression
 from dsums.survey import (
     ratio_decimal,
     resume,
@@ -152,108 +151,10 @@ def test_batched_records_match_the_oracle():
         primes = primes_in_progression(lower, span, 2, 1).tolist()
         for n in (3, 5, 9, 15, 21):
             ps = np.array([p for p in primes if p % (2 * n) == 1], dtype=np.int64)
-            two_s, big_n = survey._batch_records(n, ps, survey._generators(n, ps))
+            two_s, big_n = survey._batch_records(n, ps)
             got = list(zip(ps.tolist(), two_s.tolist(), big_n.tolist(), (big_n <= 0).tolist()))
             want = [(rec.p, rec.two_S, rec.N, rec.nonpositive) for rec in (oracle_record(p, n) for p in ps.tolist())]
             assert got and got == want, (lower, n)
-
-
-def test_batched_generators_have_exact_order():
-    for lower, span in _WINDOWS:
-        for n in (3, 5, 9, 15, 21):
-            ps = primes_in_progression(lower, span, 2 * n, 1)
-            h0 = survey._generators(n, ps).tolist()
-            assert h0 == [order_n_element(p, n) for p in ps.tolist()], (lower, n)
-            for h, p in zip(h0, ps.tolist()):
-                assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
-    # one search over lanes of different orders, as the all-odd scan makes it
-    p_d = [(p, d) for p in primes_in_progression(3, 3000, 1, 0).tolist() for d in divisors(p - 1)[1:] if d % 2]
-    p, d = np.array(p_d, dtype=np.int64).T
-    assert survey._generators(d, p).tolist() == [order_n_element(*pair) for pair in p_d]
-
-
-def test_generators_near_2_50_and_with_a_late_x():
-    # the 40 largest primes p = 1 (mod 2n) below 2^50: about a fifth of them
-    # need x >= 5, and one for n = 3 takes x = 13
-    for n in (3, 9, 15, 21):
-        ps, p = [], (1 << 50) - 1 - ((1 << 50) - 2) % (2 * n)
-        while len(ps) < 40:
-            if is_prime(p):
-                ps.append(p)
-            p -= 2 * n
-        h0 = [order_n_element(p, n) for p in ps]
-        assert any(h not in {pow(x, (p - 1) // n, p) for x in (2, 3, 4)} for h, p in zip(h0, ps)), n
-        assert survey._generators(n, np.array(ps, dtype=np.int64)).tolist() == h0, n
-
-
-def _least_non_power(p: int, q: int) -> int:
-    """The least x >= 2 that is no q-th power mod p, by Python ints."""
-    return next(x for x in range(2, p) if pow(x, (p - 1) // q, p) != 1)
-
-
-# Several hundred lanes or more per case, on each side of the plain-product cut
-# (3037000500), so the ladders, the passes over each row and the scalar tail all run.
-@pytest.mark.parametrize("lower", [10**9, 10**10])
-@pytest.mark.parametrize("n, span", [(9, 200_000), (15, 200_000), (21, 200_000), (105, 600_000)])
-def test_generators_on_many_lanes(lower, n, span, monkeypatch):
-    ps = primes_in_progression(lower, span, 2 * n, 1)
-    want = [order_n_element(p, n) for p in ps.tolist()]
-    assert len(ps) >= 400
-    for p, h in zip(ps.tolist(), want):
-        assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
-    assert survey._generators(n, ps).tolist() == want
-    # each part's base is prime and the least q-th non-power, and h0 is the product of its powers
-    bases = {q: [_least_non_power(p, q) for p in ps.tolist()] for q, _ in factorize(n)}
-    assert all(is_prime(x) for xs in bases.values() for x in xs)
-    assert want == [math.prod(pow(bases[q][i], (p - 1) // q**k, p) for q, k in factorize(n)) % p
-                    for i, p in enumerate(ps.tolist())]
-    # a lane is open until its last part closes, and the scalar tail takes over at the first
-    # x with at most _SCALAR_TAIL lanes open
-    last = [max(xs) for xs in zip(*bases.values())]
-    tail_x = next(x for x in range(2, max(last) + 2) if sum(w >= x for w in last) <= survey._SCALAR_TAIL)
-    assert any(w >= tail_x for w in last)
-    # every lane through the numpy search alone, and every lane through the scalar tail alone
-    for tail in (0, len(ps)):
-        monkeypatch.setattr(survey, "_SCALAR_TAIL", tail)
-        assert survey._generators(n, ps).tolist() == want, tail
-
-
-@pytest.mark.parametrize("lower", [10**9, 10**10])
-def test_all_odd_generators_on_many_lanes(lower, monkeypatch):
-    # one search over lanes of many orders, as the all-odd scan makes it
-    p_d = [(p, d) for p in primes_in_progression(lower, 4000, 2, 1).tolist() for d in divisors(p - 1)[1:] if d % 2]
-    p, d = np.array(p_d, dtype=np.int64).T
-    want = [order_n_element(*pair) for pair in p_d]
-    assert len(p_d) >= 400 and len(set(d.tolist())) >= 50
-    assert survey._generators(d, p).tolist() == want
-    monkeypatch.setattr(survey, "_SCALAR_TAIL", 0)
-    assert survey._generators(d, p).tolist() == want
-
-
-def test_generator_search_ladders_only_prime_bases(monkeypatch):
-    # one segment of the 1e10 survey window, n = 9 and 15: a full-length ladder x^((p-1)/n)
-    # runs only for a prime int x, each x once and in order, on more lanes than the scalar
-    # tail takes; the other ladders raise it to n/q^k and the result to q^(k-1), q^k || n
-    calls = []
-
-    def spy(x, e, p):
-        calls.append((x, e.copy(), p.copy()))
-        return powmod_lanes(x, e, p)
-
-    monkeypatch.setattr(survey, "powmod_lanes", spy)
-    for n in (9, 15):
-        calls.clear()
-        ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
-        assert survey._generators(n, ps).tolist() == [order_n_element(p, n) for p in ps.tolist()]
-        ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // n)]
-        bases = [x for x, _ in ladders]
-        assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
-        assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
-        # the last few open lanes go on in Python ints, with no ladder
-        assert all(lanes > survey._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
-        exps = {n // q**k for q, k in factorize(n)} | {q ** (k - 1) for q, k in factorize(n)}
-        others = [(x, e) for x, e, p in calls if not np.array_equal(e, (p - 1) // n)]
-        assert others and all(not isinstance(x, int) and set(e.tolist()) <= exps for x, e in others), n
 
 
 def test_ladder_multiplies_a_large_x_through_mulmod():
@@ -302,47 +203,6 @@ def test_mulmod_corrects_both_ways_near_2_50():
     assert (r < 0).any() and (r >= p).any()
     got = mulmod(a, b, p).tolist()
     assert got == [x * y % m for x, y, m in zip(a.tolist(), b.tolist(), p.tolist())]
-
-
-def _fibonacci(k: int) -> int:
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
-
-
-def _continued_fraction(c: int, d: int) -> tuple[int, bool, int]:
-    """(alt, r odd, c^-1 mod d) of c/d = [0; a_1, ..., a_r], by Python ints."""
-    a, b, alt, r = d, c, 0, 0
-    while b:
-        k, (a, b) = a // b, (b, a % b)
-        alt += k if r % 2 == 0 else -k
-        r += 1
-    return alt, r % 2 == 1, pow(c, -1, d)
-
-
-# 0 keeps every finished lane parked to the end of the batch
-@pytest.mark.parametrize("share", [survey._COMPACT_SHARE, 0])
-def test_euclid_lanes_match_dedekind_sum_parts(monkeypatch, share):
-    monkeypatch.setattr(survey, "_COMPACT_SHARE", share)
-    rng = np.random.default_rng(73)
-    lanes = [(_fibonacci(72), _fibonacci(73))]  # Lame's worst case below 2^50: 71 steps
-    for top in (10**6, 10**13):
-        d = rng.integers(top - top // 10, top, 300).tolist()
-        lanes += [(1, x) for x in d[:100]] + [(x - 1, x) for x in d[100:200]]  # 1 step, 2 steps
-        lanes += [(c, x) for x in d[200:] for c in rng.integers(1, x, 3).tolist() if math.gcd(c, x) == 1]
-    rng.shuffle(lanes)
-    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
-    c.flags.writeable = d.flags.writeable = False  # the kernel only reads its arguments
-    with np.errstate(divide="raise"):  # a parked lane that reaches b = 0 would divide by zero
-        alt, odd, inv = survey._euclid_lanes(c, d)
-        empty = survey._euclid_lanes(c[:0], d[:0])
-    assert [len(x) for x in empty] == [0, 0, 0]
-    assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
-    # 12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)), in Python ints
-    got = zip(lanes, alt.tolist(), odd.tolist(), inv.tolist())
-    twelve_ds = [x + x_inv + m * (a - (3 if o else 1)) for (x, m), a, o, x_inv in got]
-    assert twelve_ds == [dedekind_sum_parts(*lane)[0] for lane in lanes]
 
 
 def _format_rows(p, d, two_s, big_n, flags) -> str:
@@ -434,7 +294,7 @@ def test_sum_audits_reject_a_wrong_alternating_sum(monkeypatch, delta, audit):
     monkeypatch.setattr(survey, "_euclid_lanes", off_by_delta)
     with pytest.raises(ArithmeticError, match=audit):
         ps = np.array([19, 37, 73], dtype=np.int64)
-        survey._batch_records(9, ps, survey._generators(9, ps))
+        survey._batch_records(9, ps)
 
 
 def test_records_csv(tmp_path):
