@@ -39,6 +39,11 @@ ENTRIES = {
     "class-number-13-4": {"argv": ["class-number", "--p", "13", "--degree", "4"]},
     "verify-theorem-parity-300": {"argv": ["verify", "--suite", "theorem-parity", "--max-modulus", "300", "--json"]},
     "verify-all-50": {"argv": ["verify", "--suite", "all", "--max-modulus", "50", "--json"]},
+    # records above 3037000500, where the lane products take the float form
+    "survey-n9-window-1e10": {"argv": ["survey", "--n", "9", "--from", "1e10", "--span", "2e5", *_REC, *_CK]},
+    "tables-rho9-window-1e10": {"argv": ["tables", "--table", "rho9-window", "--from", "1e10", "--span", "1e5"]},
+    "dedekind-5-1000003": {"argv": ["dedekind", "5", "1000003"]},
+    "ef-91": {"argv": ["ef", "--f", "91"]},
 }
 # the exit-2 cases of tests/test_cli.py
 _USAGE_ERRORS = [
