@@ -4,8 +4,8 @@ Two routes to s(c,d): a provably-correct O(d) sawtooth-sum oracle and an
 O(log d) integer kernel on the continued fraction of c/d, through which
 every exact s(c,d) in the package goes; the test-suite proves them equal on
 a dense grid. The kernel runs one pair at a time in Python ints
-(dedekind_sum_parts) or on int64 lanes for d < 2^50 (_euclid_lanes, which
-serves the prime scans and returns the parts for the caller to combine).
+(dedekind_sum_parts) or on float64 lanes, exact for d < 2^50 (_euclid_lanes,
+which serves the prime scans and returns int64 parts for the caller to combine).
 The coprime-restricted sum (Moebius combination of ordinary
 sums over divisors) and the closed forms used elsewhere live here too.
 
@@ -92,31 +92,37 @@ def dedekind_sum_parts(c: int, d: int) -> tuple[int, int]:
     return c + d - q_prev + d * (alt - 1), 12 * d
 
 
-# A finished lane is parked on the Fibonacci pair (F92, F91), with q = q_prev = 0, until
+# A finished lane is parked on the Fibonacci pair (F73, F72), with q = q_prev = 0, until
 # the next compaction. Euclid on (F(m+1), F(m)) takes m - 1 steps, so a parked lane needs
-# 90 more to reach a zero remainder; by Lame a lane with d < 2^50 < F74 takes at most 71
+# 71 more to reach a zero remainder; by Lame a lane with d < 2^50 < F74 takes at most 71
 # steps in all, so no parked lane finishes or divides by zero before the batch ends.
-_PARK = (7540113804746346429, 4660046610375530309)
+_PARK = (806515533049393.0, 498454011879264.0)
 
-# Parked lanes leave the arrays once they are at least a quarter of the live ones,
-# since each compaction copies six arrays. On the n = 9 lanes below 1e6 and on random
-# lanes near 1e13, shares from 1 to 1/4 timed alike and 1/8 and 1/16 were slower.
-_COMPACT_SHARE = 4
+# Parked lanes leave the arrays once they are at least as many as the live ones, since
+# each compaction copies six arrays. On the n = 9 and 15 lanes below 1e6 and near 1e10,
+# and on random lanes near 1e13, the float steps ran fastest at share 1; shares of 1/2
+# to 1/8 took up to a sixth longer.
+_COMPACT_SHARE = 1
 
 
 def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The continued-fraction kernel of dedekind_sum_parts on every lane at once.
 
-    For int64 arrays with 0 < c < d < 2^50 and gcd(c, d) = 1 (the scans keep
-    p < 2^50), c/d = [0; a_1, ..., a_r]: returns alt = sum (-1)^(i+1) a_i,
-    whether r is odd, and c* = c^-1 mod d from the convergent denominators.
-    All lanes start together, so step i adds (-1)^(i+1) a_i on every lane
-    still running. The partial quotients, their alternating partial sums and
-    the convergent denominators are all <= d.
+    For int64 arrays with 0 < c < d < 2^50 (ValueError for d >= 2^50) and
+    gcd(c, d) = 1, c/d = [0; a_1, ..., a_r]: returns, as int64, alt =
+    sum (-1)^(i+1) a_i, whether r is odd, and c* = c^-1 mod d from the
+    convergent denominators. All lanes start together, so step i adds
+    (-1)^(i+1) a_i on every lane still running. The partial quotients, their
+    alternating partial sums and the convergent denominators are all <= d.
 
     12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)); at composite d
     the term d*alt can pass 2^63, so a caller that is not sure it fits
     combines the parts in Python ints.
+
+    The steps run in float64, where a SIMD divide replaces int64 division by an
+    array: every value is an integer below 2^50, so exact, and k = floor(a/b)
+    is the partial quotient, since a/b < k + 1 is at least 1/b below k + 1 and
+    b(k + 1) <= a + b < 2^53 keeps the rounded quotient below k + 1.
 
     A lane whose remainder reaches 0 has its outputs recorded and is parked on
     _PARK with q = q_prev = 0: it keeps stepping, but by Lame (r <= 71 for
@@ -124,17 +130,21 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     its alt drifts by +-1 a step. Parked lanes leave the arrays through one
     index array once they are at least 1/_COMPACT_SHARE of the live ones.
     """
-    alt_out, inv_out = np.empty_like(c), np.empty_like(c)
+    if int(np.max(d, initial=0)) >= 1 << 50:
+        raise ValueError("the float64 lane Euclid needs every d < 2^50")
+    alt_out, inv_out = np.empty(len(c)), np.empty(len(c))
     odd_out = np.empty(len(c), dtype=bool)
     lane = np.arange(len(c))
-    a, b = d, c.copy()  # after the first step a is this copy, which parking writes to
-    alt = np.zeros_like(c)
-    q_prev, q = np.zeros_like(c), np.ones_like(c)  # convergent denominators q_{i-1}, q_i
+    a, b = d.astype(np.float64), c.astype(np.float64)
+    alt = np.zeros(len(c))
+    q_prev, q = np.zeros(len(c)), np.ones(len(c))  # convergent denominators q_{i-1}, q_i
     odd = False  # whether the number of steps taken is odd
     live, parked = len(c), 0
     while live:
-        k = a // b
-        a, b = b, a - k * b
+        k = a / b
+        np.floor(k, out=k)
+        a -= k * b
+        a, b = b, a
         if odd:
             alt -= k
         else:
@@ -161,8 +171,9 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                 q_prev = q_prev.take(keep)
                 q = q.take(keep)
                 parked = 0
+    inv = inv_out.astype(np.int64)
     # c * q_{r-1} = (-1)^(r-1) (mod d)
-    return alt_out, odd_out, np.where(odd_out, inv_out, d - inv_out)
+    return alt_out.astype(np.int64), odd_out, np.where(odd_out, inv, d - inv)
 
 
 def dedekind_sum(c: int, d: int) -> Fraction:

@@ -3,7 +3,8 @@ the search for an element of order n mod p (order_n_element, and _generators
 on int64 lanes), a sieve of the primes in a window of an arithmetic
 progression, and the int64 lane layer: one exact product mod p < 2^50
 (mulmod), a power table and a power ladder, each choosing the plain
-a*b % p or a float-quotient product once per call from the largest modulus.
+a*b % p or a float-quotient product once per call from the largest modulus;
+the ladder of a small int base multiplies by a window of exponent bits.
 
 Exact rational values everywhere in this package are `fractions.Fraction`:
 always reduced, denominator positive, so ``str()`` renders "num/den" in
@@ -204,8 +205,8 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
 
     The bases x are the primes 2, 3, 5, ... in turn, each tried only on the
     lanes with a prime power q^k || n still open. Each x runs one ladder
-    y = x^((p-1)/n) (powmod_lanes: one mulmod per exponent bit and an int64
-    multiply by x); then one pass per q^k takes u = y^(n/q^k) = x^((p-1)/q^k)
+    y = x^((p-1)/n) (powmod_lanes: a square per exponent bit, an int64 multiply
+    per window of bits); then one pass per q^k takes u = y^(n/q^k) = x^((p-1)/q^k)
     on the lanes where q^k is open, and closes q^k with u where
     u^(q^(k-1)) = x^((p-1)/q) is not 1. h0 is the product of the u. Once at
     most _SCALAR_TAIL lanes are open, from the start or after some bases, they
@@ -299,34 +300,39 @@ def powmod_lanes(x: int | np.ndarray, e: int | np.ndarray, p: np.ndarray) -> np.
     """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50;
     e is an int64 array or one int for every lane.
 
-    Each bit of e, from the top, costs one square and, where the bit is set,
-    a multiply by x, both with the product mulmod picks for the largest p.
-    The result is one fresh array; x, e and p are only read. On the plain
-    product the square is taken in place. When x is a plain int below 2^13
-    the multiply is r*t % p in place, t = bit*(x-1) + 1 in one reused array,
-    exact in int64 for any p < 2^50 (r*x < 2^50 * 2^13 = 2^63); a larger or
-    an array x is multiplied by mulmod's product and copied in where the bit
-    is set.
+    The squares use the product mulmod picks for the largest p, in place on the
+    plain one. For an array x, or a plain int x with x*max(p) >= 2^63, each bit
+    of e, from the top, costs one square and, where the bit is set, a multiply
+    by x with that product, copied in. Any other plain int x goes 2^w-ary: per
+    window of w bits of e, w squares and one r*t % p in place, t = x^digit from
+    a table of x^0 .. x^(2^w-1), with w <= 6 the largest width for which
+    x^(2^w-1)*max(p) < 2^63 keeps r*t exact; a partial window leads. The result
+    is one fresh array; x, e and p are only read.
     """
-    mul = _product(p)
-    small = isinstance(x, int) and x < 1 << 13
+    top = int(np.max(p, initial=0))
+    mul = _product(top)
+    w = 0  # the window width, 0 for the bit-by-bit ladder
+    while isinstance(x, int) and w < 6 and x ** ((2 << w) - 1) * top < 1 << 63:
+        w += 1
+    table = np.array([x**j for j in range(1 << w)], dtype=np.int64) if w else None
     r = np.ones(np.broadcast_shapes(np.shape(x), np.shape(e), np.shape(p)), dtype=np.int64)
-    bit_lanes = np.empty_like(r)
-    for bit in reversed(range(int(np.max(e, initial=0)).bit_length())):
-        if mul is _plain_mulmod:
-            np.multiply(r, r, out=r)
-            np.remainder(r, p, out=r)
-        else:
-            r = mul(r, r, p)
-        np.right_shift(e, bit, out=bit_lanes)
-        bit_lanes &= 1
-        if small:
-            bit_lanes *= x - 1
-            bit_lanes += 1
-            r *= bit_lanes
+    digit = np.empty_like(r)
+    bits, step = int(np.max(e, initial=0)).bit_length(), w or 1
+    for shift in reversed(range(0, bits, step)):
+        if shift + step < bits:  # below the leading window, whose squares would square a 1
+            for _ in range(step):
+                if mul is _plain_mulmod:
+                    np.multiply(r, r, out=r)
+                    np.remainder(r, p, out=r)
+                else:
+                    r = mul(r, r, p)
+        np.right_shift(e, shift, out=digit)
+        digit &= (1 << step) - 1
+        if w:
+            r *= table.take(digit)
             r %= p
         else:
-            np.copyto(r, mul(r, x, p), where=bit_lanes.astype(bool))
+            np.copyto(r, mul(r, x, p), where=digit.astype(bool))
     return r
 
 

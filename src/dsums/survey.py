@@ -11,14 +11,14 @@ H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
-A batch keeps every step on int64 lanes, one lane per prime or per (p, h0^j):
+A batch keeps every step on numpy lanes, one lane per prime or per (p, h0^j):
 numkernel's _generators gives h0, power_table gives h0^1, ..., h0^(n-1),
 dedekind's _euclid_lanes gives (alt, r odd, c*) of every h0^j/p with
 j <= (n-1)/2, and the column sums give k and 12*S. A segment's CSV rows are
-one uint8 matrix of right-aligned ASCII digits, decoded once. The lane
-products are exact for p < 2^50; the scans reject bounds >= 2^50, and
-n*upper >= 2^62 so that no per-prime sum (each within about n*p of 0) wraps
-(n = upper when all-odd).
+one uint8 matrix of right-aligned ASCII digits, each from one division by the
+scalar 10, decoded once. The lane products are exact for p < 2^50; the scans
+reject bounds >= 2^50, and n*upper >= 2^62 so that no per-prime sum (each
+within about n*p of 0) wraps (n = upper when all-odd).
 
 Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
@@ -279,8 +279,10 @@ def _csv_rows(columns: tuple[np.ndarray, ...], flags: np.ndarray) -> str:
         x = np.abs(v)
         for k in range(digits):  # the k-th digit from the right, a zero byte past the leading one
             lead = x != 0
-            x, digit = np.divmod(x, 10)
+            q = x // 10  # numpy's fast path for a scalar divisor, which np.divmod lacks
+            digit = x - 10 * q
             digit += ord("0")
+            x = q
             if k:
                 digit *= lead
             out[:, end - 1 - k] = digit

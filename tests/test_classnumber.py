@@ -15,6 +15,7 @@ from dsums.classnumber import (
     upper_bound_simple,
     upper_bound_subfield,
 )
+from dsums.meansquare import subgroup_sum_S
 from dsums.numkernel import divisors, factorize, is_prime, order_n_element, sieve_upto
 from dsums.unitgroups import (
     odd_characters_trivial_on,
@@ -245,6 +246,24 @@ def test_crt_budget_bits_match_the_exact_power(monkeypatch):
             with pytest.raises(Budget) as budget:
                 relative_class_number(p, m)
             assert budget.value.args == (((s2 ** (m // 2)).bit_length() + 1) // 2 + 1,), (p, m)
+
+
+def test_s2_is_the_subgroup_sum_of_the_dedekind_kernel(monkeypatch):
+    # the g_t are half the coset values X_C = 2 sigma_C - |H| p of H = ker of the degree-m
+    # field, |H| = (p-1)/m odd, so s2 = sum g_t^2 = (1/2) sum_C X_C^2 = 2 p^2 S(H,p)
+    class Stop(Exception):
+        pass
+
+    def stop(s2, n):
+        raise Stop(s2)
+
+    monkeypatch.setattr(classnumber, "_power_bits", stop)
+    fields = [(p, m) for p in sieve_upto(400).tolist()[1:] for m in divisors(p - 1) if (p - 1) // m % 2]
+    assert len(fields) == 258
+    for p, m in fields:
+        with pytest.raises(Stop) as s2:
+            relative_class_number(p, m)
+        assert s2.value.args == (2 * p * p * subgroup_sum_S(subgroup_of_order((p - 1) // m, p)),), (p, m)
 
 
 def test_determinant_oracle():

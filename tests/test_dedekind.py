@@ -147,22 +147,36 @@ def test_euclid_lanes_match_dedekind_sum_parts(monkeypatch, share):
     monkeypatch.setattr(dedekind, "_COMPACT_SHARE", share)
     rng = np.random.default_rng(73)
     lanes = [(_fibonacci(72), _fibonacci(73))]  # Lame's worst case below 2^50: 71 steps
-    for top in (10**6, 10**13):
-        d = rng.integers(top - top // 10, top, 300).tolist()
+    # up to the top of the float quotient's reach, where a + b nears 2^51
+    for lo, hi in ((9 * 10**5, 10**6), (9 * 10**12, 10**13), (1 << 49, 1 << 50)):
+        d = rng.integers(lo, hi, 300).tolist()
         lanes += [(1, x) for x in d[:100]] + [(x - 1, x) for x in d[100:200]]  # 1 step, 2 steps
         lanes += [(c, x) for x in d[200:] for c in rng.integers(1, x, 3).tolist() if math.gcd(c, x) == 1]
+    assert max(x for _, x in lanes) >= 1 << 49
     rng.shuffle(lanes)
     c, d = np.array(list(zip(*lanes)), dtype=np.int64)
     c.flags.writeable = d.flags.writeable = False  # the kernel only reads its arguments
-    with np.errstate(divide="raise"):  # a parked lane that reaches b = 0 would divide by zero
+    with np.errstate(all="raise"):  # a parked lane that reached b = 0 would divide by zero
         alt, odd, inv = dedekind._euclid_lanes(c, d)
         empty = dedekind._euclid_lanes(c[:0], d[:0])
     assert [len(x) for x in empty] == [0, 0, 0]
+    assert alt.dtype == inv.dtype == np.int64
     assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
     # 12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)), in Python ints
     got = zip(lanes, alt.tolist(), odd.tolist(), inv.tolist())
     twelve_ds = [x + x_inv + m * (a - (3 if o else 1)) for (x, m), a, o, x_inv in got]
     assert twelve_ds == [dedekind_sum_parts(*lane)[0] for lane in lanes]
+
+
+def test_euclid_lanes_refuse_moduli_from_2_50():
+    # the float quotient is exact, and the park pair outlasts every lane, only for d < 2^50
+    top, cs = (1 << 50) - 1, [2, 1 << 49]
+    alt, odd, inv = dedekind._euclid_lanes(np.array(cs, dtype=np.int64), np.full(2, top, dtype=np.int64))
+    assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(c, top) for c in cs]
+    for d in ([1 << 50], [7, 1 << 50, 9], [(1 << 62) + 1]):
+        c = np.ones(len(d), dtype=np.int64)
+        with pytest.raises(ValueError, match="2\\^50"):
+            dedekind._euclid_lanes(c, np.array(d, dtype=np.int64))
 
 
 # The paper's constancy theorem: for n <= m/2 the elements of order q^n mod f = q^m are

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -250,10 +251,47 @@ def test_powmod_lanes_matches_pow_and_reads_its_arguments_only(ps, plain):
     xs = np.array([rng.randrange(q) for q in p.tolist()], dtype=np.int64)
     for arr in (p, e, xs):
         arr.flags.writeable = False  # an in-place write raises
-    # an array x; plain ints each side of 2^13, where the multiply moves from r*t % p to the product
-    for x in (xs, 2, (1 << 13) - 1, 1 << 13):
+    # an array x; plain ints each side of 2^63/2^50, where the ladder near 2^50 moves from
+    # one-bit windows to the bit-by-bit product
+    for x in (xs, 2, (1 << 13) - 1, 1 << 13, (1 << 13) + 1):
         want = [pow(x if isinstance(x, int) else a, k, q) for a, k, q in zip(xs.tolist(), e.tolist(), p.tolist())]
         assert powmod_lanes(x, e, p).tolist() == want, x
+
+
+def _window(x: int, top: int) -> int:
+    """The width of powmod_lanes's window for the plain int x and the largest modulus top."""
+    return max(w for w in range(7) if x ** (2**w - 1) * top < 2**63)
+
+
+_WINDOW_MODULI = [1_000_003, _BELOW_CUT, _ABOVE_CUT, _NEAR_2_50]
+_WINDOW_BASES = [0, 1, 2, 3, 5, 8191]
+
+
+@pytest.mark.parametrize("ps", [[q] for q in _WINDOW_MODULI] + [_WINDOW_MODULI],
+                         ids=["1e6", "below", "above", "2^50", "all"])
+def test_windowed_ladder_matches_pow(ps):
+    # e = 0 and 1, then per bit length 2..50 the top bit alone, all ones and a random e, so
+    # that the leading window holds every number of bits from 1 to w, for each width w
+    rng = random.Random(len(ps) * ps[0])
+    exps = [0, 1] + [e for b in range(2, 51) for e in (1 << (b - 1), (1 << b) - 1, rng.getrandbits(b) | 1 << (b - 1))]
+    p = np.array([q for q in ps for _ in exps], dtype=np.int64)
+    e = np.array([k for _ in ps for k in exps], dtype=np.int64)
+    p.flags.writeable = e.flags.writeable = False  # an in-place write raises
+    for x in _WINDOW_BASES:
+        assert powmod_lanes(x, e, p).tolist() == [pow(x, k, q) for k, q in zip(e.tolist(), p.tolist())], x
+        assert powmod_lanes(x, 0, p).tolist() == [1] * len(p) and powmod_lanes(x, 1, p).tolist() == [x] * len(p), x
+        k = int(e[-1])  # one int exponent for every lane
+        assert powmod_lanes(x, k, p).tolist() == [pow(x, k, q) for q in p.tolist()], x
+
+
+def test_windowed_ladder_takes_every_width():
+    assert {_window(x, q) for x in _WINDOW_BASES for q in _WINDOW_MODULI} == {1, 2, 3, 4, 5, 6}
+    # past 2^63/max(p) a plain int takes the bit-by-bit ladder of mulmod's product: a one-bit
+    # window's r*x would wrap there, as for this e, whose last multiply takes an r near p
+    x, p = (1 << 13) + 1, _NEAR_2_50
+    assert (_window(x - 1, p), _window(x, p)) == (1, 0)
+    j = next(j for j in itertools.count(1) if pow(x, 2 * j, p) * x >= 2**63)
+    assert powmod_lanes(x, np.array([2 * j + 1]), np.array([p])).tolist() == [pow(x, 2 * j + 1, p)]
 
 
 @pytest.mark.parametrize("p", [1_000_003, _BELOW_CUT, _ABOVE_CUT, _NEAR_2_50])

@@ -158,7 +158,8 @@ def test_batched_records_match_the_oracle():
 
 
 def test_ladder_multiplies_a_large_x_through_mulmod():
-    # r*x % p with r near 2^50 is exact for x < 2^13 and wraps in int64 from 2^13 on
+    # r*x % p with r near 2^50 is exact in int64 up to x = 2^13, where the ladder takes
+    # one-bit windows, and wraps from 2^13 + 1 on, where it multiplies through mulmod
     p = (1 << 50) - 27  # prime
     mod = np.full(3, p, dtype=np.int64)
     exps = np.array([p - 2, (p - 1) // 3, 12345], dtype=np.int64)
@@ -189,7 +190,7 @@ def test_mulmod_and_powmod_match_python_ints(case):
     exps = np.array([e, 0, 1, p - 1], dtype=np.int64)
     want = [pow(x, k, p) for k in exps.tolist()]
     assert powmod_lanes(np.full(4, x, dtype=np.int64), exps, mod).tolist() == want
-    assert powmod_lanes(x, exps, mod).tolist() == want  # a plain int x, on either side of 2^13
+    assert powmod_lanes(x, exps, mod).tolist() == want  # a plain int x: windows while x*p < 2^63
 
 
 def test_mulmod_corrects_both_ways_near_2_50():
