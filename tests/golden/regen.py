@@ -44,6 +44,8 @@ ENTRIES = {
     "tables-rho9-window-1e10": {"argv": ["tables", "--table", "rho9-window", "--from", "1e10", "--span", "1e5"]},
     "dedekind-5-1000003": {"argv": ["dedekind", "5", "1000003"]},
     "ef-91": {"argv": ["ef", "--f", "91"]},
+    "class-number-1009": {"argv": ["class-number", "--p", "1009"]},
+    "tables-rho9-1e6": {"argv": ["tables", "--table", "rho9", "--limit", "1e6"]},
 }
 # the exit-2 cases of tests/test_cli.py
 _USAGE_ERRORS = [
