@@ -105,19 +105,18 @@ _PARK = (806515533049393.0, 498454011879264.0)
 _COMPACT_SHARE = 1
 
 
-def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The continued-fraction kernel of dedekind_sum_parts on every lane at once.
 
     For int64 arrays with 0 < c < d < 2^50 (ValueError for d >= 2^50) and
-    gcd(c, d) = 1, c/d = [0; a_1, ..., a_r]: returns, as int64, alt =
-    sum (-1)^(i+1) a_i, whether r is odd, and c* = c^-1 mod d from the
-    convergent denominators. All lanes start together, so step i adds
-    (-1)^(i+1) a_i on every lane still running. The partial quotients, their
-    alternating partial sums and the convergent denominators are all <= d.
-
-    12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)); at composite d
-    the term d*alt can pass 2^63, so a caller that is not sure it fits
-    combines the parts in Python ints.
+    gcd(c, d) = 1, c/d = [0; a_1, ..., a_r]: returns, as int64,
+    t = sum (-1)^(i+1) a_i - (3 if r is odd, else 1) and c* = c^-1 mod d from
+    the convergent denominators, so that 12*d*s(c,d) = c + c* + d*t. All lanes
+    start together, so step i adds (-1)^(i+1) a_i on every lane still running,
+    and a lane finishes on step r. The partial quotients, their alternating
+    partial sums and the convergent denominators are all <= d. At composite d
+    the term d*t can pass 2^63, so a caller that is not sure it fits combines
+    the parts in Python ints.
 
     The steps run in float64, where a SIMD divide replaces int64 division by an
     array: every value is an integer below 2^50, so exact, and k = floor(a/b)
@@ -129,18 +128,21 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     d < 2^50) it cannot finish before every live lane has, its q stays 0 and
     its alt drifts by +-1 a step. Parked lanes leave the arrays through one
     index array once they are at least 1/_COMPACT_SHARE of the live ones.
+    After 71 steps, a lane still open or one finished twice raises
+    ArithmeticError: a broken kernel fails rather than loops.
     """
     if int(np.max(d, initial=0)) >= 1 << 50:
         raise ValueError("the float64 lane Euclid needs every d < 2^50")
-    alt_out, inv_out = np.empty(len(c)), np.empty(len(c))
-    odd_out = np.empty(len(c), dtype=bool)
+    t_out, inv_out = np.empty(len(c)), np.empty(len(c))
     lane = np.arange(len(c))
     a, b = d.astype(np.float64), c.astype(np.float64)
     alt = np.zeros(len(c))
     q_prev, q = np.zeros(len(c)), np.ones(len(c))  # convergent denominators q_{i-1}, q_i
     odd = False  # whether the number of steps taken is odd
     live, parked = len(c), 0
-    while live:
+    for _ in range(71):  # Lame's bound for d < 2^50, which _PARK relies on
+        if not live:
+            break
         k = a / b
         np.floor(k, out=k)
         a -= k * b
@@ -156,7 +158,10 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         done = np.flatnonzero(b == 0)
         if len(done):
             out = lane[done]
-            alt_out[out], odd_out[out], inv_out[out] = alt[done], odd, q_prev[done]
+            if odd:  # c * q_{r-1} = (-1)^(r-1) (mod d)
+                t_out[out], inv_out[out] = alt[done] - 3, q_prev[done]
+            else:
+                t_out[out], inv_out[out] = alt[done] - 1, d[out] - q_prev[done]
             a[done], b[done] = _PARK
             q_prev[done] = q[done] = 0
             live -= len(done)
@@ -171,9 +176,9 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                 q_prev = q_prev.take(keep)
                 q = q.take(keep)
                 parked = 0
-    inv = inv_out.astype(np.int64)
-    # c * q_{r-1} = (-1)^(r-1) (mod d)
-    return alt_out.astype(np.int64), odd_out, np.where(odd_out, inv, d - inv)
+    if live or q.any():
+        raise ArithmeticError("the lane Euclid left a lane open, or finished one twice, in 71 steps")
+    return t_out.astype(np.int64), inv_out.astype(np.int64)
 
 
 def dedekind_sum(c: int, d: int) -> Fraction:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,17 +84,10 @@ class PiSquared:
         num, den = abs(self.coefficient.numerator), self.coefficient.denominator
         if num == 0:
             return "0.0"
-        x, y = num * _PI2, den * 10 ** (2 * _PI_DIGITS)  # c pi^2 = x/y, off by a relative 1e-99 at most
-        e = len(str(x)) - len(str(y))  # the decimal exponent of x/y, or one more
-        if x * 10 ** max(0, -e) < y * 10 ** max(0, e):
-            e -= 1
-        y *= 10 ** max(0, e - 29)
-        q, r = divmod(x * 10 ** max(0, 29 - e), y)  # 10^29 <= q < 10^30
-        if 2 * r > y or 2 * r == y and q % 2:
-            q += 1
-        if q == 10**30:
-            q, e = 10**29, e + 1
-        d, split, tail = str(q), 1, f"e{e:+d}"
+        with localcontext(Context(prec=30, rounding=ROUND_HALF_EVEN)):  # localcontext(prec=) needs 3.11
+            v = Decimal(num * _PI2) / (den * 10 ** (2 * _PI_DIGITS))  # c pi^2, off by a relative 1e-99 at most
+        e, d = v.adjusted(), "".join(map(str, v.as_tuple().digits)).ljust(30, "0")
+        split, tail = 1, f"e{e:+d}"
         if -10 < e < 30:
             d, split, tail = "0" * -e + d, max(e, 0) + 1, ""
         return ("-" if self.coefficient < 0 else "") + d[:split] + "." + d[split:] + tail

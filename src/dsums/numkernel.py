@@ -51,10 +51,7 @@ def _miller_rabin(n: int, bases) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in bases:
-        a %= n
-        if a < 2:
-            continue
+    for a in bases:  # 2 <= a <= n - 2: is_prime passes no other base
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -203,24 +200,25 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
     """order_n_element(p, n) on every lane of the int64 primes p < 2^50, for one
     order n > 1 that divides every p - 1.
 
-    The bases x are the primes 2, 3, 5, ... in turn, each tried only on the
-    lanes with a prime power q^k || n still open. Each x runs one ladder
-    y = x^((p-1)/n) (powmod_lanes: a square per exponent bit, an int64 multiply
-    per window of bits); then one pass per q^k takes u = y^(n/q^k) = x^((p-1)/q^k)
+    The bases x are the primes below 10^4 that order_n_element starts from,
+    in turn, each tried only on the lanes with a prime power q^k || n still
+    open. Each x runs one ladder y = x^((p-1)/n) (powmod_lanes: a square per
+    exponent bit, an int64 multiply per window of bits); then one pass per q^k takes u = y^(n/q^k) = x^((p-1)/q^k)
     on the lanes where q^k is open, and closes q^k with u where
     u^(q^(k-1)) = x^((p-1)/q) is not 1. h0 is the product of the u. Once at
-    most _SCALAR_TAIL lanes are open, from the start or after some bases, they
-    take order_n_element in Python ints."""
+    most _SCALAR_TAIL lanes are open, from the start or after some bases, or
+    once the bases run out, the open lanes take order_n_element in Python ints."""
     if len(p) <= _SCALAR_TAIL:  # the numpy search's set-up alone costs more than these pow calls
         return np.array([order_n_element(x, n) for x in p.tolist()], dtype=np.int64)
     parts = [(n // q**k, q ** (k - 1)) for q, k in factorize(n)]
     found = np.zeros((len(parts), len(p)), dtype=np.int64)  # row per q^k: u once closed, 0 while open
     e = (p - 1) // n
     todo = np.arange(len(p))
-    bases = filter(is_prime, itertools.count(2))
-    while len(todo) > _SCALAR_TAIL:
+    for x in _trial_primes():
+        if len(todo) <= _SCALAR_TAIL:
+            break
         pt = p[todo]
-        y = powmod_lanes(next(bases), e[todo], pt)
+        y = powmod_lanes(x, e[todo], pt)
         for row, (cofactor, test) in zip(found, parts):
             lanes = np.flatnonzero(row[todo] == 0)
             u = powmod_lanes(y[lanes], cofactor, pt[lanes]) if cofactor > 1 else y[lanes]  # 1: n = q^k
@@ -360,7 +358,8 @@ def primes_in_progression(lower: int, span: int, q: int, r: int) -> np.ndarray:
     first + q*k exactly when k = -first * q^-1 (mod b), and strikes those k
     from the first whose value is >= b^2, so a prime b in the window
     survives. Every composite member has a prime factor b <= sqrt(lower+span)
-    with value >= b^2, and is struck.
+    with value >= b^2, and is struck. q^-1 mod b is (1 + b*t)/q for
+    t = -b^-1 mod q, read from one table of -c^-1 mod q over the units c.
     """
     if lower < 0 or span < 0:
         raise ValueError("need lower >= 0 and span >= 0")
@@ -377,10 +376,9 @@ def primes_in_progression(lower: int, span: int, q: int, r: int) -> np.ndarray:
     mask[: max(0, (1 - first) // q + 1)] = False  # the members 0 and 1
     base = sieve_upto(math.isqrt(hi))
     base = base[q % base != 0]
-    # t = -c^-1 mod q for each unit c mod q, by Euler (the other rows go unused);
+    # t = -c^-1 mod q for each unit c mod q (0, unused, elsewhere);
     # then with t = -b^-1 mod q, q divides 1 + b*t and q * (1 + b*t)/q = 1 (mod b)
-    units = np.arange(q, dtype=np.int64)
-    neg_inv = -powmod_lanes(units, np.full(q, totient(q) - 1), np.full(q, q)) % q
+    neg_inv = np.array([-pow(c, -1, q) % q if math.gcd(c, q) == 1 else 0 for c in range(q)], dtype=np.int64)
     for b in np.split(base, range(_BASE_BLOCK, len(base), _BASE_BLOCK)):
         k = (-first) % b * ((1 + b * neg_inv[b % q]) // q) % b
         # raise k by multiples of b to the first k with first + q*k >= b^2

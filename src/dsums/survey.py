@@ -8,13 +8,13 @@ takes the pairs (p, n) for every odd n | p - 1, one batch per n, in the same
 driver.
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
-12*p*s(c,p) = c + c* + p*(alt - (1 or 3)) of dedekind_sum_parts and
+12*p*s(c,p) = c + c* + p*t of dedekind_sum_parts and
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
-    12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} (alt_j - (1 or 3)).
+    12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} t_j.
 A batch keeps every step on numpy lanes, one lane per prime or per (p, h0^j):
 numkernel's _generators gives h0, power_table gives h0^1, ..., h0^(n-1),
-dedekind's _euclid_lanes gives (alt, r odd, c*) of every h0^j/p with
-j <= (n-1)/2, and the column sums give k and 12*S. A segment's CSV rows are
+dedekind's _euclid_lanes gives (t, c*) of every h0^j/p with j <= (n-1)/2,
+and the column sums give k and 12*S. A segment's CSV rows are
 one uint8 matrix of right-aligned ASCII digits, each from one division by the
 scalar 10, decoded once. The lane products are exact for p < 2^50; the scans
 reject bounds >= 2^50, and n*upper >= 2^62 so that no per-prime sum (each
@@ -118,14 +118,14 @@ def _batch_records(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = (n - 1) // 2
     h0 = _generators(n, p)
     powers = power_table(h0, n, p)[1:]  # row j-1 holds h0^j mod p
-    alt, odd, inv = _euclid_lanes(powers[:m].ravel(), np.tile(p, m))
+    t, inv = _euclid_lanes(powers[:m].ravel(), np.tile(p, m))
     # the inverse of h0^j is h0^(n-j) (so h0^n = 1), and no h0^j with 0 < j < n is 1
     bad = (inv.reshape(m, -1) != powers[::-1][:m]).any(axis=0) | (powers == 1).any(axis=0)
     _audit(bad, p, n, "order", "h0", h0)
     # c* = h0^(n-j) are the rest of the table, so sum_j (c + c*) + 1 is its column sum + 1
     k, rem = np.divmod(1 + powers.sum(axis=0), p)
     _audit(rem != 0, p, n, "integrality", "(1 + sum h0^j) mod p", rem)
-    twelve_s = p - 3 + 2 * k + 2 * (alt - np.where(odd, 3, 1)).reshape(m, -1).sum(axis=0)
+    twelve_s = p - 3 + 2 * k + 2 * t.reshape(m, -1).sum(axis=0)
     _audit(twelve_s % 6 != 0, p, n, "integrality", "12S", twelve_s)
     two_s = twelve_s // 6
     _audit((two_s - (p - 1) // 2) % 2 != 0, p, n, "parity", "2S", two_s)

@@ -39,7 +39,7 @@ from .meansquare import (
     subgroup_sum_S,
     subgroup_sum_tilde,
 )
-from .numkernel import divisors, factorize, sieve_upto, totient
+from .numkernel import divisors, factorize, primes_in_progression, totient
 from .unitgroups import (
     Subgroup,
     cyclic_subgroups,
@@ -144,10 +144,7 @@ def suite_denominators(t: VerifyReport, dmax: int, seed: int) -> None:
         t.check(v.denominator == 1, f"2d*gcd(3,d)*s({c},{d}) = {v} not an integer")
 
     # p = 7 mod 12: the denominator bound is attained and the witness is odd
-    for p in sieve_upto(10**4):
-        p = int(p)
-        if p % 12 != 7:
-            continue
+    for p in primes_in_progression(0, 10**4, 12, 7).tolist():
         v = 2 * p * math.gcd(3, p) * s_one(p)
         ok = v.denominator == 1 and int(v) == (p - 1) * (p - 2) // 6
         ok = ok and int(v) % 2 == 1 and math.gcd(int(v), p) == 1
@@ -166,10 +163,7 @@ def suite_denominators(t: VerifyReport, dmax: int, seed: int) -> None:
 
 def suite_theorem_parity(t: VerifyReport, pcap: int, seed: int) -> None:
     # odd n > 1 forces 2S integral with the parity of (p-1)/2 and N odd
-    for p in sieve_upto(pcap):
-        p = int(p)
-        if p < 3:
-            continue
+    for p in primes_in_progression(0, pcap, 2, 1).tolist():
         for n in divisors(p - 1):
             if n == 1 or n % 2 == 0:
                 continue
@@ -321,7 +315,7 @@ def cross_check_pairs(cap: int) -> list[tuple[int, Subgroup]]:
     """Deterministic (f, H) suite for the exact-vs-numeric comparison.
 
     Mixes prime and composite moduli, trivial subgroups, odd-order cyclic
-    subgroups, kernel subgroups and the E_f order-3 subgroups.
+    subgroups, kernel subgroups and the E_f order-3 subgroups; no pair repeats.
     """
     pairs: list[tuple[int, Subgroup]] = []
     for f in (5, 7, 9, 11, 12, 13, 16, 19, 21, 24, 25, 31, 37, 43, 45, 61, 100, 241, 625, 1009, 1998):
@@ -343,15 +337,7 @@ def cross_check_pairs(cap: int) -> list[tuple[int, Subgroup]]:
     for f in composite_ef[::4]:
         for sub in order3_subgroups_from_ef(f):
             pairs.append((f, sub))
-    # deduplicate, keep deterministic order
-    seen = set()
-    out = []
-    for f, sub in pairs:
-        key = (f, sub.elements)
-        if key not in seen:
-            seen.add(key)
-            out.append((f, sub))
-    return out
+    return pairs
 
 
 def suite_mean_square(t: VerifyReport, cap: int, seed: int) -> None:
@@ -375,10 +361,7 @@ def suite_mean_square(t: VerifyReport, cap: int, seed: int) -> None:
                 t.equal(mean_square_exact(f, sub).coefficient, want, f"H3 closed form at f={f}")
 
     # N(H_3, p) = -1 for p = 1 mod 6
-    for p in sieve_upto(10**4):
-        p = int(p)
-        if p % 6 != 1:
-            continue
+    for p in primes_in_progression(0, 10**4, 6, 1).tolist():
         with t.audited():
             t.equal(n_value(p, subgroup_of_order(3, p)), Fraction(-1), f"N(H_3,{p})")
 

@@ -131,14 +131,14 @@ def _fibonacci(k: int) -> int:
     return a
 
 
-def _continued_fraction(c: int, d: int) -> tuple[int, bool, int]:
-    """(alt, r odd, c^-1 mod d) of c/d = [0; a_1, ..., a_r], by Python ints."""
+def _continued_fraction(c: int, d: int) -> tuple[int, int]:
+    """(sum (-1)^(i+1) a_i - (3 if r is odd, else 1), c^-1 mod d) of c/d = [0; a_1, ..., a_r], by Python ints."""
     a, b, alt, r = d, c, 0, 0
     while b:
         k, (a, b) = a // b, (b, a % b)
         alt += k if r % 2 == 0 else -k
         r += 1
-    return alt, r % 2 == 1, pow(c, -1, d)
+    return alt - (3 if r % 2 else 1), pow(c, -1, d)
 
 
 # 0 keeps every finished lane parked to the end of the batch
@@ -157,39 +157,53 @@ def test_euclid_lanes_match_dedekind_sum_parts(monkeypatch, share):
     c, d = np.array(list(zip(*lanes)), dtype=np.int64)
     c.flags.writeable = d.flags.writeable = False  # the kernel only reads its arguments
     with np.errstate(all="raise"):  # a parked lane that reached b = 0 would divide by zero
-        alt, odd, inv = dedekind._euclid_lanes(c, d)
+        t, inv = dedekind._euclid_lanes(c, d)
         empty = dedekind._euclid_lanes(c[:0], d[:0])
-    assert [len(x) for x in empty] == [0, 0, 0]
-    assert alt.dtype == inv.dtype == np.int64
-    assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
-    # 12*d*s(c,d) = c + c* + d*(alt - (3 if r is odd, else 1)), in Python ints
-    got = zip(lanes, alt.tolist(), odd.tolist(), inv.tolist())
-    twelve_ds = [x + x_inv + m * (a - (3 if o else 1)) for (x, m), a, o, x_inv in got]
+    assert [len(x) for x in empty] == [0, 0]
+    assert t.dtype == inv.dtype == np.int64
+    assert list(zip(t.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
+    # 12*d*s(c,d) = c + c* + d*t, in Python ints
+    twelve_ds = [x + x_inv + m * x_t for (x, m), x_t, x_inv in zip(lanes, t.tolist(), inv.tolist())]
     assert twelve_ds == [dedekind_sum_parts(*lane)[0] for lane in lanes]
 
 
 def test_euclid_lanes_refuse_moduli_from_2_50():
     # the float quotient is exact, and the park pair outlasts every lane, only for d < 2^50
     top, cs = (1 << 50) - 1, [2, 1 << 49]
-    alt, odd, inv = dedekind._euclid_lanes(np.array(cs, dtype=np.int64), np.full(2, top, dtype=np.int64))
-    assert list(zip(alt.tolist(), odd.tolist(), inv.tolist())) == [_continued_fraction(c, top) for c in cs]
+    t, inv = dedekind._euclid_lanes(np.array(cs, dtype=np.int64), np.full(2, top, dtype=np.int64))
+    assert list(zip(t.tolist(), inv.tolist())) == [_continued_fraction(c, top) for c in cs]
     for d in ([1 << 50], [7, 1 << 50, 9], [(1 << 62) + 1]):
         c = np.ones(len(d), dtype=np.int64)
         with pytest.raises(ValueError, match="2\\^50"):
             dedekind._euclid_lanes(c, np.array(d, dtype=np.int64))
 
 
+# A park pair that finishes again within the batch, as (F59, F58) does after 57 steps, counts
+# its lanes out twice. The long lanes finish in pairs: with 5 short lanes the count steps over 0
+# and the Euclid stops at 71 steps; with 6 it reaches 0 at step 68 while 6 long lanes are open.
+@pytest.mark.parametrize("share, short", [(dedekind._COMPACT_SHARE, 5), (0, 5), (0, 6)])
+def test_euclid_lanes_fail_rather_than_loop_on_a_short_park(monkeypatch, share, short):
+    monkeypatch.setattr(dedekind, "_COMPACT_SHARE", share)
+    lanes = 2 * [(_fibonacci(m), _fibonacci(m + 1)) for m in range(62, 73)]  # 61 .. 71 steps
+    lanes += [(1, x) for x in range(1000, 1000 + short)]  # 1 step, parked from the first
+    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
+    assert list(zip(*(x.tolist() for x in dedekind._euclid_lanes(c, d)))) == [_continued_fraction(*x) for x in lanes]
+    monkeypatch.setattr(dedekind, "_PARK", (float(_fibonacci(59)), float(_fibonacci(58))))
+    with pytest.raises(ArithmeticError, match="71 steps"):
+        dedekind._euclid_lanes(c, d)
+
+
 # The paper's constancy theorem: for n <= m/2 the elements of order q^n mod f = q^m are
 # c = 1 + k*f', f' = q^(m-n) and k prime to q, and s(c, f) = s_near_one_closed(f, f') for
-# each. Here f*(alt - (1 or 3)) passes 2^63 on every lane, so an int64 combine would wrap
+# each. Here f*t passes 2^63 on every lane, so an int64 combine would wrap
 # and the parts are combined in Python ints.
 @pytest.mark.parametrize("q, n, m", [(3, 10, 31), (5, 7, 21), (7, 5, 17)])
 def test_euclid_lanes_hold_the_constancy_theorem_at_prime_powers(q, n, m):
     f, f_prime = q**m, q ** (m - n)
     k = np.arange(1, q**n, dtype=np.int64)
     c = 1 + f_prime * k[k % q != 0]
-    alt, odd, inv = dedekind._euclid_lanes(c, np.full_like(c, f))
-    terms = [f * (a - (3 if o else 1)) for a, o in zip(alt.tolist(), odd.tolist())]
+    t, inv = dedekind._euclid_lanes(c, np.full_like(c, f))
+    terms = [f * x for x in t.tolist()]
     assert min(map(abs, terms)) >= 1 << 63
     got = [x + x_inv + t for x, x_inv, t in zip(c.tolist(), inv.tolist(), terms)]
     assert len(got) == (q - 1) * q ** (n - 1) and set(got) == {12 * f * s_near_one_closed(f, f_prime)}

@@ -81,3 +81,9 @@ def test_the_import_graph_has_no_cycle_and_only_the_entry_points_import_the_scan
     for name in sorted(graph):
         visit(name)
     assert len(done) == len(graph) >= 10 and graph["survey"] >= {"numkernel", "dedekind"}
+
+
+def test_every_module_parses_as_python_3_10():
+    # requires-python promises 3.10: this catches newer syntax, not newer library keywords
+    for path in sorted([*SRC.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

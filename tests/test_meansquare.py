@@ -246,6 +246,14 @@ def test_euler_correction():
         assert euler_correction_pi(f, trivial_subgroup(f)) == want
 
 
+def test_cross_check_pairs_repeat_no_pair():
+    # the families differ in |H| or in f: trivial H, order n >= 3 at a prime f, kernels of
+    # order f/f' at composite f, and order 3 at composite f prime to 3
+    for cap, count in ((500, 78), (2000, 123), (10**4, 285)):
+        keys = [(f, sub.elements) for f, sub in cross_check_pairs(cap)]
+        assert len(keys) == len(set(keys)) == count, cap
+
+
 def test_euler_correction_matches_oracle():
     cases = cross_check_pairs(2000)
     assert len(cases) == 123 and not any(sub.contains_minus_one for _, sub in cases)

@@ -319,6 +319,11 @@ def test_progression_examples():
 
 def test_progression_matches_reference_sieve():
     assert primes_in_progression(0, 10**6, 1, 0).tolist() == sieve_upto(10**6).tolist()
+    # composite q, where the table of -c^-1 mod q holds non-units too
+    primes = sieve_upto(2 * 10**5)
+    for q in (1, 2, 18, 30, 198, 210):
+        for r in (r for r in range(q) if math.gcd(r, q) == 1):
+            assert primes_in_progression(0, 2 * 10**5, q, r).tolist() == primes[primes % q == r].tolist(), (q, r)
 
 
 def _windows(lower, span, q, r, size):
