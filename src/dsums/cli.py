@@ -29,8 +29,9 @@ from .unitgroups import kernel_subgroup, subgroup_from_elements, subgroup_from_g
 from .verify import run_suite
 
 _TABLE_N = {"rho5": 5, "rho7": 7, "rho9": 9, "rho11": 11, "rho13": 13, "rho15": 15}
-_THREADS_HELP = ("at most this many worker processes, one per CPU and per segment (default: DSUMS_THREADS "
-                 "or 1); a scan planned as one segment runs in process")
+_THREADS_HELP = ("at most this many worker processes, one per usable CPU and per segment (default: "
+                 "DSUMS_THREADS or 1); a scan with too little work to pay for a pool's start-up, or planned as "
+                 "one segment, runs in process")
 _INTEXPR = re.compile(r"(\d+)(?:([eE]|\*\*)(\d{1,4}))?", re.ASCII)  # int() would also read other digits
 _INT = re.compile(r"[+-]?[0-9]+")  # int() would also read other digits, "_" separators and surrounding spaces
 

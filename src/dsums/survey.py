@@ -32,9 +32,10 @@ checkpoint at segment boundaries (records flushed to disk first, then an
 atomic JSON rename that stores the records' byte length) and can resume after
 a kill at any point; segments may fan out to worker processes, with counts
 merged in ascending order so reports are identical for any worker count, and
-each worker exits once the scan process that started it is gone. A
-one-segment plan runs in process, with no pool. Primes come from a sieve, so
-the scans skip primality tests.
+each worker exits once the scan process that started it is gone. A scan
+whose expected work is below what a pool's start-up costs runs in process,
+with no pool, whatever its thread count. Primes come from a sieve, so the
+scans skip primality tests.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ CSV_HEADER = "p,n,two_S,N,nonpositive"
 # near 1e10, the time of about 6k lanes, so at 2^15 lanes it is under a sixth of
 # the segment's time.
 _SEGMENT_LANES = 1 << 15
+# Expected lanes below which a scan runs in process at any thread count. Under
+# the 'fork' start method a 2-worker pool starts, maps and shuts down in about
+# 11 ms, and threads = 2 broke even with threads = 1 near 1.1e5-1.7e5 lanes
+# (fixed n = 5 and 9 to 2e6-3e6, fresh-process medians on a 2-core VM). Under
+# 'forkserver' or 'spawn' each worker imports numpy and dsums itself, so there
+# the break-even would lie far higher.
+_POOL_LANES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -323,19 +331,22 @@ def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[list[tup
     """The segments (lo, hi) that tile [start, upper] in ascending order, and the
     number of workers to run them on.
 
-    The count follows the expected work: span/(phi(2n) ln upper) primes of the
-    progression, each with (n-1)/2 Euclid lanes and one generator lane (the
-    all-odd scan counts (upper+1)/2 lanes a prime). It is one segment per
-    _SEGMENT_LANES lanes, at most 4*workers, at least enough that no segment
-    holds more than 2^20 integers, and past one a multiple of the workers, so
-    that each gets the same share. A one-segment plan gets one worker and runs
-    in process."""
+    The expected work is span/(phi(2n) ln upper) primes of the progression,
+    each with (n-1)/2 Euclid lanes and one generator lane (the all-odd scan
+    counts (upper+1)/2 lanes a prime). Below _POOL_LANES lanes the plan is for
+    one worker, whatever was asked, since a pool would cost more to start than
+    its other workers save. The count is one segment per _SEGMENT_LANES lanes,
+    at most 4*workers, at least enough that no segment holds more than 2^20
+    integers, and past one a multiple of the workers, so that each gets the
+    same share. A plan for one worker, or of one segment, runs in process."""
     span = upper - start + 1
     if span <= 0:
         return [], 1
     lanes = (n + 1) // 2 if n else (upper + 1) // 2
-    primes = span / (totient(n or 1) * math.log(upper))
-    count = max(min(math.ceil(primes * lanes / _SEGMENT_LANES), 4 * workers), -(-span >> 20))
+    work = span / (totient(n or 1) * math.log(upper)) * lanes
+    if work < _POOL_LANES:
+        workers = 1
+    count = max(min(math.ceil(work / _SEGMENT_LANES), 4 * workers), -(-span >> 20))
     if count > 1:
         count = min(-(-count // workers) * workers, span)  # at least one integer a segment
     bounds = [start + i * span // count for i in range(count + 1)]
@@ -377,8 +388,10 @@ def _scan(
         start = ck.last_p + 1
         c_p, c_le = ck.c_prime, ck.c_leq0
     sink = _RecordSink(records, ck is None, ck.records_offset if ck else None)
-    # at most one worker per CPU (the pool forks them all at its first submit) and per segment
-    plan, workers = _plan(n, start, upper, min(threads, os.cpu_count() or 1))
+    # at most one worker per CPU this process may run on (the pool forks them all at its
+    # first submit) and per segment
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    plan, workers = _plan(n, start, upper, min(threads, cpus))
     segments = [(n, lo, hi, records is not None) for lo, hi in plan]
     try:
         with (

@@ -194,20 +194,26 @@ def test_generator_search_ladders_only_prime_bases(monkeypatch):
     # one segment of the 1e10 survey window, n = 9 and 15: a full-length ladder x^((p-1)/n)
     # runs only for a prime int x, each x once and in order, on more lanes than the scalar
     # tail takes; the other ladders raise it to the int n/q^k and the result to the int
-    # q^(k-1), q^k || n
-    calls = []
+    # q^(k-1), q^k || n. The first few bases (2, 3, 5 and 7 here) close all but the last
+    # few of the 692-895 lanes, so a wrong ladder, which closes none and leaves every lane
+    # to the scalar tail (whose h0 is right), fails here rather than only slowing the search.
+    calls, tail = [], []
 
     def spy(x, e, p):
         calls.append((x, e if isinstance(e, int) else e.copy(), p.copy()))
         return powmod_lanes(x, e, p)
 
     monkeypatch.setattr(numkernel, "powmod_lanes", spy)
+    monkeypatch.setattr(numkernel, "order_n_element", lambda p, n: tail.append(p) or order_n_element(p, n))
     for n in (9, 15):
         ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
         calls.clear()  # the sieve's own ladder
-        assert numkernel._generators(n, ps).tolist() == [order_n_element(p, n) for p in ps.tolist()]
+        tail.clear()
+        h0 = numkernel._generators(n, ps).tolist()
         ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // n)]
         bases = [x for x, _ in ladders]
+        assert len(bases) <= 8 and len(tail) <= numkernel._SCALAR_TAIL, (n, bases, len(tail))
+        assert h0 == [order_n_element(p, n) for p in ps.tolist()]
         assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
         assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
         # the last few open lanes go on in Python ints, with no ladder

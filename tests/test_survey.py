@@ -136,9 +136,9 @@ def test_all_odd_window_and_checkpoint(tmp_path, monkeypatch):
 
 
 def test_threads_deterministic(tmp_path):
-    assert survey._plan(5, 2, 10**6, 2)[1] == 2  # enough work for a pool of two
-    seq = scan_fixed_n(5, 10**6, records=str(tmp_path / "seq.csv"))
-    par = scan_fixed_n(5, 10**6, threads=2, records=str(tmp_path / "par.csv"))
+    assert survey._plan(5, 2, 4 * 10**6, 2)[1] == 2  # enough work for a pool of two
+    seq = scan_fixed_n(5, 4 * 10**6, records=str(tmp_path / "seq.csv"))
+    par = scan_fixed_n(5, 4 * 10**6, threads=2, records=str(tmp_path / "par.csv"))
     assert seq == par
     assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 
@@ -478,13 +478,18 @@ def test_scan_rejects_bad_threads_and_bounds():
         scan_window(9, -1, 100)
 
 
-# n = 15 to 3e6 asks for 7 segments of 2^15 lanes, clamped to 4 per worker;
-# n = 15 to 1e4 is one segment, which runs in process
-@pytest.mark.parametrize("cpus, limit, workers, count", [
-    pytest.param(cpus, limit, workers, count, id=f"{cpus}-{workers}")  # ids: cpus-workers
-    for cpus, limit, workers, count in ((2, 3 * 10**6, 2, 8), (None, 3 * 10**6, 1, 4), (2, 10**4, 1, 1))
+# n = 15 to 3e6 (about 2e5 expected lanes) asks for 7 segments of 2^15 lanes, clamped to
+# 4 per worker; n = 15 to 1e4 is one segment, which runs in process. The CPUs a scan may
+# use are those of its affinity mask (os.sched_getaffinity), which taskset or a cpuset
+# can make fewer than os.cpu_count(); without that call it falls back to os.cpu_count().
+@pytest.mark.parametrize("affinity, cpu_count, limit, workers, count", [
+    pytest.param(2, 64, 3 * 10**6, 2, 8, id="2-2"),  # the mask, not the host's count
+    pytest.param(1, 2, 3 * 10**6, 1, 4, id="taskset-1"),
+    pytest.param(None, 2, 3 * 10**6, 2, 8, id="cpu_count-2"),  # None: no os.sched_getaffinity
+    pytest.param(None, None, 3 * 10**6, 1, 4, id="None-1"),
+    pytest.param(2, 2, 10**4, 1, 1, id="2-1"),
 ])
-def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, limit, workers, count):
+def test_workers_are_capped_at_the_cpu_count(monkeypatch, affinity, cpu_count, limit, workers, count):
     started, segments, work = [], [], survey._segment_worker
 
     class SerialPool:  # a stand-in for ProcessPoolExecutor: records its worker count, maps in process
@@ -501,7 +506,11 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, limit, workers, 
             return map(fn, items)
 
     monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
     monkeypatch.setattr(survey, "_segment_worker", lambda args: segments.append(args) or work(args))
     rep = scan_fixed_n(15, limit, threads=100_000)
     assert started == ([workers] if workers > 1 else [])  # a single worker scans in process, with no pool
@@ -510,14 +519,32 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, cpus, limit, workers, 
     assert rep == scan_fixed_n(15, limit)
 
 
+def test_the_1e10_window_runs_in_process_at_two_threads(monkeypatch):
+    # about 3.6e4 expected lanes, a fraction of what a pool of two costs to start
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two CPUs to use
+    rep = scan_window(9, 10**10, 10**6, threads=2)
+    assert (rep.c_prime, rep.c_leq0, rep.rho) == (7226, 3695, "0.51134")
+
+
 def test_segment_plan_examples():
     # (n, start, upper, workers) -> (segments, workers)
     for args, count, workers in (
-        ((9, 10**10, 10**10 + 10**6, 2), 2, 2),  # the 1e10 window keeps a pool of two
+        ((9, 10**10, 10**10 + 10**6, 2), 2, 1),  # the 1e10 window: 3.6e4 lanes, in process
         ((9, 10**10, 10**10 + 10**6, 1), 2, 1),
         ((9, 10**13, 10**13 + 10**6, 2), 1, 1),  # fewer primes per integer: one segment, no pool
+        ((9, 2, 10**6, 2), 2, 1),  # 6.0e4 lanes
+        ((9, 2, 2 * 10**6, 2), 4, 1),  # 1.15e5 lanes, below the break-even: in process
+        ((5, 2, 3 * 10**6, 2), 6, 2),  # 1.51e5 lanes, above it: a pool of two
+        ((9, 2, 4 * 10**6, 2), 8, 2),  # 2.19e5 lanes
         ((9, 2, 10**8, 2), 96, 2),  # 2^20 integers at most
-        ((None, 2, 30000, 2), 8, 2),  # the all-odd scan's lanes grow with p: 4 segments per worker
+        ((None, 2, 1000, 2), 3, 1),  # 7.2e4 lanes: 3 segments, not rounded up to 4 for a pool
+        ((None, 2, 3000, 2), 8, 2),  # the all-odd scan's lanes grow with p: 4 segments per worker
+        ((None, 2, 30000, 2), 8, 2),
         ((None, 2, 31, 2), 1, 1),
         ((9, 2, 1, 2), 0, 1),  # an empty range
     ):
@@ -538,9 +565,13 @@ def test_segment_plan_tiles_the_range(n, lower, span, workers, data):
     assert plan[0][0] == start and plan[-1][1] == upper
     assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
     assert all(0 <= hi - lo < 1 << 20 for lo, hi in plan)
-    assert got == min(workers, len(plan))
-    # each worker gets as many segments, unless the plan is one segment or one integer a segment
-    assert len(plan) % workers == 0 or len(plan) == 1 or len(plan) == upper - start + 1
+    assert got == 1 or got == min(workers, len(plan))
+    # whether a scan pools follows its work, not the number of workers it may have
+    assert (got > 1) == (workers > 1 and survey._plan(n, start, upper, 2)[1] == 2)
+    # the plan is the one for the workers that run it, each of which gets as many
+    # segments, unless the plan is one segment or one integer a segment
+    assert plan == survey._plan(n, start, upper, got)[0]
+    assert len(plan) % got == 0 or len(plan) == 1 or len(plan) == upper - start + 1
 
 
 def test_checkpoint_carries_records_offset(tmp_path):
@@ -571,9 +602,10 @@ survey.scan_fixed_n(n, int(sys.argv[6]), threads=int(sys.argv[2]), records=sys.a
 """
 
 
-# (n, limit, c_prime, c_leq0, the pairs with no row): n = 9 to 2e6, or the all-odd scan to 1e4;
-# each plans at least 4 segments, so the second checkpoint is not the last
-_KILLED = {"9": (*_MID, 0), "all": (10**4, 6775, 4766, 1228)}
+# (n, limit, c_prime, c_leq0, the pairs with no row): n = 9 to 4e6, or the all-odd scan to 1e4;
+# each plans at least 4 segments, so the second checkpoint is not the last, and at
+# threads = 2 each has work enough for a pool of two
+_KILLED = {"9": (4 * 10**6, 47129, 24338, 0), "all": (10**4, 6775, 4766, 1228)}
 
 
 @pytest.mark.parametrize("when, threads, n", [
@@ -582,6 +614,7 @@ _KILLED = {"9": (*_MID, 0), "all": (10**4, 6775, 4766, 1228)}
 def test_kill_and_resume_keeps_records_consistent(tmp_path, when, threads, n):
     rc, ck = str(tmp_path / "r.csv"), str(tmp_path / "ck.json")
     limit, c_prime, c_leq0, ones = _KILLED[n]
+    assert survey._plan(None if n == "all" else int(n), 2, limit, threads)[1] == threads  # no lost workers
     env = dict(os.environ, PYTHONPATH=str(Path(dsums.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", _KILLED_SCAN, when, str(threads), rc, ck, n, str(limit)],
                           env=env, timeout=120, start_new_session=True)
