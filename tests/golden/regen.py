@@ -46,6 +46,10 @@ ENTRIES = {
     "ef-91": {"argv": ["ef", "--f", "91"]},
     "class-number-1009": {"argv": ["class-number", "--p", "1009"]},
     "tables-rho9-1e6": {"argv": ["tables", "--table", "rho9", "--limit", "1e6"]},
+    # records up to 2^23 - 1, the top of the float32 lane Euclid's range
+    "survey-n9-window-8e6-to-2^23": {"argv": ["survey", "--n", "9", "--from", "8e6", "--span", "388607", *_REC, *_CK]},
+    # three segments: below the plain-product cut 3037000500, across it and above it
+    "survey-n9-window-3036e6": {"argv": ["survey", "--n", "9", "--from", "3036e6", "--span", "2e6", *_REC, *_CK]},
 }
 # the exit-2 cases of tests/test_cli.py
 _USAGE_ERRORS = [
