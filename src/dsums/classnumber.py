@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .meansquare import euler_correction_pi, mean_square_exact
-from .numkernel import _product, factorize, is_prime, order_n_element, power_table, primes_in_progression, totient
+from .numkernel import factorize, is_prime, order_n_element, power_table, primes_in_progression, totient
 from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
 __all__ = [
@@ -89,17 +89,18 @@ def _resultant_residues(g: np.ndarray, m: int, ells: list[int]) -> list[int]:
     r <= n products below 2^63, then twiddles. Only the product of the n outputs is
     needed, so they stay in digit-reversed order. The l go in blocks of int64 lanes, and
     the butterfly rows in blocks, so that no temporary passes max(_LANE_CELLS, m) cells.
-    Each block picks its product mod l once, as power_table does."""
+    Every l has (m/2)(l-1)^2 < 2^63 (_crt_primes), so each product mod l is the plain
+    a*b % l in int64."""
     n = m // 2
     radices = [r for r, k in factorize(n) for _ in range(k)]
     res, step = [], max(1, _LANE_CELLS // m)
     for block in (ells[i : i + step] for i in range(0, len(ells), step)):
         lanes = len(block)
         ell = np.array(block, dtype=np.int64)[:, None]
-        mul = _product(ell)
         w = np.array([order_n_element(l, m) for l in block], dtype=np.int64)
         pw = power_table(w, m, ell[:, 0]).T.copy()  # pw[l, k] = w^k mod l
-        x = mul(g % ell, pw[:, :n], ell)
+        x = g % ell * pw[:, :n]
+        x %= ell
         size = n  # x holds n/size transforms of length size, each stored t = t1*s + t2
         for r in radices:
             s = size // r  # t1 goes first, so that one matrix product a lane covers all n/size transforms
@@ -116,11 +117,12 @@ def _resultant_residues(g: np.ndarray, m: int, ells: list[int]) -> list[int]:
             y %= ell[:, :, None]
             if s > 1:  # the twiddles zeta^(j t2 n/size), the same for all n/size transforms
                 twiddle = np.take(pw, np.outer(np.arange(r), np.arange(s)) * (m // size) % m, axis=1)
-                y = mul(y.reshape(lanes, r, n // size, s), twiddle[:, :, None], ell[:, :, None, None])
+                y = y.reshape(lanes, r, n // size, s) * twiddle[:, :, None]
+                y %= ell[:, :, None, None]
             x, size = y.reshape(lanes, n), s
         while x.shape[1] > 1:  # prod of the outputs by halves
             half = x.shape[1] // 2
-            x = np.concatenate((mul(x[:, :half], x[:, half : 2 * half], ell), x[:, 2 * half :]), axis=1)
+            x = np.concatenate((x[:, :half] * x[:, half : 2 * half] % ell, x[:, 2 * half :]), axis=1)
         res += x[:, 0].tolist()
     return res
 

@@ -4,8 +4,9 @@ Two routes to s(c,d): a provably-correct O(d) sawtooth-sum oracle and an
 O(log d) integer kernel on the continued fraction of c/d, through which
 every exact s(c,d) in the package goes; the test-suite proves them equal on
 a dense grid. The kernel runs one pair at a time in Python ints
-(dedekind_sum_parts) or on float64 lanes, exact for d < 2^50 (_euclid_lanes,
-which serves the prime scans and returns int64 parts for the caller to combine).
+(dedekind_sum_parts) or on float lanes, float32 for d < 2^23 and float64 for
+d < 2^50, exact in each (_euclid_lanes, which serves the prime scans and returns
+int64 parts for the caller to combine).
 The coprime-restricted sum (Moebius combination of ordinary
 sums over divisors) and the closed forms used elsewhere live here too.
 
@@ -92,11 +93,14 @@ def dedekind_sum_parts(c: int, d: int) -> tuple[int, int]:
     return c + d - q_prev + d * (alt - 1), 12 * d
 
 
-# A finished lane is parked on the Fibonacci pair (F73, F72), with q = q_prev = 0, until
-# the next compaction. Euclid on (F(m+1), F(m)) takes m - 1 steps, so a parked lane needs
-# 71 more to reach a zero remainder; by Lame a lane with d < 2^50 < F74 takes at most 71
-# steps in all, so no parked lane finishes or divides by zero before the batch ends.
+# A finished lane is parked on a Fibonacci pair, with q = q_prev = 0, until the next
+# compaction. Euclid on (F(m+1), F(m)) takes m - 1 steps, so a lane parked at step 1 or
+# later on (F73, F72) needs 71 more to reach a zero remainder, and one on (F34, F33) 32
+# more. By Lame a lane with d < 2^50 < F74 takes at most 71 steps in all, and one with
+# d < 2^23 < F35 at most 32, so no parked lane finishes or divides by zero before the
+# batch ends. Both pairs lie below their format's bound on d.
 _PARK = (806515533049393.0, 498454011879264.0)
+_PARK_F32 = (5702887.0, 3524578.0)
 
 # Parked lanes leave the arrays once they are at least as many as the live ones, since
 # each compaction copies six arrays. On the n = 9 and 15 lanes below 1e6 and near 1e10,
@@ -118,29 +122,37 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     the term d*t can pass 2^63, so a caller that is not sure it fits combines
     the parts in Python ints.
 
-    The steps run in float64, where a SIMD divide replaces int64 division by an
-    array: every value is an integer below 2^50, so exact, and k = floor(a/b)
-    is the partial quotient, since a/b < k + 1 is at least 1/b below k + 1 and
-    b(k + 1) <= a + b < 2^53 keeps the rounded quotient below k + 1.
+    The steps run in floats, where a SIMD divide replaces int64 division by an
+    array, in the narrowest format that is exact for the largest d: float32 for
+    d < 2^23, float64 for d < 2^50. Every value is an integer of at most d, and
+    a + b <= d + c < 2d, so every value and a + b are exact (below 2^24 and
+    2^51), and k = floor(a/b) is the partial quotient, since a/b < k + 1 is at
+    least 1/b below k + 1 and b(k + 1) <= a + b keeps the rounded quotient
+    below k + 1 (a + b below 2^24 and 2^53, where the rounding's relative error
+    is below 1/(a + b)).
 
     A lane whose remainder reaches 0 has its outputs recorded and is parked on
-    _PARK with q = q_prev = 0: it keeps stepping, but by Lame (r <= 71 for
-    d < 2^50) it cannot finish before every live lane has, its q stays 0 and
-    its alt drifts by +-1 a step. Parked lanes leave the arrays through one
-    index array once they are at least 1/_COMPACT_SHARE of the live ones.
-    After 71 steps, a lane still open or one finished twice raises
+    the format's pair (_PARK_F32 or _PARK) with q = q_prev = 0: it keeps
+    stepping, but by Lame (r <= 32 for d < 2^23, r <= 71 for d < 2^50) it
+    cannot finish before every live lane has, its q stays 0 and its alt drifts
+    by +-1 a step. Parked lanes leave the arrays through one index array once
+    they are at least 1/_COMPACT_SHARE of the live ones. After the format's
+    32 or 71 steps, a lane still open or one finished twice raises
     ArithmeticError: a broken kernel fails rather than loops.
     """
-    if int(np.max(d, initial=0)) >= 1 << 50:
+    top = int(np.max(d, initial=0))
+    if top >= 1 << 50:
         raise ValueError("the float64 lane Euclid needs every d < 2^50")
-    t_out, inv_out = np.empty(len(c)), np.empty(len(c))
+    # the format, its park pair and Lame's bound on the steps
+    dtype, park, steps = (np.float32, _PARK_F32, 32) if top < 1 << 23 else (np.float64, _PARK, 71)
+    t_out, inv_out = np.empty(len(c), dtype=dtype), np.empty(len(c), dtype=dtype)
     lane = np.arange(len(c))
-    a, b = d.astype(np.float64), c.astype(np.float64)
-    alt = np.zeros(len(c))
-    q_prev, q = np.zeros(len(c)), np.ones(len(c))  # convergent denominators q_{i-1}, q_i
+    a, b = d.astype(dtype), c.astype(dtype)
+    alt = np.zeros(len(c), dtype=dtype)
+    q_prev, q = np.zeros(len(c), dtype=dtype), np.ones(len(c), dtype=dtype)  # convergent denominators q_{i-1}, q_i
     odd = False  # whether the number of steps taken is odd
     live, parked = len(c), 0
-    for _ in range(71):  # Lame's bound for d < 2^50, which _PARK relies on
+    for _ in range(steps):
         if not live:
             break
         k = a / b
@@ -160,9 +172,9 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             out = lane[done]
             if odd:  # c * q_{r-1} = (-1)^(r-1) (mod d)
                 t_out[out], inv_out[out] = alt[done] - 3, q_prev[done]
-            else:
-                t_out[out], inv_out[out] = alt[done] - 1, d[out] - q_prev[done]
-            a[done], b[done] = _PARK
+            else:  # c* = d - q_{r-1}, kept as -q_{r-1} < 0 until the int64 outputs
+                t_out[out], inv_out[out] = alt[done] - 1, -q_prev[done]
+            a[done], b[done] = park
             q_prev[done] = q[done] = 0
             live -= len(done)
             parked += len(done)
@@ -177,8 +189,10 @@ def _euclid_lanes(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                 q = q.take(keep)
                 parked = 0
     if live or q.any():
-        raise ArithmeticError("the lane Euclid left a lane open, or finished one twice, in 71 steps")
-    return t_out.astype(np.int64), inv_out.astype(np.int64)
+        raise ArithmeticError(f"the lane Euclid left a lane open, or finished one twice, in {steps} steps")
+    inv = inv_out.astype(np.int64)
+    inv += (inv >> 63) & d  # d - q_{r-1} where -q_{r-1} was kept: no mixed-type step in the loop
+    return t_out.astype(np.int64), inv
 
 
 def dedekind_sum(c: int, d: int) -> Fraction:

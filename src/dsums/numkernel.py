@@ -2,9 +2,11 @@
 the search for an element of order n mod p (order_n_element, and _generators
 on int64 lanes), a sieve of the primes in a window of an arithmetic
 progression, and the int64 lane layer: one exact product mod p < 2^50
-(mulmod), a power table and a power ladder, each choosing the plain
-a*b % p or a float-quotient product once per call from the largest modulus;
-the ladder of a small int base multiplies by a window of exponent bits.
+(mulmod), a power table and a power ladder, each choosing once per call,
+from the largest modulus, the plain a*b % p (p <= 3037000500) or the
+reciprocal product a*b - rint(a*b*(1/p))*p with 1/p taken once; the ladder
+of an int base multiplies by a window of exponent bits, and keeps a signed
+residue in the reciprocal form, corrected once at the end.
 
 Exact rational values everywhere in this package are `fractions.Fraction`:
 always reduced, denominator positive, so ``str()`` renders "num/den" in
@@ -203,32 +205,47 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
     The bases x are the primes below 10^4 that order_n_element starts from,
     in turn, each tried only on the lanes with a prime power q^k || n still
     open. Each x runs one ladder y = x^((p-1)/n) (powmod_lanes: a square per
-    exponent bit, an int64 multiply per window of bits); then one pass per q^k takes u = y^(n/q^k) = x^((p-1)/q^k)
-    on the lanes where q^k is open, and closes q^k with u where
-    u^(q^(k-1)) = x^((p-1)/q) is not 1. h0 is the product of the u. Once at
-    most _SCALAR_TAIL lanes are open, from the start or after some bases, or
-    once the bases run out, the open lanes take order_n_element in Python ints."""
+    exponent bit, a multiply per window of bits); then one pass per q^k takes
+    u = y^(n/q^k) = x^((p-1)/q^k) on the lanes where q^k is open, and closes
+    q^k with u where u^(q^(k-1)) = x^((p-1)/q) is not 1 (where q^(k-1) = 1,
+    as for prime n, u itself is tested). h0 is the product of the u. Once at
+    most _SCALAR_TAIL lanes are open after some bases, the open lanes go on in
+    Python ints from the next untried base, keeping the q^k they have closed;
+    a lane still open past the last base takes order_n_element, which goes on
+    past 10^4, as does every lane of a batch of at most _SCALAR_TAIL."""
     if len(p) <= _SCALAR_TAIL:  # the numpy search's set-up alone costs more than these pow calls
         return np.array([order_n_element(x, n) for x in p.tolist()], dtype=np.int64)
     parts = [(n // q**k, q ** (k - 1)) for q, k in factorize(n)]
     found = np.zeros((len(parts), len(p)), dtype=np.int64)  # row per q^k: u once closed, 0 while open
     e = (p - 1) // n
     todo = np.arange(len(p))
-    for x in _trial_primes():
-        if len(todo) <= _SCALAR_TAIL:
-            break
+    bases, tried = _trial_primes(), 0
+    while len(todo) > _SCALAR_TAIL and tried < len(bases):
+        x, tried = bases[tried], tried + 1
         pt = p[todo]
         y = powmod_lanes(x, e[todo], pt)
         for row, (cofactor, test) in zip(found, parts):
             lanes = np.flatnonzero(row[todo] == 0)
             u = powmod_lanes(y[lanes], cofactor, pt[lanes]) if cofactor > 1 else y[lanes]  # 1: n = q^k
-            ok = powmod_lanes(u, test, pt[lanes]) != 1
+            ok = (powmod_lanes(u, test, pt[lanes]) if test > 1 else u) != 1
             row[todo[lanes[ok]]] = u[ok]
         todo = todo[(found[:, todo] == 0).any(axis=0)]
+    rest = []  # lanes still open past the last base
+    for i, pi, ei, us in zip(todo.tolist(), p[todo].tolist(), e[todo].tolist(), found[:, todo].T.tolist()):
+        for x in bases[tried:]:
+            y = pow(x, ei, pi)
+            for j, (cofactor, test) in enumerate(parts):
+                if not us[j] and pow(u := pow(y, cofactor, pi), test, pi) != 1:
+                    us[j] = u
+            if all(us):
+                break
+        else:
+            rest.append(i)
+        found[:, i] = us
     h0 = found[0]
     for row in found[1:]:
         h0 = mulmod(h0, row, p)
-    for i in todo.tolist():
+    for i in rest:
         h0[i] = order_n_element(int(p[i]), n)
     return h0
 
@@ -237,59 +254,85 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
 _PLAIN_CUT = 3_037_000_500
 
 
-def _plain_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    r = a * b
-    r %= p  # in place: one fresh array per call, not two
-    return r
-
-
-def _float_mulmod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50.
-
-    a, b and p are exact as floats, and a*b/p < p < 2^50 is taken with two
-    roundings of relative error <= 2^-53 each, so the float quotient is off
-    by less than 2^50 * 2^-52 = 1/4 and q, its floor, by at most 1 from the
-    floor of a*b/p. Hence a*b - q*p lies in [-p, 2p), inside int64: taken
-    with int64 wraparound (a*b and q*p may each wrap) it comes out exact,
-    and one correction by +p or -p brings it into [0, p).
-    """
-    q = (a.astype(np.float64) * b / p).astype(np.int64)  # truncation is the floor: the quotient is >= 0
-    r = a * b - q * p
-    # the correction without branches: r - p is in [-2p, p), and (r >> 63) & p is p where r < 0
-    r -= p
-    r += (r >> 63) & p
-    r += (r >> 63) & p
-    return r
-
-
-def _product(p: int | np.ndarray):
-    """The exact product for the moduli p, chosen from the largest. Callers
-    choose once per call, or once per block of moduli (classnumber's blocks
-    of l): an np.max in every product made the 1e10 survey window slower."""
+def _inverse(p: int | np.ndarray):
+    """1/p in float64 for the reciprocal product, taken once per call of the lane layer,
+    or None while every p is at most _PLAIN_CUT, where the plain a*b % p is exact and
+    cheaper: the reciprocal form at every p made the generator search below 1e6 and
+    h^- at p = 181-199 slower."""
     top = p if isinstance(p, int) else int(np.max(p, initial=0))
-    return _plain_mulmod if top <= _PLAIN_CUT else _float_mulmod
+    return None if top <= _PLAIN_CUT else np.divide(1.0, p)
+
+
+def _times(r: np.ndarray, b, fb, p: int | np.ndarray, inv, f, q) -> None:
+    """r <- r*b mod p in place: the plain r*b % p for inv None, else the reciprocal
+    residue of r*b (_reduce), a signed residue in (-p, p), for |r|, |b| < p < 2^50 or
+    for |r| < p and an entry b < 2^50 of a table of powers. fb is b as float64 (f
+    itself when b is r), and f (float64) and q (int64) are scratch arrays of r's
+    shape; the plain form uses none of the three. The operands go to floats first,
+    since a mixed int64-float64 multiply is slower."""
+    if inv is None:
+        np.multiply(r, b, out=r)
+        np.remainder(r, p, out=r)
+        return
+    f[...] = r
+    np.multiply(f, fb, out=f)
+    np.multiply(r, b, out=r)
+    _reduce(r, f, p, inv, q)
+
+
+def _reduce(r: np.ndarray, f: np.ndarray, p: int | np.ndarray, inv, q: np.ndarray) -> None:
+    """r <- r - q*p in place with q = rint(f*inv), for r = a*b taken in wrapping int64,
+    f = a*b taken in float64 and inv = 1/p in float64: the reciprocal residue of a*b,
+    a signed residue in (-p, p), for |a|, |b| < p < 2^50 or for |a| < p and an entry
+    b < 2^50 of a table of powers. f becomes the rounded quotient and q its multiple of p.
+
+    a and b are exact as floats and |a*b/p| < 2^50 in both cases. The float quotient
+    takes three roundings (1/p, a*b and the product), each of relative error at most
+    2^-53, so it is within 2^50 * ((1 + 2^-53)^3 - 1), just over 3 * 2^-53 * 2^50 =
+    0.375, of a*b/p, and q within just over 0.875. Hence |a*b - q*p| < p < 2^63:
+    taken with int64 wraparound (a*b and q*p may each wrap) it comes out exact."""
+    np.multiply(f, inv, out=f)
+    np.rint(f, out=f)
+    q[...] = f
+    np.multiply(q, p, out=q)
+    np.subtract(r, q, out=r)
+
+
+def _mulmod(a: np.ndarray, b, p: int | np.ndarray, inv) -> np.ndarray:
+    """a*b mod p in [0, p) for 0 <= a, b < p, as one fresh array of the shape of a*b,
+    reduced in place: the plain form, or the reciprocal one (_reduce) and its one
+    correction."""
+    r = a * b
+    if inv is None:
+        r %= p  # in place: one fresh array per call, not two
+        return r
+    f = a.astype(np.float64) * np.asarray(b, dtype=np.float64)
+    _reduce(r, f, p, inv, np.empty_like(r))
+    r += (r >> 63) & p  # (r >> 63) & p is p where r < 0
+    return r
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int | np.ndarray) -> np.ndarray:
     """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50: the plain
-    a*b % p while every p is at most 3037000500, else a float quotient
-    corrected in int64, one form for the whole call. p broadcasts to the
-    shape of a*b, which the plain form reduces in place."""
-    return _product(p)(a, b, p)
+    a*b % p while every p is at most 3037000500, else the reciprocal product
+    rint(a*b*(1/p)) corrected once in int64, one form for the whole call. p
+    broadcasts to the shape of a*b."""
+    return _mulmod(a, b, p, _inverse(p))
 
 
 def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
     """x^0 .. x^(s-1) mod p for 0 <= x < p < 2^50, as int64 of shape (s,) for
     plain ints x and p, or (s, lanes) for int64 lanes. By doubling: once rows
-    0..k hold x^0..x^k, rows 1..k times row k give x^(k+1)..x^(2k)."""
+    0..k hold x^0..x^k, rows 1..k times row k give x^(k+1)..x^(2k), with
+    mulmod's product and one 1/p for the whole table."""
     lanes = () if isinstance(x, int) and isinstance(p, int) else np.broadcast_shapes(np.shape(x), np.shape(p))
     pows = np.ones((s, *lanes), dtype=np.int64)
     if s > 1:
         pows[1] = x
-    mul, k = _product(p), 1
+    inv, k = _inverse(p), 1
     while k < s - 1:
         j = min(k, s - 1 - k)
-        pows[k + 1 : k + 1 + j] = mul(pows[1 : 1 + j], pows[k], p)
+        pows[k + 1 : k + 1 + j] = _mulmod(pows[1 : 1 + j], pows[k], p, inv)
         k += j
     return pows
 
@@ -298,39 +341,50 @@ def powmod_lanes(x: int | np.ndarray, e: int | np.ndarray, p: np.ndarray) -> np.
     """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50;
     e is an int64 array or one int for every lane.
 
-    The squares use the product mulmod picks for the largest p, in place on the
-    plain one. For an array x, or a plain int x with x*max(p) >= 2^63, each bit
-    of e, from the top, costs one square and, where the bit is set, a multiply
-    by x with that product, copied in. Any other plain int x goes 2^w-ary: per
-    window of w bits of e, w squares and one r*t % p in place, t = x^digit from
-    a table of x^0 .. x^(2^w-1), with w <= 6 the largest width for which
-    x^(2^w-1)*max(p) < 2^63 keeps r*t exact; a partial window leads. The result
-    is one fresh array; x, e and p are only read.
+    The products are mulmod's, chosen once from the largest p, and work in place
+    on r (_times). At or below the cut each is the plain r*r % p or r*t % p.
+    Above it each is the reciprocal residue, with 1/p taken once: r stays a
+    signed residue in (-p, p) through the ladder and is corrected once at the
+    end. An array x goes bit by bit: each bit of e, from the top, costs one
+    square and, where the bit is set, a multiply by x, in place where every lane
+    has the bit (always, for an int e), else copied in. A plain int x
+    goes 2^w-ary: per window of w bits of e, w squares and one multiply by
+    t = x^digit from a table of x^0 .. x^(2^w-1), with w <= 6 the largest width
+    for which r*t stays exact: x^(2^w-1)*max(p) < 2^63 at or below the cut,
+    x^(2^w-1) < 2^50 above it. Every x < p has a width of at least 1. A partial
+    window leads. The result is one fresh array; x, e and p are only read.
     """
     top = int(np.max(p, initial=0))
-    mul = _product(top)
+    inv = None if top <= _PLAIN_CUT else np.divide(1.0, p)
+    cap, scale = (1 << 63, top) if inv is None else (1 << 50, 1)  # t*scale < cap keeps r*t exact
     w = 0  # the window width, 0 for the bit-by-bit ladder
-    while isinstance(x, int) and w < 6 and x ** ((2 << w) - 1) * top < 1 << 63:
+    while isinstance(x, int) and w < 6 and x ** ((2 << w) - 1) * scale < cap:
         w += 1
-    table = np.array([x**j for j in range(1 << w)], dtype=np.int64) if w else None
+    table = np.array([x**j for j in range(1 << w)], dtype=np.int64) if w else x
     r = np.ones(np.broadcast_shapes(np.shape(x), np.shape(e), np.shape(p)), dtype=np.int64)
     digit = np.empty_like(r)
+    f = q = ftable = None  # the reciprocal form's scratch arrays, and the table or x as floats
+    if inv is not None:
+        f, q, ftable = np.empty(r.shape), np.empty_like(r), np.asarray(table, dtype=np.float64)
     bits, step = int(np.max(e, initial=0)).bit_length(), w or 1
     for shift in reversed(range(0, bits, step)):
         if shift + step < bits:  # below the leading window, whose squares would square a 1
             for _ in range(step):
-                if mul is _plain_mulmod:
-                    np.multiply(r, r, out=r)
-                    np.remainder(r, p, out=r)
-                else:
-                    r = mul(r, r, p)
+                _times(r, r, f, p, inv, f, q)
         np.right_shift(e, shift, out=digit)
         digit &= (1 << step) - 1
         if w:
-            r *= table.take(digit)
-            r %= p
-        else:
-            np.copyto(r, mul(r, x, p), where=digit.astype(bool))
+            _times(r, table.take(digit), None if inv is None else ftable.take(digit), p, inv, f, q)
+        else:  # a multiply by x where the bit is set, in place when every lane has it (an int e)
+            has = digit.astype(bool)
+            if has.all():
+                _times(r, x, ftable, p, inv, f, q)
+            elif has.any():
+                t = r.copy()
+                _times(t, x, ftable, p, inv, f, q)
+                np.copyto(r, t, where=has)
+    if inv is not None:
+        r += (r >> 63) & p
     return r
 
 

@@ -12,13 +12,15 @@ H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} t_j.
 A batch keeps every step on numpy lanes, one lane per prime or per (p, h0^j):
-numkernel's _generators gives h0, power_table gives h0^1, ..., h0^(n-1),
-dedekind's _euclid_lanes gives (t, c*) of every h0^j/p with j <= (n-1)/2,
-and the column sums give k and 12*S. A segment's CSV rows are
+numkernel's _generators gives h0 (its last few open lanes go on in Python
+ints), power_table gives h0^1, ..., h0^(n-1), dedekind's _euclid_lanes gives
+(t, c*) of every h0^j/p with j <= (n-1)/2, in float32 while p < 2^23 and in
+float64 above, and the column sums give k and 12*S. A segment's CSV rows are
 one uint8 matrix of right-aligned ASCII digits, each from one division by the
 scalar 10, decoded once. The lane products are exact for p < 2^50; the scans
 reject bounds >= 2^50, and n*upper >= 2^62 so that no per-prime sum (each
-within about n*p of 0) wraps (n = upper when all-odd).
+within about n*p of 0) wraps (n = upper when all-odd). Above 3037000500 the
+products are numkernel's reciprocal form, below it the plain a*b % p.
 
 Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
@@ -34,7 +36,8 @@ a kill at any point; segments may fan out to worker processes, with counts
 merged in ascending order so reports are identical for any worker count, and
 each worker exits once the scan process that started it is gone. A scan
 whose expected work is below what a pool's start-up costs runs in process,
-with no pool, whatever its thread count. Primes come from a sieve, so the
+with no pool, whatever its thread count; the pool's modules (multiprocessing,
+threading, concurrent.futures) are imported only when a pool starts. Primes come from a sieve, so the
 scans skip primality tests.
 """
 
@@ -42,10 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
@@ -65,9 +65,10 @@ __all__ = [
 CSV_HEADER = "p,n,two_S,N,nonpositive"
 
 # Lanes of work per planned segment. A segment's fixed cost (the sieve's set-up,
-# the generator search's ladders, the numpy calls of each step) is about 4 ms
-# near 1e10, the time of about 6k lanes, so at 2^15 lanes it is under a sixth of
-# the segment's time.
+# the generator search's ladders, the numpy calls of each step) is about 2-3 ms
+# near 1e10, the time of about 7k lanes (a line fitted to segments of 1e3 to
+# 3.6e4 lanes, 2-core VM), so at 2^15 lanes it is under a fifth of the segment's
+# time.
 _SEGMENT_LANES = 1 << 15
 # Expected lanes below which a scan runs in process at any thread count. Under
 # the 'fork' start method a 2-worker pool starts, maps and shuts down in about
@@ -259,6 +260,9 @@ def _exit_with_parent() -> None:
     start method; os.getppid() would name the fork server under 'forkserver'.
     Under 'fork' a later worker inherits an earlier one's pipe, so the
     workers exit one after the other, last started first."""
+    import multiprocessing
+    import threading
+
     parent = multiprocessing.parent_process()
 
     def watch() -> None:
@@ -393,6 +397,8 @@ def _scan(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     plan, workers = _plan(n, start, upper, min(threads, cpus))
     segments = [(n, lo, hi, records is not None) for lo, hi in plan]
+    if workers > 1:  # imported here, so that a scan in process (and `import dsums`) never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
     try:
         with (
             ProcessPoolExecutor(workers, initializer=_exit_with_parent) if workers > 1 else nullcontext()

@@ -193,6 +193,48 @@ def test_euclid_lanes_fail_rather_than_loop_on_a_short_park(monkeypatch, share, 
         dedekind._euclid_lanes(c, d)
 
 
+# Below 2^23 the steps run in float32, where every value and a + b stay below 2^24, and no
+# lane takes more than 32 steps (d < 2^23 < F35).
+_TOP_F32 = 8_388_593  # the largest prime below 2^23
+_FIRST_F64 = 8_388_617  # the first prime above 2^23
+
+
+@pytest.mark.parametrize("share", [dedekind._COMPACT_SHARE, 0])
+def test_float32_euclid_lanes_match_python_ints(monkeypatch, share):
+    monkeypatch.setattr(dedekind, "_COMPACT_SHARE", share)
+    rng = np.random.default_rng(23)
+    assert _fibonacci(34) < _TOP_F32 < 1 << 23 < _fibonacci(35)
+    lanes = [(_fibonacci(33), _fibonacci(34))]  # Lame's worst case below 2^23: 32 steps
+    lanes += [(c, _TOP_F32) for c in (1, 2, _TOP_F32 - 1, *rng.integers(3, _TOP_F32 - 1, 50).tolist())]
+    d = rng.integers(2, 1 << 23, 300).tolist()
+    lanes += [(1, x) for x in d[:100]] + [(x - 1, x) for x in d[100:200]]
+    lanes += [(c, x) for x in d[200:] for c in rng.integers(1, x, 3).tolist() if math.gcd(c, x) == 1]
+    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
+    with np.errstate(all="raise"):
+        t, inv = dedekind._euclid_lanes(c, d)
+    assert t.dtype == inv.dtype == np.int64
+    assert list(zip(t.tolist(), inv.tolist())) == [_continued_fraction(*lane) for lane in lanes]
+
+
+# A float32 park pair that finishes again within the batch, as (F20, F19) does after 18 steps
+# and (F30, F29) after 28, counts its lanes out twice; the long lanes take 22 to 32 steps. At
+# share 1, compaction drops the lanes parked on (F30, F29) before they finish again. From
+# 2^23 on, a batch runs in float64, whose park the float32 one does not touch.
+@pytest.mark.parametrize("share, park", [(dedekind._COMPACT_SHARE, 20), (0, 20), (0, 30)])
+def test_float32_euclid_lanes_fail_rather_than_loop_on_a_short_park(monkeypatch, share, park):
+    monkeypatch.setattr(dedekind, "_COMPACT_SHARE", share)
+    lanes = 2 * [(_fibonacci(m), _fibonacci(m + 1)) for m in range(23, 34)]  # 22 .. 32 steps
+    lanes += [(1, x) for x in range(1000, 1005)]  # 1 step, parked from the first
+    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
+    assert list(zip(*(x.tolist() for x in dedekind._euclid_lanes(c, d)))) == [_continued_fraction(*x) for x in lanes]
+    monkeypatch.setattr(dedekind, "_PARK_F32", (float(_fibonacci(park)), float(_fibonacci(park - 1))))
+    with pytest.raises(ArithmeticError, match="32 steps"):
+        dedekind._euclid_lanes(c, d)
+    lanes.append((2, _FIRST_F64))
+    c, d = np.array(list(zip(*lanes)), dtype=np.int64)
+    assert list(zip(*(x.tolist() for x in dedekind._euclid_lanes(c, d)))) == [_continued_fraction(*x) for x in lanes]
+
+
 # The paper's constancy theorem: for n <= m/2 the elements of order q^n mod f = q^m are
 # c = 1 + k*f', f' = q^(m-n) and k prime to q, and s(c, f) = s_near_one_closed(f, f') for
 # each. Here f*t passes 2^63 on every lane, so an int64 combine would wrap

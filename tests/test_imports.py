@@ -46,6 +46,39 @@ def test_the_cli_imports_without_mpmath():
                    timeout=60)
 
 
+def module_level_imports(source: str) -> set[str]:
+    """The modules a module's source imports outside any function or class body, by full name."""
+    out, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)  # the bodies of if, try and with at module level
+    return out
+
+
+def test_module_level_imports_are_caught():
+    source = "import os.path\nif True:\n    from concurrent.futures import Executor\ndef f():\n    import threading\n"
+    assert module_level_imports(source) == {"os.path", "concurrent.futures"}
+
+
+# The process pool's machinery loads only when a scan starts a pool, which no scan below
+# 2^17 expected lanes does, so `import dsums` does not pay for it.
+_POOL_MODULES = ("multiprocessing", "threading", "concurrent")
+
+
+def test_no_module_imports_the_pool_machinery_at_module_level():
+    found = {path.name: sorted(m for m in module_level_imports(path.read_text()) if m.split(".")[0] in _POOL_MODULES)
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == {}
+    code = "import sys, dsums; assert 'concurrent.futures' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True,
+                   timeout=60)
+
+
 def package_imports(source: str) -> set[str]:
     """The dsums modules a module's source imports, relative or absolute."""
     out = set()

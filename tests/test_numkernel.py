@@ -194,31 +194,43 @@ def test_generator_search_ladders_only_prime_bases(monkeypatch):
     # one segment of the 1e10 survey window, n = 9 and 15: a full-length ladder x^((p-1)/n)
     # runs only for a prime int x, each x once and in order, on more lanes than the scalar
     # tail takes; the other ladders raise it to the int n/q^k and the result to the int
-    # q^(k-1), q^k || n. The first few bases (2, 3, 5 and 7 here) close all but the last
-    # few of the 692-895 lanes, so a wrong ladder, which closes none and leaves every lane
-    # to the scalar tail (whose h0 is right), fails here rather than only slowing the search.
-    calls, tail = [], []
+    # q^(k-1) > 1, q^k || n. The first few bases (2, 3, 5 and 7 here) close all but the last
+    # few of the 692-895 lanes, so a wrong ladder, which closes none (or closes lanes with a
+    # wrong u), fails here rather than only slowing the search.
+    calls, tail, rest = [], [], []
 
     def spy(x, e, p):
         calls.append((x, e if isinstance(e, int) else e.copy(), p.copy()))
         return powmod_lanes(x, e, p)
 
+    def scalar_pow(x, e, p):  # the tail's pow calls: (p, x) for each base x^((p-1)/n) it tries
+        if e == (p - 1) // n:
+            tail.append((p, x))
+        return pow(x, e, p)
+
     monkeypatch.setattr(numkernel, "powmod_lanes", spy)
-    monkeypatch.setattr(numkernel, "order_n_element", lambda p, n: tail.append(p) or order_n_element(p, n))
+    monkeypatch.setattr(numkernel, "pow", scalar_pow, raising=False)  # shadows the builtin in numkernel
+    monkeypatch.setattr(numkernel, "order_n_element", lambda p, n: rest.append(p) or order_n_element(p, n))
     for n in (9, 15):
         ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
         calls.clear()  # the sieve's own ladder
         tail.clear()
         h0 = numkernel._generators(n, ps).tolist()
+        handed = sorted({p for p, _ in tail})  # before order_n_element below, which calls pow too
+        tried = {q: [x for p, x in tail if p == q] for q in handed}
         ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // n)]
         bases = [x for x, _ in ladders]
-        assert len(bases) <= 8 and len(tail) <= numkernel._SCALAR_TAIL, (n, bases, len(tail))
+        assert len(bases) <= 8, (n, bases)
         assert h0 == [order_n_element(p, n) for p in ps.tolist()]
         assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
         assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
-        # the last few open lanes go on in Python ints, with no ladder
+        # the last few open lanes go on in Python ints, with no ladder, from the next untried
+        # base: each tries the primes after the ladder's last, in order, until its parts close
         assert all(lanes > numkernel._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
-        exps = {n // q**k for q, k in factorize(n)} | {q ** (k - 1) for q, k in factorize(n)}
+        assert 0 < len(handed) <= numkernel._SCALAR_TAIL and not rest, (n, len(handed), rest)
+        primes = sieve_upto(10**4).tolist()
+        assert all(xs == primes[len(bases) : len(bases) + len(xs)] for xs in tried.values()), (n, bases, tried)
+        exps = {n // q**k for q, k in factorize(n)} | {q ** (k - 1) for q, k in factorize(n)} - {1}
         others = [(x, e) for x, e, p in calls if not np.array_equal(e, (p - 1) // n)]
         assert others and all(not isinstance(x, int) and isinstance(e, int) and e in exps for x, e in others), n
 
@@ -265,8 +277,12 @@ def test_powmod_lanes_matches_pow_and_reads_its_arguments_only(ps, plain):
 
 
 def _window(x: int, top: int) -> int:
-    """The width of powmod_lanes's window for the plain int x and the largest modulus top."""
-    return max(w for w in range(7) if x ** (2**w - 1) * top < 2**63)
+    """The width of powmod_lanes's window for the plain int x and the largest modulus top:
+    r*t with t = x^(2^w-1) stays exact as r*t < 2^63 at or below the cut, and as t < 2^50
+    in the reciprocal product above it."""
+    if top <= _CUT:
+        return max(w for w in range(7) if x ** (2**w - 1) * top < 2**63)
+    return max(w for w in range(7) if x ** (2**w - 1) < 2**50)
 
 
 _WINDOW_MODULI = [1_000_003, _BELOW_CUT, _ABOVE_CUT, _NEAR_2_50]
@@ -292,12 +308,37 @@ def test_windowed_ladder_matches_pow(ps):
 
 def test_windowed_ladder_takes_every_width():
     assert {_window(x, q) for x in _WINDOW_BASES for q in _WINDOW_MODULI} == {1, 2, 3, 4, 5, 6}
-    # past 2^63/max(p) a plain int takes the bit-by-bit ladder of mulmod's product: a one-bit
-    # window's r*x would wrap there, as for this e, whose last multiply takes an r near p
-    x, p = (1 << 13) + 1, _NEAR_2_50
-    assert (_window(x - 1, p), _window(x, p)) == (1, 0)
-    j = next(j for j in itertools.count(1) if pow(x, 2 * j, p) * x >= 2**63)
-    assert powmod_lanes(x, np.array([2 * j + 1]), np.array([p])).tolist() == [pow(x, 2 * j + 1, p)]
+    # every plain int x < p takes a window: below the cut x*p < p^2 < 2^63, above it x < 2^50
+    assert min(_window(q - 1, q) for q in _WINDOW_MODULI) == 1
+
+
+# Above the cut the width follows x^(2^w-1) < 2^50 alone: 1 and 0 take w = 6, 2 and 3 take 5,
+# 7 takes 4, 100 takes 3, 10^5 takes 2 and p - 1 takes 1.
+@pytest.mark.parametrize("p", [_ABOVE_CUT, _NEAR_2_50], ids=["first-above", "2^50-27"])
+def test_windowed_ladder_above_the_cut_matches_pow_at_every_width(p):
+    bases = [1, 0, 2, 3, 7, 100, 10**5, p - 1]
+    assert [_window(x, p) for x in bases] == [6, 6, 5, 5, 4, 3, 2, 1]
+    rng = random.Random(p)
+    exps = [0, 1, 2, p - 2, p - 1] + [rng.randrange(p) for _ in range(60)]
+    lanes = np.full(len(exps), p, dtype=np.int64)
+    for x in bases:
+        assert powmod_lanes(x, np.array(exps, dtype=np.int64), lanes).tolist() == [pow(x, k, p) for k in exps], x
+
+
+@pytest.mark.parametrize("p", [_ABOVE_CUT, _NEAR_2_50], ids=["first-above", "2^50-27"])
+def test_reciprocal_product_is_exact_for_signed_inputs(p):
+    # the ladder keeps r as a residue in (-p, p): products of signed inputs up to p - 1 in size
+    # come out congruent to a*b and inside (-p, p), and mulmod's one correction puts them in [0, p)
+    top = p - 1
+    a = np.array([top, -top, -top, top, 1, -1, 0], dtype=np.int64)
+    b = np.array([top, top, -top, -top, top, top, top], dtype=np.int64)
+    r = a.copy()
+    numkernel._times(r, b, b.astype(np.float64), p, 1.0 / p, np.empty(len(r)), np.empty_like(r))
+    assert [x % p for x in r.tolist()] == [x * y % p for x, y in zip(a.tolist(), b.tolist())]
+    assert all(abs(x) < p for x in r.tolist())
+    top_lanes = np.full(3, top, dtype=np.int64)
+    assert mulmod(top_lanes, top_lanes, np.full(3, p, dtype=np.int64)).tolist() == [1, 1, 1]
+    assert mulmod(top_lanes, top_lanes, p).tolist() == [1, 1, 1]  # one int modulus for every lane
 
 
 @pytest.mark.parametrize("p", [1_000_003, _BELOW_CUT, _ABOVE_CUT, _NEAR_2_50])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import signal
@@ -158,8 +159,8 @@ def test_batched_records_match_the_oracle():
 
 
 def test_ladder_multiplies_a_large_x_through_mulmod():
-    # r*x % p with r near 2^50 is exact in int64 up to x = 2^13, where the ladder takes
-    # one-bit windows, and wraps from 2^13 + 1 on, where it multiplies through mulmod
+    # r*x % p with r near 2^50 would wrap in int64 from x = 2^13 + 1 on; above the cut the
+    # ladder multiplies by the reciprocal product, whose table entries need only x^(2^w-1) < 2^50
     p = (1 << 50) - 27  # prime
     mod = np.full(3, p, dtype=np.int64)
     exps = np.array([p - 2, (p - 1) // 3, 12345], dtype=np.int64)
@@ -190,18 +191,19 @@ def test_mulmod_and_powmod_match_python_ints(case):
     exps = np.array([e, 0, 1, p - 1], dtype=np.int64)
     want = [pow(x, k, p) for k in exps.tolist()]
     assert powmod_lanes(np.full(4, x, dtype=np.int64), exps, mod).tolist() == want
-    assert powmod_lanes(x, exps, mod).tolist() == want  # a plain int x: windows while x*p < 2^63
+    assert powmod_lanes(x, exps, mod).tolist() == want  # a plain int x: the windowed ladder
 
 
 def test_mulmod_corrects_both_ways_near_2_50():
-    # Near 2^50 the float quotient is one too large on about 1.7% of lanes and
-    # one too small on about 0.015%: 2e5 lanes take both corrections.
+    # Near 2^50 the reciprocal product's rounded quotient lies on either side of a*b/p, so
+    # its residue a*b - q*p is negative on about half the lanes: 2e5 lanes take the one
+    # correction by +p and leave the rest, and every residue stays within just over 0.875*p of 0.
     rng = np.random.default_rng(50)
     p = rng.integers(1 << 49, 1 << 50, 200_000) | 1
     a, b = rng.integers(0, p), rng.integers(0, p)
-    q = (a.astype(np.float64) * b / p).astype(np.int64)
+    q = np.rint(a.astype(np.float64) * b.astype(np.float64) * (1.0 / p)).astype(np.int64)
     r = a * b - q * p
-    assert (r < 0).any() and (r >= p).any()
+    assert (r < 0).any() and (r > 0).any() and (np.abs(r) < 0.88 * p).all()
     got = mulmod(a, b, p).tolist()
     assert got == [x * y % m for x, y, m in zip(a.tolist(), b.tolist(), p.tolist())]
 
@@ -505,7 +507,7 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, affinity, cpu_count, l
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # the pool _scan imports when it starts one
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -525,7 +527,7 @@ def test_the_1e10_window_runs_in_process_at_two_threads(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # two CPUs to use
     rep = scan_window(9, 10**10, 10**6, threads=2)
     assert (rep.c_prime, rep.c_leq0, rep.rho) == (7226, 3695, "0.51134")
