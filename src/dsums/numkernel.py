@@ -1,8 +1,9 @@
 """Arithmetic substrate: primality, factorization, multiplicative functions,
-the search for an element of order n mod p (order_n_element, and _generators
-on int64 lanes), a sieve of the primes in a window of an arithmetic
+one search for an element of order n mod p (order_n_element; _generators runs
+it on int64 lanes), a sieve of the primes in a window of an arithmetic
 progression, and the int64 lane layer: one exact product mod p < 2^50
-(mulmod), a power table and a power ladder, each choosing once per call,
+(mulmod, which like the rest of the layer refuses a larger p), a power table
+and a power ladder of an int or an array base, each choosing once per call,
 from the largest modulus, the plain a*b % p (p <= 3037000500) or the
 reciprocal product a*b - rint(a*b*(1/p))*p with 1/p taken once; the ladder
 of an int base multiplies by a window of exponent bits, and keeps a signed
@@ -176,21 +177,36 @@ def order_n_element(p: int, n: int) -> int:
     x_q the least prime that is no q-th power mod p (x_q^((p-1)/q) != 1). The least
     q-th non-power is prime, since a product of q-th powers is one, so for n = q^k this
     is the first x^((p-1)/n), x = 2, 3, ..., of order n. 1 for n = 1; p - 1 is never
-    factored."""
+    factored. _search tries the primes x in turn, each closing every q^k it can."""
     if n < 1 or (p - 1) % n:
         raise ValueError(f"{n} does not divide {p} - 1")
-    e, h, ys = (p - 1) // n, 1, {}  # ys: x -> x^e, raised once for all the q
-    for q, k in factorize(n):
-        for x in itertools.chain(_trial_primes(), filter(is_prime, range(_TRIAL_LIMIT + 1, p))):
-            if x not in ys:
-                ys[x] = pow(x, e, p)
-            u = pow(ys[x], n // q**k, p)  # x^((p-1)/q^k)
-            if pow(u, q ** (k - 1), p) != 1:  # x^((p-1)/q)
-                h = h * u % p
-                break
-        else:
-            raise ValueError(f"no element of order {n} mod {p}")
-    return h
+    return _search(p, n, [0] * len(_parts(n)), 0)
+
+
+@lru_cache(maxsize=1 << 12)
+def _parts(n: int) -> tuple[tuple[int, int, int], ...]:  # (j, n/q^k, q^(k-1)) for the j-th q^k || n
+    return tuple((j, n // q**k, q ** (k - 1)) for j, (q, k) in enumerate(factorize(n)))
+
+
+def _search(p: int, n: int, us: list[int], start: int) -> int:
+    """order_n_element(p, n) from the base of index start on: the primes below 10^4
+    from there, then the primes above. us[j] is the u of part j of _parts(n), 0 while
+    open, and is filled in place: each x takes y = x^((p-1)/n) and closes each open q^k
+    with u = y^(n/q^k) where u^(q^(k-1)) = x^((p-1)/q) is not 1. h is the product of the u.
+    Its per-call set-up is kept small, since most calls come from order_n_element."""
+    e, parts, h, bases = (p - 1) // n, _parts(n), 1, _trial_primes()
+    for u in us:
+        if u:
+            h = h * u % p
+    for x in itertools.chain(itertools.islice(bases, start, None) if start else bases,
+                             filter(is_prime, range(_TRIAL_LIMIT + 1, p))):
+        y = pow(x, e, p)
+        for j, cofactor, test in parts:
+            if not us[j] and pow(u := pow(y, cofactor, p), test, p) != 1:
+                us[j], h = u, h * u % p
+        if all(us):
+            return h
+    raise ValueError(f"no element of order {n} mod {p}")
 
 
 # At most this many lanes still open in the lane search go on in Python ints:
@@ -204,18 +220,15 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
 
     The bases x are the primes below 10^4 that order_n_element starts from,
     in turn, each tried only on the lanes with a prime power q^k || n still
-    open. Each x runs one ladder y = x^((p-1)/n) (powmod_lanes: a square per
-    exponent bit, a multiply per window of bits); then one pass per q^k takes
+    open. Each x runs one ladder y = x^((p-1)/n); then one pass per q^k takes
     u = y^(n/q^k) = x^((p-1)/q^k) on the lanes where q^k is open, and closes
-    q^k with u where u^(q^(k-1)) = x^((p-1)/q) is not 1 (where q^(k-1) = 1,
-    as for prime n, u itself is tested). h0 is the product of the u. Once at
-    most _SCALAR_TAIL lanes are open after some bases, the open lanes go on in
-    Python ints from the next untried base, keeping the q^k they have closed;
-    a lane still open past the last base takes order_n_element, which goes on
-    past 10^4, as does every lane of a batch of at most _SCALAR_TAIL."""
+    q^k with u where u^(q^(k-1)) = x^((p-1)/q) is not 1. h0 is the product of
+    the u. Once at most _SCALAR_TAIL lanes are open, each goes on in
+    order_n_element's search (_search) from the next base, with the q^k it
+    has closed; a batch of at most _SCALAR_TAIL lanes takes order_n_element."""
     if len(p) <= _SCALAR_TAIL:  # the numpy search's set-up alone costs more than these pow calls
         return np.array([order_n_element(x, n) for x in p.tolist()], dtype=np.int64)
-    parts = [(n // q**k, q ** (k - 1)) for q, k in factorize(n)]
+    parts = _parts(n)
     found = np.zeros((len(parts), len(p)), dtype=np.int64)  # row per q^k: u once closed, 0 while open
     e = (p - 1) // n
     todo = np.arange(len(p))
@@ -224,29 +237,17 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
         x, tried = bases[tried], tried + 1
         pt = p[todo]
         y = powmod_lanes(x, e[todo], pt)
-        for row, (cofactor, test) in zip(found, parts):
+        for row, (_, cofactor, test) in zip(found, parts):
             lanes = np.flatnonzero(row[todo] == 0)
             u = powmod_lanes(y[lanes], cofactor, pt[lanes]) if cofactor > 1 else y[lanes]  # 1: n = q^k
             ok = (powmod_lanes(u, test, pt[lanes]) if test > 1 else u) != 1
             row[todo[lanes[ok]]] = u[ok]
         todo = todo[(found[:, todo] == 0).any(axis=0)]
-    rest = []  # lanes still open past the last base
-    for i, pi, ei, us in zip(todo.tolist(), p[todo].tolist(), e[todo].tolist(), found[:, todo].T.tolist()):
-        for x in bases[tried:]:
-            y = pow(x, ei, pi)
-            for j, (cofactor, test) in enumerate(parts):
-                if not us[j] and pow(u := pow(y, cofactor, pi), test, pi) != 1:
-                    us[j] = u
-            if all(us):
-                break
-        else:
-            rest.append(i)
-        found[:, i] = us
     h0 = found[0]
     for row in found[1:]:
         h0 = mulmod(h0, row, p)
-    for i in rest:
-        h0[i] = order_n_element(int(p[i]), n)
+    for i, pi, us in zip(todo.tolist(), p[todo].tolist(), found[:, todo].T.tolist()):
+        h0[i] = _search(pi, n, us, tried)
     return h0
 
 
@@ -254,13 +255,15 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
 _PLAIN_CUT = 3_037_000_500
 
 
-def _inverse(p: int | np.ndarray):
-    """1/p in float64 for the reciprocal product, taken once per call of the lane layer,
-    or None while every p is at most _PLAIN_CUT, where the plain a*b % p is exact and
-    cheaper: the reciprocal form at every p made the generator search below 1e6 and
-    h^- at p = 181-199 slower."""
+def _inverse(p: int | np.ndarray) -> tuple[int, np.ndarray | float | None]:
+    """The largest p, and 1/p in float64 for the reciprocal product, taken once per call of
+    the lane layer, or None while every p is at most _PLAIN_CUT, where the plain a*b % p is
+    exact and cheaper: the reciprocal form at every p made the generator search below 1e6
+    and h^- at p = 181-199 slower. ValueError for p >= 2^50, where neither is exact."""
     top = p if isinstance(p, int) else int(np.max(p, initial=0))
-    return None if top <= _PLAIN_CUT else np.divide(1.0, p)
+    if top >= 1 << 50:
+        raise ValueError(f"modulus {top} too large for int64 lane products, which need p < 2^50")
+    return top, None if top <= _PLAIN_CUT else np.divide(1.0, p)
 
 
 def _times(r: np.ndarray, b, fb, p: int | np.ndarray, inv, f, q) -> None:
@@ -313,23 +316,23 @@ def _mulmod(a: np.ndarray, b, p: int | np.ndarray, inv) -> np.ndarray:
 
 
 def mulmod(a: np.ndarray, b: np.ndarray, p: int | np.ndarray) -> np.ndarray:
-    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50: the plain
-    a*b % p while every p is at most 3037000500, else the reciprocal product
-    rint(a*b*(1/p)) corrected once in int64, one form for the whole call. p
-    broadcasts to the shape of a*b."""
-    return _mulmod(a, b, p, _inverse(p))
+    """a*b mod p on int64 lanes, exact for 0 <= a, b < p < 2^50 (ValueError for a
+    larger p): the plain a*b % p while every p is at most 3037000500, else the
+    reciprocal product rint(a*b*(1/p)) corrected once in int64, one form for the
+    whole call. p broadcasts to the shape of a*b."""
+    return _mulmod(a, b, p, _inverse(p)[1])
 
 
 def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
-    """x^0 .. x^(s-1) mod p for 0 <= x < p < 2^50, as int64 of shape (s,) for
+    """x^0 .. x^(s-1) mod p for 0 <= x < p < 2^50 (ValueError past), as int64 of shape (s,) for
     plain ints x and p, or (s, lanes) for int64 lanes. By doubling: once rows
     0..k hold x^0..x^k, rows 1..k times row k give x^(k+1)..x^(2k), with
     mulmod's product and one 1/p for the whole table."""
+    (_, inv), k = _inverse(p), 1  # first, so that a modulus too large is refused before x is stored
     lanes = () if isinstance(x, int) and isinstance(p, int) else np.broadcast_shapes(np.shape(x), np.shape(p))
     pows = np.ones((s, *lanes), dtype=np.int64)
     if s > 1:
         pows[1] = x
-    inv, k = _inverse(p), 1
     while k < s - 1:
         j = min(k, s - 1 - k)
         pows[k + 1 : k + 1 + j] = _mulmod(pows[1 : 1 + j], pows[k], p, inv)
@@ -338,51 +341,47 @@ def power_table(x: int | np.ndarray, s: int, p: int | np.ndarray) -> np.ndarray:
 
 
 def powmod_lanes(x: int | np.ndarray, e: int | np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50;
-    e is an int64 array or one int for every lane.
+    """x^e mod p on int64 lanes by a left-to-right ladder, for e >= 0 and 0 <= x < p < 2^50
+    (ValueError for a larger p): a plain int x with e an int64 array or one int for every
+    lane, or an int64 array x with one int e (TypeError for an array x with an array e).
 
     The products are mulmod's, chosen once from the largest p, and work in place
     on r (_times). At or below the cut each is the plain r*r % p or r*t % p.
     Above it each is the reciprocal residue, with 1/p taken once: r stays a
     signed residue in (-p, p) through the ladder and is corrected once at the
-    end. An array x goes bit by bit: each bit of e, from the top, costs one
-    square and, where the bit is set, a multiply by x, in place where every lane
-    has the bit (always, for an int e), else copied in. A plain int x
+    end. An array x goes bit by bit: each bit of the int e, from the top, costs
+    one square and, where the bit is set, a multiply by x. A plain int x
     goes 2^w-ary: per window of w bits of e, w squares and one multiply by
     t = x^digit from a table of x^0 .. x^(2^w-1), with w <= 6 the largest width
     for which r*t stays exact: x^(2^w-1)*max(p) < 2^63 at or below the cut,
     x^(2^w-1) < 2^50 above it. Every x < p has a width of at least 1. A partial
     window leads. The result is one fresh array; x, e and p are only read.
     """
-    top = int(np.max(p, initial=0))
-    inv = None if top <= _PLAIN_CUT else np.divide(1.0, p)
-    cap, scale = (1 << 63, top) if inv is None else (1 << 50, 1)  # t*scale < cap keeps r*t exact
-    w = 0  # the window width, 0 for the bit-by-bit ladder
-    while isinstance(x, int) and w < 6 and x ** ((2 << w) - 1) * scale < cap:
-        w += 1
-    table = np.array([x**j for j in range(1 << w)], dtype=np.int64) if w else x
+    top, inv = _inverse(p)
+    if isinstance(x, int):
+        cap, scale = (1 << 63, top) if inv is None else (1 << 50, 1)  # t*scale < cap keeps r*t exact
+        w = next((w for w in range(6, 1, -1) if x ** ((1 << w) - 1) * scale < cap), 1)
+        table = np.array([x**j for j in range(1 << w)], dtype=np.int64)
+    elif isinstance(e, int):
+        table, w = x, 0  # w = 0: the bit-by-bit ladder
+    else:
+        raise TypeError("powmod_lanes takes an array x only with one int e")
     r = np.ones(np.broadcast_shapes(np.shape(x), np.shape(e), np.shape(p)), dtype=np.int64)
-    digit = np.empty_like(r)
     f = q = ftable = None  # the reciprocal form's scratch arrays, and the table or x as floats
     if inv is not None:
         f, q, ftable = np.empty(r.shape), np.empty_like(r), np.asarray(table, dtype=np.float64)
+    digit = np.empty_like(r) if w else None
     bits, step = int(np.max(e, initial=0)).bit_length(), w or 1
     for shift in reversed(range(0, bits, step)):
         if shift + step < bits:  # below the leading window, whose squares would square a 1
             for _ in range(step):
                 _times(r, r, f, p, inv, f, q)
-        np.right_shift(e, shift, out=digit)
-        digit &= (1 << step) - 1
         if w:
+            np.right_shift(e, shift, out=digit)
+            digit &= (1 << w) - 1
             _times(r, table.take(digit), None if inv is None else ftable.take(digit), p, inv, f, q)
-        else:  # a multiply by x where the bit is set, in place when every lane has it (an int e)
-            has = digit.astype(bool)
-            if has.all():
-                _times(r, x, ftable, p, inv, f, q)
-            elif has.any():
-                t = r.copy()
-                _times(t, x, ftable, p, inv, f, q)
-                np.copyto(r, t, where=has)
+        elif e >> shift & 1:
+            _times(r, x, ftable, p, inv, f, q)
     if inv is not None:
         r += (r >> 63) & p
     return r

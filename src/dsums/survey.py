@@ -179,7 +179,10 @@ def _check_path(path: str, what: str) -> None:
 
 def _load_checkpoint(path: str) -> _Checkpoint | None:
     """The checkpoint at path, None if there is no file; ValueError unless it is a
-    JSON object with exactly the fields of its version, each of its JSON type."""
+    JSON object with exactly the fields of its version, each of its JSON type, and
+    with values a scan writes: mode "fixed" (A = 0) or "window" (A >= 0), counts
+    0 <= c_leq0 <= c_prime, A <= last_p <= A + span_or_B, and a records_offset that
+    covers the CSV header."""
     _check_path(path, "checkpoint")
     if not os.path.exists(path):
         return None
@@ -199,7 +202,18 @@ def _load_checkpoint(path: str) -> _Checkpoint | None:
     wrong = [k for k, v in data.items() if type(v) not in want[k]]
     if wrong:
         raise ValueError(f"checkpoint {path} has values of the wrong JSON type in {wrong}")
-    return _Checkpoint(**data)
+    ck = _Checkpoint(**data)
+    if ck.mode not in ("fixed", "window"):
+        raise ValueError(f"checkpoint {path} holds mode={ck.mode!r}, neither 'fixed' nor 'window'")
+    if ck.A < 0 or (ck.mode == "fixed" and ck.A):
+        raise ValueError(f"checkpoint {path} holds A={ck.A}, which no {ck.mode} scan starts from")
+    if not 0 <= ck.c_leq0 <= ck.c_prime:
+        raise ValueError(f"checkpoint {path} holds the counts c_prime={ck.c_prime}, c_leq0={ck.c_leq0}")
+    if not ck.A <= ck.last_p <= ck.A + ck.span_or_B:
+        raise ValueError(f"checkpoint {path} holds last_p={ck.last_p}, outside A={ck.A}, span_or_B={ck.span_or_B}")
+    if ck.records_offset is not None and ck.records_offset <= len(CSV_HEADER):
+        raise ValueError(f"checkpoint {path} holds records_offset={ck.records_offset}, short of the CSV header")
+    return ck
 
 
 def _save_checkpoint(path: str, ck: _Checkpoint) -> None:
@@ -379,6 +393,9 @@ def _scan(
     c_p = c_le = 0
     if records is not None:
         _check_path(records, "records")
+        # the checkpoint's atomic rename would replace the records
+        if checkpoint and os.path.realpath(records) in {os.path.realpath(c) for c in (checkpoint, checkpoint + ".tmp")}:
+            raise ValueError(f"records file {records} is the checkpoint {checkpoint} or its .tmp")
     ck = _load_checkpoint(checkpoint) if checkpoint is not None else None
     if ck is not None:
         if (ck.mode, ck.n, ck.A, ck.span_or_B) != (mode, n, lower, span_or_b):

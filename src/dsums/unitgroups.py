@@ -108,12 +108,11 @@ class UnitGroup:
         self._index_view: memoryview | None = None
 
     def torsion(self, q: int) -> np.ndarray:
-        """The units x with x^q = 1 as an int64 array of shape t_i = gcd(orders[i], q), f < 2^50:
+        """The units x with x^q = 1 as an int64 array of shape t_i = gcd(orders[i], q):
         entry k is prod b_i^k_i mod f with b_i = generators[i]^(orders[i]/t_i) of order t_i,
-        so it has order lcm_i t_i/gcd(t_i, k_i) (_torsion_orders)."""
+        so it has order lcm_i t_i/gcd(t_i, k_i) (_torsion_orders). The lane products
+        refuse f >= 2^50 (ValueError)."""
         f = self.modulus
-        if f >= 1 << 50:
-            raise ValueError(f"modulus {f} too large for int64 unit products")
         units = np.ones((), dtype=np.int64)
         for g, s in zip(self.generators, self.orders):
             t = math.gcd(s, q)

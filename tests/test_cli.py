@@ -86,6 +86,24 @@ def test_survey_rerun_without_its_records_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "") and err.startswith("error: checkpoint") and "Traceback" not in err
 
 
+def test_survey_refuses_one_file_for_records_and_checkpoint(tmp_path, capsys):
+    same = str(tmp_path / "same.out")
+    code, out, err = run(capsys, "survey", "--n", "9", "--limit", "1e5", "--records", same, "--checkpoint", same)
+    assert (code, out) == (2, "") and "is the checkpoint" in err and "Traceback" not in err
+    assert not Path(same).exists()
+
+
+def test_survey_refuses_an_out_of_range_checkpoint(tmp_path, capsys):
+    rc, ck = tmp_path / "r.csv", tmp_path / "c.json"
+    argv = ("survey", "--n", "9", "--limit", "5000", "--records", str(rc), "--checkpoint", str(ck))
+    assert run(capsys, *argv)[0] == 0
+    ck.write_text(json.dumps({**json.loads(ck.read_text()), "records_offset": -5}))
+    rows = rc.read_bytes()
+    code, out, err = run(capsys, *argv)  # the same command again resumes from the checkpoint
+    assert (code, out) == (2, "") and "records_offset=-5" in err and "Traceback" not in err
+    assert rc.read_bytes() == rows
+
+
 def test_verify_seed_goes_with_the_seeded_suites(capsys):
     for suite in ("reciprocity", "denominators"):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--max-modulus", "60", "--seed", "5")

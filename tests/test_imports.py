@@ -39,6 +39,46 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names and name != "__init__.py"} == {}
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level private names (a def, class or assignment named with one leading
+    underscore) of the modules' sources that no one of them reads, as a name, an attribute
+    or an import: "module: name (line n)"."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                ends = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [(t.id, t.lineno) for end in ends for t in ast.walk(end) if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined |= {(module, name): line for name, line in targets
+                        if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(f"{module}: {name} (line {line})" for (module, name), line in defined.items() if name not in read)
+
+
+def test_unread_private_names_are_caught():
+    a = "_kept = 1\n_lost = 2\ndef _f(): pass\nclass _C: pass\n__version__ = 3\n_seen: int = 4\nprint(_seen)\n"
+    b = "import a\nfrom a import _f\na._kept\n_lost = 5\n_x, (_y, z) = 1, (2, 3)\nprint(_x)\n"
+    assert unread_private_names({"a": a, "b": b}) == [
+        "a: _C (line 4)", "a: _lost (line 2)", "b: _lost (line 4)", "b: _y (line 5)"]
+
+
+def test_every_private_name_has_a_reader():
+    # the package reads each of its private names: tests are no readers, so a helper only a
+    # test calls shows up here
+    assert unread_private_names({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}) == []
+
+
 def test_the_cli_imports_without_mpmath():
     # numpy is the only runtime dependency: mpmath serves the tests and perfbench's checks
     code = "import sys, dsums.cli; assert 'mpmath' not in sys.modules, sorted(sys.modules)"

@@ -197,42 +197,71 @@ def test_generator_search_ladders_only_prime_bases(monkeypatch):
     # q^(k-1) > 1, q^k || n. The first few bases (2, 3, 5 and 7 here) close all but the last
     # few of the 692-895 lanes, so a wrong ladder, which closes none (or closes lanes with a
     # wrong u), fails here rather than only slowing the search.
-    calls, tail, rest = [], [], []
+    calls, handed = [], []
+    search = numkernel._search
 
     def spy(x, e, p):
         calls.append((x, e if isinstance(e, int) else e.copy(), p.copy()))
         return powmod_lanes(x, e, p)
 
-    def scalar_pow(x, e, p):  # the tail's pow calls: (p, x) for each base x^((p-1)/n) it tries
-        if e == (p - 1) // n:
-            tail.append((p, x))
-        return pow(x, e, p)
+    def search_spy(p, n, us, start):
+        handed.append((p, start, list(us)))
+        return search(p, n, us, start)
 
     monkeypatch.setattr(numkernel, "powmod_lanes", spy)
-    monkeypatch.setattr(numkernel, "pow", scalar_pow, raising=False)  # shadows the builtin in numkernel
-    monkeypatch.setattr(numkernel, "order_n_element", lambda p, n: rest.append(p) or order_n_element(p, n))
+    monkeypatch.setattr(numkernel, "_search", search_spy)
+    primes = sieve_upto(10**4).tolist()
     for n in (9, 15):
         ps = primes_in_progression(10**10, 125_000 - 1, 2 * n, 1)
-        calls.clear()  # the sieve's own ladder
-        tail.clear()
+        calls.clear()
+        handed.clear()
         h0 = numkernel._generators(n, ps).tolist()
-        handed = sorted({p for p, _ in tail})  # before order_n_element below, which calls pow too
-        tried = {q: [x for p, x in tail if p == q] for q in handed}
         ladders = [(x, len(p)) for x, e, p in calls if np.array_equal(e, (p - 1) // n)]
         bases = [x for x, _ in ladders]
         assert len(bases) <= 8, (n, bases)
-        assert h0 == [order_n_element(p, n) for p in ps.tolist()]
-        assert all(isinstance(x, int) and is_prime(x) for x in bases), (n, bases)
-        assert bases == sorted(set(bases)) and bases[:2] == [2, 3], (n, bases)
-        # the last few open lanes go on in Python ints, with no ladder, from the next untried
-        # base: each tries the primes after the ladder's last, in order, until its parts close
+        assert all(isinstance(x, int) for x in bases) and bases == primes[: len(bases)], (n, bases)
+        # the last few open lanes go on, with no ladder, in order_n_element's own search: each
+        # from the base after the ladders' last, with the parts the ladders closed
         assert all(lanes > numkernel._SCALAR_TAIL for _, lanes in ladders), (n, ladders)
-        assert 0 < len(handed) <= numkernel._SCALAR_TAIL and not rest, (n, len(handed), rest)
-        primes = sieve_upto(10**4).tolist()
-        assert all(xs == primes[len(bases) : len(bases) + len(xs)] for xs in tried.values()), (n, bases, tried)
+        assert 0 < len(handed) <= numkernel._SCALAR_TAIL, (n, len(handed))
+        assert all(start == len(bases) and 0 in us for _, start, us in handed), (n, bases, handed)
+        assert h0 == [order_n_element(p, n) for p in ps.tolist()]
         exps = {n // q**k for q, k in factorize(n)} | {q ** (k - 1) for q, k in factorize(n)} - {1}
         others = [(x, e) for x, e, p in calls if not np.array_equal(e, (p - 1) // n)]
         assert others and all(not isinstance(x, int) and isinstance(e, int) and e in exps for x, e in others), n
+
+
+@pytest.mark.parametrize("tail", [0, 32])
+def test_generators_go_on_past_the_base_list_with_no_restart(tail, monkeypatch):
+    # with the bases below 10^4 cut to 2, 3 and 5, the lanes on which all three are cubes
+    # (about 1 in 27 for n = 9) stay open past the list: each goes on from 7 in the one
+    # search, with the parts it has closed, and tries each prime once and in order
+    monkeypatch.setattr(numkernel, "_trial_primes", lambda: (2, 3, 5))
+    monkeypatch.setattr(numkernel, "_TRIAL_LIMIT", 5)
+    monkeypatch.setattr(numkernel, "_SCALAR_TAIL", tail)
+    for n in (9, 15):
+        ps = primes_in_progression(10**10, 200_000, 2 * n, 1)
+        want = [order_n_element(p, n) for p in ps.tolist()]
+        tried = {p: [] for p in ps.tolist()}  # the bases x each lane takes x^((p-1)/n) of
+
+        def spy(x, e, p):
+            if isinstance(x, int):
+                for q in p.tolist():
+                    tried[q].append(x)
+            return powmod_lanes(x, e, p)
+
+        def scalar_pow(x, e, p):
+            if p in tried and e == (p - 1) // n:
+                tried[p].append(x)
+            return pow(x, e, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(numkernel, "powmod_lanes", spy)
+            m.setattr(numkernel, "pow", scalar_pow, raising=False)  # shadows the builtin in numkernel
+            assert numkernel._generators(n, ps).tolist() == want, n
+        primes = sieve_upto(100).tolist()
+        assert all(xs == primes[: len(xs)] for xs in tried.values()), n
+        assert sum(len(xs) > 3 for xs in tried.values()) > tail, n
 
 
 # the int64 product is plain a*b % p up to 3037000500, where (p-1)^2 < 2^63 still holds
@@ -251,10 +280,23 @@ def test_lane_layer_is_exact_across_the_plain_product_cut(ps):
     p = np.array(ps, dtype=np.int64)
     top = p - 1
     assert mulmod(top, top, p).tolist() == [1] * len(ps)
-    exps = np.array([q - 2 for q in ps], dtype=np.int64)
-    assert powmod_lanes(top, exps, p).tolist() == [pow(q - 1, q - 2, q) for q in ps]
-    assert powmod_lanes(top, np.full_like(p, 2), p).tolist() == [1] * len(ps)
+    for k in [q - 2 for q in ps] + [2]:  # an array x takes one int e
+        assert powmod_lanes(top, k, p).tolist() == [pow(q - 1, k, q) for q in ps], k
     assert power_table(top, 5, p).T.tolist() == [[pow(q - 1, k, q) for k in range(5)] for q in ps]
+
+
+@pytest.mark.parametrize("p", [1 << 50, (1 << 61) - 1], ids=["2^50", "2^61-1"])
+def test_lane_layer_refuses_moduli_from_2_50(p):
+    # neither product is exact there: at 2^61 - 1, (p-2)^2 mod p came out 6917529027641081865, not 4
+    lanes = np.array([7, p], dtype=np.int64)
+    a = np.array([3, p - 2], dtype=np.int64)
+    calls = [lambda: mulmod(a, a, lanes), lambda: mulmod(a[1:], a[1:], p), lambda: power_table(p - 2, 3, p),
+             lambda: power_table(a, 3, lanes), lambda: powmod_lanes(2, a, lanes), lambda: powmod_lanes(a, 3, lanes)]
+    for call in calls:
+        with pytest.raises(ValueError, match="too large"):
+            call()
+    with pytest.raises(ValueError, match="too large"):  # before an int x past int64 is stored
+        power_table((1 << 63) + 5, 3, (1 << 64) + 13)
 
 
 # moduli below the cut (the plain product, squared in place) and moduli with one above it (the float form)
@@ -269,11 +311,14 @@ def test_powmod_lanes_matches_pow_and_reads_its_arguments_only(ps, plain):
     xs = np.array([rng.randrange(q) for q in p.tolist()], dtype=np.int64)
     for arr in (p, e, xs):
         arr.flags.writeable = False  # an in-place write raises
-    # an array x; plain ints each side of 2^63/2^50, where the ladder near 2^50 moves from
-    # one-bit windows to the bit-by-bit product
-    for x in (xs, 2, (1 << 13) - 1, 1 << 13, (1 << 13) + 1):
-        want = [pow(x if isinstance(x, int) else a, k, q) for a, k, q in zip(xs.tolist(), e.tolist(), p.tolist())]
-        assert powmod_lanes(x, e, p).tolist() == want, x
+    # plain ints each side of 2^13, where r*x near 2^50 would leave int64, with the array e
+    for x in (2, (1 << 13) - 1, 1 << 13, (1 << 13) + 1):
+        assert powmod_lanes(x, e, p).tolist() == [pow(x, k, q) for k, q in zip(e.tolist(), p.tolist())], x
+    # the array x with each of the exponents as one int e
+    for k in e.tolist():
+        assert powmod_lanes(xs, k, p).tolist() == [pow(a, k, q) for a, q in zip(xs.tolist(), p.tolist())], k
+    with pytest.raises(TypeError):
+        powmod_lanes(xs, e, p)
 
 
 def _window(x: int, top: int) -> int:

@@ -190,7 +190,8 @@ def test_mulmod_and_powmod_match_python_ints(case):
     assert mulmod(lhs, rhs, mod).tolist() == [a * b % p, a * b % p, (p - 1) ** 2 % p, 0]
     exps = np.array([e, 0, 1, p - 1], dtype=np.int64)
     want = [pow(x, k, p) for k in exps.tolist()]
-    assert powmod_lanes(np.full(4, x, dtype=np.int64), exps, mod).tolist() == want
+    lanes = np.full(4, x, dtype=np.int64)  # an array x takes one int e
+    assert [powmod_lanes(lanes, k, mod).tolist() for k in exps.tolist()] == [[w] * 4 for w in want]
     assert powmod_lanes(x, exps, mod).tolist() == want  # a plain int x: the windowed ladder
 
 
@@ -377,6 +378,39 @@ def test_bad_checkpoints_and_records_are_rejected(tmp_path):
             resume(str(ck), records=str(rc))
     with pytest.raises(ValueError, match="is a directory"):
         resume(str(tmp_path))
+
+
+# values of the right JSON type that no scan writes: each is refused before either file is opened
+@pytest.mark.parametrize("changes", [
+    {"mode": "sideways"}, {"A": 700}, {"mode": "window", "A": -50}, {"span_or_B": -1}, {"c_prime": -3},
+    {"c_leq0": -1}, {"c_leq0": 10**6}, {"last_p": -1}, {"last_p": 5001}, {"records_offset": -5},
+    {"records_offset": 10},
+], ids=["unknown mode", "fixed range from A > 0", "window range from A < 0", "negative span_or_B",
+        "negative c_prime", "negative c_leq0", "c_leq0 over c_prime", "last_p below A", "last_p past the bound",
+        "negative records_offset", "records_offset inside the header"])
+def test_resume_refuses_checkpoint_values_no_scan_writes(tmp_path, changes):
+    ck, rc = tmp_path / "ck.json", tmp_path / "r.csv"
+    scan_fixed_n(9, 5000, checkpoint=str(ck), records=str(rc))
+    ck.write_text(json.dumps({**json.loads(ck.read_text()), **changes}))
+    saved, rows = ck.read_bytes(), rc.read_bytes()
+    with pytest.raises(ValueError, match=f"holds .*{list(changes)[-1]}"):
+        resume(str(ck), records=str(rc))
+    assert ck.read_bytes() == saved and rc.read_bytes() == rows
+
+
+def test_scan_refuses_one_file_for_records_and_checkpoint(tmp_path, monkeypatch):
+    # the checkpoint's rename would replace the records (or its .tmp would): refused before
+    # either file is opened, whether named alike, by another path or as the .tmp
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "same.out").write_text("kept")
+    for records, checkpoint in (("same.out", "same.out"), (str(tmp_path / "same.out"), "./same.out"),
+                                ("same.out.tmp", "same.out")):
+        with pytest.raises(ValueError, match="is the checkpoint"):
+            scan_fixed_n(9, 10**5, records=records, checkpoint=checkpoint)
+    assert (tmp_path / "same.out").read_text() == "kept" and not (tmp_path / "same.out.tmp").exists()
+    scan_fixed_n(9, 5000, checkpoint="ck.json")  # a records-less checkpoint, resumed with itself as records
+    with pytest.raises(ValueError, match="is the checkpoint"):
+        resume("ck.json", records="ck.json")
 
 
 class _Stop(Exception):
