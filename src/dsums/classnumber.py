@@ -9,7 +9,9 @@ determinant (Carlitz-Olson, Proc. AMS 6, 1955), read mod primes l = 1 (mod m)
 and joined by CRT until the modulus passes 2 (sum g_t^2)^(m/4) >= 2|R|. Mod l
 the G(w^i) over the odd i are one length-m/2 DFT, taken by a mixed-radix
 transform over the prime factors of m/2. The c_t are summed over chunks of the
-powers of g, in O(m + 2^18) cells for any p < 2^31. The full field takes about
+powers of g, in O(m + 2^18) cells for any p < 2^31, O(p) for the full field; a
+degree m above about 2.64e6, with no l = 1 (mod m) under the int64 ceiling of
+_crt_primes, is refused before the chunks are taken. The full field takes about
 0.003 s at p = 199, 0.03 s at p = 1009, 0.1 s at p = 2003 and 0.5 s at p = 4001
 on a 2-core x86 VM (1.7 s at p = 2039, where m/2 = 1019 is prime).
 
@@ -25,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .meansquare import euler_correction_pi, mean_square_exact
-from .numkernel import factorize, is_prime, order_n_element, power_table, primes_in_progression, totient
+from .numkernel import crt, factorize, is_prime, order_n_element, power_table, primes_in_progression, totient
 from .unitgroups import DirichletCharacter, Subgroup, subgroup_of_order, unit_group
 
 __all__ = [
@@ -51,14 +53,23 @@ def _roots_of_unity(p: int, m: int) -> int:
     return 2 * p if m == p - 1 else 2
 
 
+def _ell_ceiling(m: int) -> int:
+    """The largest l with (m/2)(l-1)^2 < 2^63, so that a sum of m/2 products of residues
+    mod l cannot wrap in int64. For m^3 > 2^64 (m above about 2.64e6) it is below m + 1,
+    the least l = 1 (mod m)."""
+    return math.isqrt((2**63 - 1) // (m // 2)) + 1
+
+
+def _too_few_ells(m: int) -> ValueError:
+    return ValueError(f"the primes l = 1 (mod {m}) up to {_ell_ceiling(m)} give too few bits for the resultant")
+
+
 def _crt_primes(m: int, need_bits: int) -> list[int]:
-    """Primes l = 1 (mod m), downward from the ceiling where (m/2)(l-1)^2 < 2^63
-    (so a sum of m/2 products of residues mod l cannot wrap in int64), until their
-    product has more than need_bits bits; ValueError if they run out first. They are
-    sieved from windows of the progression, each sized for about 1.5 times the primes
-    still wanted at a density of one in phi(m) ln(l) integers."""
-    top = math.isqrt((2**63 - 1) // (m // 2))
-    hi, ells, mod = top // m * m + 1, [], 1
+    """Primes l = 1 (mod m), downward from _ell_ceiling(m), until their product has
+    more than need_bits bits; ValueError if they run out first. They are sieved from
+    windows of the progression, each sized for about 1.5 times the primes still
+    wanted at a density of one in phi(m) ln(l) integers."""
+    hi, ells, mod = (_ell_ceiling(m) - 1) // m * m + 1, [], 1
     while mod.bit_length() <= need_bits and hi > m:
         want = (need_bits - mod.bit_length()) // (hi.bit_length() - 1) + 1
         lo = max(m + 1, hi - math.ceil(1.5 * want * totient(m) * math.log(hi)))
@@ -69,7 +80,7 @@ def _crt_primes(m: int, need_bits: int) -> list[int]:
             mod *= ell
         hi = lo - 1
     if mod.bit_length() <= need_bits:
-        raise ValueError(f"the primes l = 1 (mod {m}) up to {top + 1} give too few bits for the resultant")
+        raise _too_few_ells(m)
     return ells
 
 
@@ -137,6 +148,8 @@ def relative_class_number(p: int, m: int) -> int:
     w_k, n = _roots_of_unity(p, m), m // 2
     if p >= 1 << 31:
         raise ValueError(f"p = {p} is too large for the int64 power tables")
+    if _ell_ceiling(m) <= m:  # no l = 1 (mod m) fits: refuse before the table of c_t
+        raise _too_few_ells(m)
     # c_t = sum of g^k mod p over k = t (mod m), t = 0..m-1, in chunks of whole rows of m powers
     root, step = unit_group(p).generators[0], max(1, _TABLE_CELLS // m) * m
     c = sum((power_table(root, min(step, p - 1 - k), p) * pow(root, k, p) % p).reshape(-1, m).sum(axis=0)
@@ -144,10 +157,7 @@ def relative_class_number(p: int, m: int) -> int:
     g = c[:n] - c[n:]
     s2 = sum(x * x for x in g.tolist())
     ells = _crt_primes(m, (_power_bits(s2, n) + 1) // 2 + 1)  # 2^(bits) > 2 (sum g_t^2)^(n/2) >= 2|R|
-    r, mod = 0, 1
-    for ell, x in zip(ells, _resultant_residues(g, m, ells)):
-        r += mod * ((x - r) * pow(mod, -1, ell) % ell)
-        mod *= ell
+    r, mod = crt(_resultant_residues(g, m, ells), ells), math.prod(ells)
     h, rem = divmod((-1) ** n * w_k * (r - mod if 2 * r > mod else r), (2 * p) ** n)
     if rem or h < 1:
         raise ArithmeticError(f"h^-({p},{m}) fails the integrality audit: w (-1)^n R is no positive multiple of (2p)^n")

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "Factorization",
+    "crt",
     "divisors",
     "factorize",
     "is_prime",
@@ -161,6 +162,16 @@ def totient(n: int) -> int:
     for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
+
+
+def crt(residues, moduli) -> int:
+    """The x in [0, prod moduli) with x = residues[i] (mod moduli[i]), for pairwise
+    coprime moduli, by Garner's incremental lift."""
+    x, mod = 0, 1
+    for r, m in zip(residues, moduli):
+        x += mod * ((r - x) * pow(mod, -1, m) % m)
+        mod *= m
+    return x
 
 
 def divisors(n: int) -> tuple[int, ...]:

@@ -29,16 +29,20 @@ p divides 1 + sum h0^j, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd.
 The batched records are tested against meansquare.n_value, which sums the n
 kernel values of H_n one prime at a time and runs the same audits.
 
-A scan cuts its range into segments sized by its expected work (_plan). Scans
-checkpoint at segment boundaries (records flushed to disk first, then an
-atomic JSON rename that stores the records' byte length) and can resume after
-a kill at any point; segments may fan out to worker processes, with counts
-merged in ascending order so reports are identical for any worker count, and
-each worker exits once the scan process that started it is gone. A scan
-whose expected work is below what a pool's start-up costs runs in process,
-with no pool, whatever its thread count; the pool's modules (multiprocessing,
-threading, concurrent.futures) are imported only when a pool starts. Primes come from a sieve, so the
-scans skip primality tests.
+A scan cuts its range into a count of segments sized by its expected work
+(_plan), and makes each segment's bounds (_segment) as it runs, so any bound
+below 2^50 streams through bounded memory: in process one segment at a time,
+on a pool with at most 2*workers segments submitted ahead of the one whose
+records are being committed. Scans checkpoint at segment boundaries (records
+flushed to disk first, then an atomic JSON rename that stores the records'
+byte length) and can resume after a kill at any point; segments may fan out to
+worker processes, with counts merged in ascending order so reports are
+identical for any worker count, and each worker exits once the scan process
+that started it is gone. A scan whose expected work is below what a pool's
+start-up costs runs in process, with no pool, whatever its thread count; the
+pool's modules (multiprocessing, threading, concurrent.futures) are imported
+only when a pool starts. Primes come from a sieve, so the scans skip primality
+tests.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import math
 import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -160,11 +165,9 @@ class _Checkpoint:
     version: int = 2  # 1: no records_offset, records go on by plain append
 
 
-# the JSON types of each field of a version-2 checkpoint; version 1 has no records_offset
-_CHECKPOINT_TYPES = {
-    "version": (int,), "mode": (str,), "n": (int, type(None)), "A": (int,), "span_or_B": (int,),
-    "last_p": (int,), "c_prime": (int,), "c_leq0": (int,), "records_offset": (int, type(None)),
-}
+# the JSON types of each field of a version-2 checkpoint, read off _Checkpoint (int | None
+# admits int and null); version 1 has no records_offset
+_CHECKPOINT_TYPES = {k: get_args(t) or (t,) for k, t in get_type_hints(_Checkpoint).items()}
 
 
 def _check_path(path: str, what: str) -> None:
@@ -345,9 +348,9 @@ def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, 
     return len(p) + ones, int(nonpositive.sum()) + ones, text
 
 
-def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[list[tuple[int, int]], int]:
-    """The segments (lo, hi) that tile [start, upper] in ascending order, and the
-    number of workers to run them on.
+def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[int, int]:
+    """The number of segments that tile [start, upper] in ascending order
+    (_segment gives their bounds), and the number of workers to run them on.
 
     The expected work is span/(phi(2n) ln upper) primes of the progression,
     each with (n-1)/2 Euclid lanes and one generator lane (the all-odd scan
@@ -359,7 +362,7 @@ def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[list[tup
     same share. A plan for one worker, or of one segment, runs in process."""
     span = upper - start + 1
     if span <= 0:
-        return [], 1
+        return 0, 1
     lanes = (n + 1) // 2 if n else (upper + 1) // 2
     work = span / (totient(n or 1) * math.log(upper)) * lanes
     if work < _POOL_LANES:
@@ -367,8 +370,24 @@ def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[list[tup
     count = max(min(math.ceil(work / _SEGMENT_LANES), 4 * workers), -(-span >> 20))
     if count > 1:
         count = min(-(-count // workers) * workers, span)  # at least one integer a segment
-    bounds = [start + i * span // count for i in range(count + 1)]
-    return [(lo, hi - 1) for lo, hi in zip(bounds, bounds[1:])], min(workers, count)
+    return count, min(workers, count)
+
+
+def _segment(start: int, upper: int, count: int, i: int) -> tuple[int, int]:
+    """The bounds (lo, hi) of segment i of the count that tile [start, upper]."""
+    span = upper - start + 1
+    return start + i * span // count, start + (i + 1) * span // count - 1
+
+
+def _pooled(pool, jobs, ahead: int):
+    """The results of _segment_worker over jobs, in order, from pool; at most
+    `ahead` jobs are submitted beyond the one whose result was yielded last."""
+    futures = []
+    for job in jobs:
+        futures.append(pool.submit(_segment_worker, job))
+        if len(futures) > ahead:
+            yield futures.pop(0).result()
+    yield from (f.result() for f in futures)
 
 
 def _scan(
@@ -412,21 +431,22 @@ def _scan(
     # at most one worker per CPU this process may run on (the pool forks them all at its
     # first submit) and per segment
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    plan, workers = _plan(n, start, upper, min(threads, cpus))
-    segments = [(n, lo, hi, records is not None) for lo, hi in plan]
+    count, workers = _plan(n, start, upper, min(threads, cpus))
+    jobs = ((n, *_segment(start, upper, count, i), records is not None) for i in range(count))
     if workers > 1:  # imported here, so that a scan in process (and `import dsums`) never loads the pool
         from concurrent.futures import ProcessPoolExecutor
     try:
         with (
             ProcessPoolExecutor(workers, initializer=_exit_with_parent) if workers > 1 else nullcontext()
         ) as pool:
-            results = pool.map(_segment_worker, segments, chunksize=1) if pool else map(_segment_worker, segments)
-            for (_, _, seg_hi, _), (dp, dl, text) in zip(segments, results):
+            # segments are made as they run, and a pool holds at most 2*workers ahead of the one committed
+            results = _pooled(pool, jobs, 2 * workers) if pool else map(_segment_worker, jobs)
+            for i, (dp, dl, text) in enumerate(results):
                 c_p += dp
                 c_le += dl
                 sink.write(text)
                 if checkpoint:  # rows reach the disk before the checkpoint that counts them
-                    ck = _Checkpoint(mode, n, lower, span_or_b, seg_hi, c_p, c_le, sink.sync())
+                    ck = _Checkpoint(mode, n, lower, span_or_b, _segment(start, upper, count, i)[1], c_p, c_le, sink.sync())
                     _save_checkpoint(checkpoint, ck)
         if checkpoint and ck is None:  # an empty fresh range still leaves a checkpoint
             _save_checkpoint(checkpoint, _Checkpoint(mode, n, lower, span_or_b, upper, c_p, c_le, sink.sync()))

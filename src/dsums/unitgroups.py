@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkernel import factorize, is_prime, mulmod, order_n_element, power_table, totient
+from .numkernel import crt, factorize, is_prime, mulmod, order_n_element, power_table, totient
 
 __all__ = [
     "DirichletCharacter",
@@ -47,21 +47,7 @@ __all__ = [
 def _primitive_root_prime_power(p: int, e: int) -> int:
     """Smallest generator of the cyclic group (Z/p^eZ)*, p an odd prime."""
     q = p**e
-    phi = q // p * (p - 1)
-    qs = [r for r, _ in factorize(phi)]
-    g = 2
-    while True:
-        if g % p and all(pow(g, phi // r, q) != 1 for r in qs):
-            return g
-        g += 1
-
-
-def _crt_lift(g: int, q: int, rest: int) -> int:
-    """x with x = g (mod q) and x = 1 (mod rest)."""
-    if rest == 1:
-        return g % q
-    k = (1 - g) * pow(q, -1, rest) % rest
-    return (g + q * k) % (q * rest)
+    return next(g for g in itertools.count(2) if g % p and element_order(g, q) == q // p * (p - 1))
 
 
 class UnitGroup:
@@ -95,7 +81,7 @@ class UnitGroup:
             else:
                 comps = [(_primitive_root_prime_power(p, e), q // p * (p - 1))]
             for g, order in comps:
-                gens.append(_crt_lift(g, q, rest))
+                gens.append(crt((g, 1), (q, rest)))  # g on this component, 1 on the others
                 orders.append(order)
                 axis_primes.append(p)
         self.generators = tuple(gens)
@@ -388,7 +374,7 @@ def euler_phase_orders(sub: Subgroup) -> dict[int, dict[int, int]]:
         for axis, p in enumerate(g.axis_primes):
             if p == q:
                 kept[(slice(None),) * axis + (slice(1, None),)] = False
-        phases = _phases(g, _crt_lift(q, f // q**e, q**e))[kept]
+        phases = _phases(g, crt((q, 1), (f // q**e, q**e)))[kept]
         orders, counts = np.unique(big // np.gcd(phases, big), return_counts=True)
         out[q] = dict(zip(orders.tolist(), counts.tolist()))
     return out

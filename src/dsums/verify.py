@@ -162,14 +162,16 @@ def suite_denominators(t: VerifyReport, dmax: int, seed: int) -> None:
 
 
 def suite_theorem_parity(t: VerifyReport, pcap: int, seed: int) -> None:
-    # odd n > 1 forces 2S integral with the parity of (p-1)/2 and N odd
-    for p in primes_in_progression(0, pcap, 2, 1).tolist():
-        for n in divisors(p - 1):
-            if n == 1 or n % 2 == 0:
-                continue
-            with t.audited():
-                n_value(p, subgroup_of_order(n, p))  # raises on any parity/integrality violation
-                t.check(True, "")
+    # odd n > 1 forces 2S integral with the parity of (p-1)/2 and N odd; the primes come
+    # from windows of at most 2^20 integers, as in the scans, so memory stays bounded at any pcap
+    for lo in range(0, pcap + 1, 1 << 20):
+        for p in primes_in_progression(lo, min(pcap - lo, (1 << 20) - 1), 2, 1).tolist():
+            for n in divisors(p - 1):
+                if n == 1 or n % 2 == 0:
+                    continue
+                with t.audited():
+                    n_value(p, subgroup_of_order(n, p))  # raises on any parity/integrality violation
+                    t.check(True, "")
 
     # trace: gcd(f, T(H,f)) > 1 for every cyclic subgroup of order > 1;
     # odd f <= 1000: 2*gcd(3,f)*(f/gcd(f,T))*S has the parity of n*(f-1)/2

@@ -2,7 +2,11 @@ import argparse
 import importlib
 import json
 import math
+import os
 import pkgutil
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -141,6 +145,19 @@ def test_tables_window_requires_bounds(capsys):
         main(["tables", "--table", "rho9-window"])
 
 
+def test_theorem_parity_sieves_windows_of_at_most_2_20_integers(monkeypatch):
+    # every odd prime up to pcap reaches the suite once, from windows that tile [0, pcap]
+    windows, seen, sieve = [], [], verify.primes_in_progression
+    monkeypatch.setattr(verify, "primes_in_progression",
+                        lambda lower, span, q, r: windows.append((lower, span)) or sieve(lower, span, q, r))
+    monkeypatch.setattr(verify, "divisors", lambda m: seen.append(m + 1) or ())  # no n to check
+    monkeypatch.setattr(verify, "cyclic_subgroups", lambda f: ())
+    pcap = 2 * (1 << 20) + 5
+    verify.suite_theorem_parity(VerifyReport("theorem-parity"), pcap, 0)
+    assert windows == [(0, (1 << 20) - 1), (1 << 20, (1 << 20) - 1), (1 << 21, 5)]
+    assert seen == sieve(0, pcap, 2, 1).tolist()
+
+
 def test_verify_suite_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "kernel-theorem")
     assert code == 0
@@ -239,6 +256,17 @@ def test_class_number_beyond_the_crt_primes_exits_2(capsys):
     code, out, err = run(capsys, "class-number", "--p", "1000003")
     assert code == 2 and out == "" and "Traceback" not in err and "primes l = 1" in err
     assert time.perf_counter() - t0 < 10
+
+
+def test_class_number_at_the_top_of_its_range_is_refused_before_its_tables():
+    # p = 2^31 - 1 is under the 2^31 guard, but no l = 1 (mod p - 1) lies under the int64
+    # ceiling; the refusal comes before the O(p) table of powers, which needs 16 GiB
+    env = dict(os.environ, PYTHONPATH=str(Path(dsums.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dsums.cli", "class-number", "--p", str(2**31 - 1)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: the primes l = 1 (mod 2147483646) up to 92682 give too few bits for the resultant\n"
 
 
 def test_mean_square_json(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dsums import numkernel
 from dsums.numkernel import (
+    crt,
     divisors,
     factorize,
     is_prime,
@@ -72,6 +73,16 @@ def test_divisor_sum_identities():
         ds = divisors(n)
         assert sum(mobius(d) for d in ds) == (1 if n == 1 else 0)
         assert sum(totient(d) for d in ds) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**12)), max_size=6))
+def test_crt_is_the_least_common_solution(pairs):
+    pairs = [(r, m) for k, (r, m) in enumerate(pairs) if all(math.gcd(m, m2) == 1 for _, m2 in pairs[:k])]
+    residues, moduli = [r for r, _ in pairs], [m for _, m in pairs]
+    x = crt(residues, moduli)
+    assert 0 <= x < math.prod(moduli) and all((x - r) % m == 0 for r, m in pairs)
+    assert crt([2, 3, 1], [3, 5, 7]) == 8 and crt([5, 1], [7, 1]) == 5 and crt([], []) == 0
 
 
 def test_is_prime_against_sieve():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -528,7 +529,7 @@ def test_scan_rejects_bad_threads_and_bounds():
 def test_workers_are_capped_at_the_cpu_count(monkeypatch, affinity, cpu_count, limit, workers, count):
     started, segments, work = [], [], survey._segment_worker
 
-    class SerialPool:  # a stand-in for ProcessPoolExecutor: records its worker count, maps in process
+    class SerialPool:  # a stand-in for ProcessPoolExecutor: records its worker count, runs each job at submit
         def __init__(self, max_workers, initializer):
             started.append(max_workers)
 
@@ -538,8 +539,10 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch, affinity, cpu_count, l
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)  # the pool _scan imports when it starts one
     if affinity is None:
@@ -584,8 +587,7 @@ def test_segment_plan_examples():
         ((None, 2, 31, 2), 1, 1),
         ((9, 2, 1, 2), 0, 1),  # an empty range
     ):
-        plan, got = survey._plan(*args)
-        assert (len(plan), got) == (count, workers), args
+        assert survey._plan(*args) == (count, workers), args
 
 
 @settings(max_examples=300, deadline=None)
@@ -594,20 +596,21 @@ def test_segment_plan_examples():
 def test_segment_plan_tiles_the_range(n, lower, span, workers, data):
     upper = lower + span
     start = data.draw(st.integers(max(lower, 2), max(upper + 1, 2)), label="start")  # a resume starts later
-    plan, got = survey._plan(n, start, upper, workers)
+    count, got = survey._plan(n, start, upper, workers)
     if start > upper:
-        assert (plan, got) == ([], 1)
+        assert (count, got) == (0, 1)
         return
+    plan = [survey._segment(start, upper, count, i) for i in range(count)]
     assert plan[0][0] == start and plan[-1][1] == upper
     assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(plan, plan[1:]))
     assert all(0 <= hi - lo < 1 << 20 for lo, hi in plan)
-    assert got == 1 or got == min(workers, len(plan))
+    assert got == 1 or got == min(workers, count)
     # whether a scan pools follows its work, not the number of workers it may have
     assert (got > 1) == (workers > 1 and survey._plan(n, start, upper, 2)[1] == 2)
     # the plan is the one for the workers that run it, each of which gets as many
     # segments, unless the plan is one segment or one integer a segment
-    assert plan == survey._plan(n, start, upper, got)[0]
-    assert len(plan) % got == 0 or len(plan) == 1 or len(plan) == upper - start + 1
+    assert count == survey._plan(n, start, upper, got)[0]
+    assert count % got == 0 or count == 1 or count == upper - start + 1
 
 
 def test_checkpoint_carries_records_offset(tmp_path):
@@ -685,6 +688,45 @@ if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[2])
     survey.scan_fixed_n(9, 10**9, threads=2)
 """
+
+
+# `dsums survey` to 1e14, about 9.5e7 segments, under a 1 GiB address-space cap: the scan
+# makes each segment as it runs, so it reaches its second checkpoint, where it kills its
+# session, workers and all.
+_CAPPED_SCAN = """
+import os, signal, sys
+from dsums import cli, survey
+save, calls = survey._save_checkpoint, []
+def save_and_die(path, ck):
+    save(path, ck)
+    calls.append(ck)
+    if len(calls) == 2:
+        os.killpg(0, signal.SIGKILL)
+survey._save_checkpoint = save_and_die
+cli.main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_scan_to_1e14_streams_under_a_1_gib_cap(tmp_path, threads):
+    ck = tmp_path / "ck.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(dsums.__file__).resolve().parents[1]))
+    argv = ["survey", "--n", "9", "--limit", "1e14", "--threads", str(threads), "--checkpoint", str(ck)]
+    proc = subprocess.Popen([sys.executable, "-c", _CAPPED_SCAN, *argv], env=env, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True,
+                            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the whole session, should the scan live on
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+    assert "MemoryError" not in err
+    assert proc.returncode == -signal.SIGKILL, err
+    data = json.loads(ck.read_text())
+    assert 0 < data["c_prime"] and 2 < data["last_p"] < 10**14
 
 
 def _running(pid: int) -> bool:
