@@ -50,6 +50,8 @@ ENTRIES = {
     "survey-n9-window-8e6-to-2^23": {"argv": ["survey", "--n", "9", "--from", "8e6", "--span", "388607", *_REC, *_CK]},
     # three segments: below the plain-product cut 3037000500, across it and above it
     "survey-n9-window-3036e6": {"argv": ["survey", "--n", "9", "--from", "3036e6", "--span", "2e6", *_REC, *_CK]},
+    # the all-odd records of the 65 odd primes in [999000, 1e6], with orders up to about 5e5
+    "survey-all-odd-window-999000": {"argv": ["survey", "--all-odd", "--from", "999000", "--span", "1000", *_REC, *_CK]},
 }
 # the exit-2 cases of tests/test_cli.py
 _USAGE_ERRORS = [
