@@ -236,9 +236,8 @@ def _generators(n: int, p: np.ndarray) -> np.ndarray:
     q^k with u where u^(q^(k-1)) = x^((p-1)/q) is not 1. h0 is the product of
     the u. Once at most _SCALAR_TAIL lanes are open, each goes on in
     order_n_element's search (_search) from the next base, with the q^k it
-    has closed; a batch of at most _SCALAR_TAIL lanes takes order_n_element."""
-    if len(p) <= _SCALAR_TAIL:  # the numpy search's set-up alone costs more than these pow calls
-        return np.array([order_n_element(x, n) for x in p.tolist()], dtype=np.int64)
+    has closed; so a batch of at most _SCALAR_TAIL lanes runs no ladder, and
+    each lane takes _search from base 0, as order_n_element does."""
     parts = _parts(n)
     found = np.zeros((len(parts), len(p)), dtype=np.int64)  # row per q^k: u once closed, 0 while open
     e = (p - 1) // n

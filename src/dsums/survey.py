@@ -4,30 +4,42 @@ For each prime p = 1 (mod 2n) the scanner takes the order-n subgroup H_n of
 (Z/pZ)* from its generator h0 = order_n_element(p, n) and records the exact
 integers 2S and N, which depend on H_n alone, not on which generator it has.
 No float or fraction enters the N <= 0 decision. The all-odd scan (n = None)
-takes the pairs (p, n) for every odd n | p - 1, one batch per n, in the same
-driver.
+takes the pairs (p, n) for every odd n | p - 1, in the same driver, from coset
+sums (below).
 
 H_n is closed under inversion and s(h^-1,p) = s(h,p), so with the kernel
 12*p*s(c,p) = c + c* + p*t of dedekind_sum_parts and
 1 + sum_{j=1}^{n-1} h0^j = k*p (the elements of H_n sum to 0 mod p),
     12*S(H_n,p) = p - 3 + 2k + 2*sum_{j=1}^{(n-1)/2} t_j.
-A batch keeps every step on numpy lanes, one lane per prime or per (p, h0^j):
-numkernel's _generators gives h0 (its last few open lanes go on in Python
-ints), power_table gives h0^1, ..., h0^(n-1), dedekind's _euclid_lanes gives
-(t, c*) of every h0^j/p with j <= (n-1)/2, in float32 while p < 2^23 and in
-float64 above, and the column sums give k and 12*S. A segment's CSV rows are
-one uint8 matrix of right-aligned ASCII digits, each from one division by the
-scalar 10, decoded once. The lane products are exact for p < 2^50; the scans
+A fixed-n segment is one batch, which keeps every step on numpy lanes, one
+lane per prime or per (p, h0^j): numkernel's _generators gives h0 (its last
+few open lanes go on in Python ints), power_table gives h0^1, ..., h0^(n-1),
+dedekind's _euclid_lanes gives (t, c*) of every h0^j/p with j <= (n-1)/2, in
+float32 while p < 2^23 and in float64 above, and the column sums give k and
+12*S. A segment's CSV rows are one uint8 matrix of right-aligned ASCII digits,
+each from one division by the scalar 10, decoded once. The lane products are exact for p < 2^50; the scans
 reject bounds >= 2^50, and n*upper >= 2^62 so that no per-prime sum (each
 within about n*p of 0) wraps (n = upper when all-odd). Above 3037000500 the
 products are numkernel's reciprocal form, below it the plain a*b % p.
 
+The all-odd scan sums cosets instead. By the definition
+s(h,p) = sum_a ((a/p))((ha/p)), summing over h in H gives
+S(H,p) = sum_{C in G/H} T(C)^2 with T(C) = sum_{x in C} ((x/p)) = sigma_C/p - |H|/2,
+sigma_C the sum of the residues in C. So each odd prime p takes one primitive
+root g = order_n_element(p, p - 1) and one table g^0, ..., g^(p-2); for each odd
+d > 1 dividing p - 1 the columns of the table seen as a (d, (p-1)/d) array are
+the cosets of H_d, and 12*S(H_d,p) = 3*sum_C Y_C^2 with Y_C = 2*sigma_C/p - d,
+exact in int64 (sigma_C < d*p, sum_C Y_C^2 <= d*(p-1), and upper^2 < 2^62).
+The table holds 8*(p-1) bytes, 800 MB near 1e8.
+
 Every record passes the audits or the scan aborts before the segment is
 written, since a violation would mean the engine is broken, not the data:
-the Euclid's inverse of h0^j is h0^(n-j) and no h0^j is 1 (h0 has order n),
-p divides 1 + sum h0^j, 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd.
-The batched records are tested against meansquare.n_value, which sums the n
-kernel values of H_n one prime at a time and runs the same audits.
+on the Euclid route the inverse of h0^j is h0^(n-j), no h0^j is 1 (h0 has
+order n) and p divides 1 + sum h0^j; on the coset route p divides each
+sigma_C; on both 6 divides 12*S, 2S = (p-1)/2 (mod 2) and N is odd. The
+records of both routes are tested against meansquare.n_value, which sums the
+n kernel values of H_n one prime at a time by the Dedekind continued fraction
+and runs the same audits, and against each other.
 
 A scan cuts its range into a count of segments sized by its expected work
 (_plan), and makes each segment's bounds (_segment) as it runs, so any bound
@@ -57,7 +69,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .dedekind import _euclid_lanes
-from .numkernel import _generators, divisors, power_table, primes_in_progression, totient
+from .numkernel import _generators, divisors, order_n_element, power_table, primes_in_progression, totient
 
 __all__ = [
     "DensityReport",
@@ -118,17 +130,20 @@ def ratio_decimal(num: int, den: int, digits: int = 5) -> str:
     return "".join(out)
 
 
-def _audit(bad: np.ndarray, p: np.ndarray, n: int, what: str, name: str, value: np.ndarray) -> None:
-    """Raise ArithmeticError for the first lane where `bad` holds."""
+def _audit(bad: np.ndarray, p, n, what: str, name: str, value: np.ndarray) -> None:
+    """Raise ArithmeticError for the first lane where `bad` holds; p and n are ints or
+    arrays of bad's shape."""
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
-        raise ArithmeticError(f"{what} audit failed at p={p[i]}, n={n}: {name}={value[i]}")
+        p, n = (np.broadcast_to(x, bad.shape)[i] for x in (p, n))
+        raise ArithmeticError(f"{what} audit failed at p={p}, n={n}: {name}={value[i]}")
 
 
-def _batch_records(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The audited (2S, N) of H_n, one lane for each of the int64 primes
-    p = 1 (mod 2n), from the generators h0 of one lane search of order n;
-    the caller keeps p < 2^50 and n*p < 2^62 (_scan)."""
+def _batch_records(n: int, p: np.ndarray) -> np.ndarray:
+    """12*S(H_n,p), one lane for each of the int64 primes p = 1 (mod 2n), from the
+    generators h0 of one lane search of order n, with the audits of h0's order and of
+    p | 1 + sum h0^j; the caller keeps p < 2^50 and n*p < 2^62 (_scan) and runs the
+    audits of 12S, 2S and N (_segment_worker)."""
     m = (n - 1) // 2
     h0 = _generators(n, p)
     powers = power_table(h0, n, p)[1:]  # row j-1 holds h0^j mod p
@@ -139,13 +154,7 @@ def _batch_records(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # c* = h0^(n-j) are the rest of the table, so sum_j (c + c*) + 1 is its column sum + 1
     k, rem = np.divmod(1 + powers.sum(axis=0), p)
     _audit(rem != 0, p, n, "integrality", "(1 + sum h0^j) mod p", rem)
-    twelve_s = p - 3 + 2 * k + 2 * t.reshape(m, -1).sum(axis=0)
-    _audit(twelve_s % 6 != 0, p, n, "integrality", "12S", twelve_s)
-    two_s = twelve_s // 6
-    _audit((two_s - (p - 1) // 2) % 2 != 0, p, n, "parity", "2S", two_s)
-    big_n = twelve_s - p
-    _audit(big_n % 2 == 0, p, n, "parity", "N", big_n)
-    return two_s, big_n
+    return p - 3 + 2 * k + 2 * t.reshape(m, -1).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +336,33 @@ def _csv_rows(columns: tuple[np.ndarray, ...], flags: np.ndarray) -> str:
 def _segment_worker(args: tuple[int | None, int, int, bool]) -> tuple[int, int, str]:
     """(pairs, nonpositive count, CSV rows or "") of the segment [lo, hi], lo <= hi.
 
-    n = None takes (p, d) for every odd prime p and odd d > 1 dividing p - 1, and counts
-    p's n = 1 pair (no row) as nonpositive. The pairs of each order d, all of them for a
-    fixed n, go to one batch of records, which runs its own generator search."""
+    A fixed n takes one batch of records (_batch_records). n = None takes (p, d) for
+    every odd prime p and odd d > 1 dividing p - 1, and counts p's n = 1 pair (no row)
+    as nonpositive. Its records come from one table g^0, ..., g^(p-2) of a primitive
+    root g: viewed as a (d, (p-1)/d) array, its columns are the cosets of H_d, with
+    sums sigma_C, each a multiple of p, and 12*S(H_d,p) = 3*sum_C Y_C^2 with
+    Y_C = 2*sigma_C/p - d. The audits of 12S, 2S and N then run on every record."""
     n, lo, hi, want_records = args
     p = primes_in_progression(lo, hi - lo, 2 * (n or 1), 1)
     ones = 0 if n else len(p)  # the n = 1 pairs
     if n:
-        d = np.full_like(p, n)
+        d, twelve_s = np.full_like(p, n), _batch_records(n, p)
     else:
-        p_d = [(q, d) for q in p.tolist() for d in divisors(q - 1)[1:] if d % 2]
-        p, d = np.array(p_d, dtype=np.int64).reshape(-1, 2).T
-    two_s, big_n = np.empty_like(p), np.empty_like(p)
-    order = np.argsort(d, kind="stable")
-    values, starts = np.unique(d[order], return_index=True)
-    for k, lanes in zip(values.tolist(), np.split(order, starts[1:])):
-        two_s[lanes], big_n[lanes] = _batch_records(k, p[lanes])
+        rows = []
+        for q in p.tolist():
+            table = power_table(order_n_element(q, q - 1), q - 1, q)
+            for k in divisors(q - 1)[1:]:
+                if k % 2:
+                    # the column sums: einsum sums over the rows faster than .sum(axis=0) for few columns
+                    sigma, rem = np.divmod(np.einsum("ij->j", table.reshape(k, -1)), q)
+                    _audit(rem != 0, q, k, "integrality", "(coset sum) mod p", rem)
+                    rows.append((q, k, 3 * int(np.square(2 * sigma - k).sum())))
+            del table  # before the next prime's table is made, so that one table at a time is held
+        p, d, twelve_s = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    (two_s, rem), big_n = np.divmod(twelve_s, 6), twelve_s - p
+    _audit(rem != 0, p, d, "integrality", "12S", twelve_s)
+    _audit((two_s - (p - 1) // 2) % 2 != 0, p, d, "parity", "2S", two_s)
+    _audit(big_n % 2 == 0, p, d, "parity", "N", big_n)
     nonpositive = big_n <= 0
     text = _csv_rows((p, d, two_s, big_n), nonpositive) if want_records else ""  # rows of CSV_HEADER
     return len(p) + ones, int(nonpositive.sum()) + ones, text
@@ -353,9 +373,10 @@ def _plan(n: int | None, start: int, upper: int, workers: int) -> tuple[int, int
     (_segment gives their bounds), and the number of workers to run them on.
 
     The expected work is span/(phi(2n) ln upper) primes of the progression,
-    each with (n-1)/2 Euclid lanes and one generator lane (the all-odd scan
-    counts (upper+1)/2 lanes a prime). Below _POOL_LANES lanes the plan is for
-    one worker, whatever was asked, since a pool would cost more to start than
+    each with (n-1)/2 Euclid lanes and one generator lane. The all-odd scan
+    counts (upper+1)/2 lanes a prime, only an estimate of its work, since its
+    coset sums run no Euclid lanes. Below _POOL_LANES lanes the plan is for one
+    worker, whatever was asked, since a pool would cost more to start than
     its other workers save. The count is one segment per _SEGMENT_LANES lanes,
     at most 4*workers, at least enough that no segment holds more than 2^20
     integers, and past one a multiple of the workers, so that each gets the

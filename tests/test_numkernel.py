@@ -137,8 +137,8 @@ def test_batched_generators_have_exact_order():
                 assert pow(h, n, p) == 1 and all(pow(h, n // q, p) != 1 for q, _ in factorize(n)), (p, n)
 
 
-# The pairs (p, d) of the all-odd scan: every odd d > 1 dividing p - 1. Its segments
-# search one order at a time, so each order's lanes make one call.
+# The lane search, one call per order, over the 50 or more orders d of the pairs (p, d)
+# with d odd > 1 dividing p - 1 in three windows; most orders hold only a few primes.
 @pytest.mark.parametrize("lower, span", [(3, 3000), (10**9, 4000), (10**10, 4000)])
 def test_all_odd_generators_one_order_at_a_time(lower, span, monkeypatch):
     by_order = {}

@@ -148,15 +148,40 @@ def test_threads_deterministic(tmp_path):
 _WINDOWS = ((0, 4000), (10**10, 4000), (10**12, 3000), (10**13, 2000))
 
 
+def _rows(text: str) -> list[tuple]:
+    """The (p, n, 2S, N, nonpositive) of each CSV row."""
+    return [tuple(map(int, ln.split(",")[:4])) + (ln.endswith("true"),) for ln in text.splitlines()]
+
+
 def test_batched_records_match_the_oracle():
+    # one fixed-n segment per window and order: its records and counts, audits passed
     for lower, span in _WINDOWS:
-        primes = primes_in_progression(lower, span, 2, 1).tolist()
         for n in (3, 5, 9, 15, 21):
-            ps = np.array([p for p in primes if p % (2 * n) == 1], dtype=np.int64)
-            two_s, big_n = survey._batch_records(n, ps)
-            got = list(zip(ps.tolist(), two_s.tolist(), big_n.tolist(), (big_n <= 0).tolist()))
-            want = [(rec.p, rec.two_S, rec.N, rec.nonpositive) for rec in (oracle_record(p, n) for p in ps.tolist())]
-            assert got and got == want, (lower, n)
+            pairs, nonpositive, text = survey._segment_worker((n, lower, lower + span, True))
+            want = [tuple(oracle_record(p, n)) for p in primes_in_progression(lower, span, 2 * n, 1).tolist()]
+            assert want and _rows(text) == want, (lower, n)
+            assert (pairs, nonpositive) == (len(want), sum(rec[4] for rec in want)), (lower, n)
+
+
+# The all-odd records come from coset sums, the fixed-n records from the lane Euclid;
+# both give the same record on every pair (p, d): each odd p below 4000, each p in
+# [999000, 999500] (d up to about 5e5), and three p just above 2^23, where the Euclid
+# lanes step in float64 (chosen for the few Euclid lanes of their odd d: 70k-94k each).
+@pytest.mark.parametrize("lower, hi", [(3, 4000), (999000, 999500), (8388673, 8388673), (8388929, 8388929),
+                                       (8389057, 8389057)])
+def test_coset_records_match_the_euclid_records(lower, hi):
+    rows = _rows(survey._segment_worker((None, lower, hi, True))[2])
+    primes = primes_in_progression(lower, hi - lower, 2, 1).tolist()
+    assert [row[:2] for row in rows] == [(p, d) for p in primes for d in divisors(p - 1)[1:] if d % 2]
+    by_order = {}
+    for row in rows:
+        by_order.setdefault(row[1], []).append(row)
+    for d, recs in by_order.items():
+        ps = np.array([rec[0] for rec in recs], dtype=np.int64)
+        twelve_s = survey._batch_records(d, ps)
+        assert list(zip(ps.tolist(), [d] * len(ps), (twelve_s // 6).tolist(), (twelve_s - ps).tolist(),
+                        (twelve_s <= ps).tolist())) == recs, d
+        assert (twelve_s % 6 == 0).all(), d
 
 
 def test_ladder_multiplies_a_large_x_through_mulmod():
@@ -297,9 +322,30 @@ def test_sum_audits_reject_a_wrong_alternating_sum(monkeypatch, delta, audit):
         return t, inv
 
     monkeypatch.setattr(survey, "_euclid_lanes", off_by_delta)
-    with pytest.raises(ArithmeticError, match=audit):
-        ps = np.array([19, 37, 73], dtype=np.int64)
-        survey._batch_records(9, ps)
+    with pytest.raises(ArithmeticError, match=f"{audit} failed at p=73, n=9"):
+        survey._segment_worker((9, 19, 73, True))  # the primes 19, 37 and 73
+
+
+def test_coset_sum_audit_aborts_the_scan(tmp_path, monkeypatch):
+    # one entry of the table of p = 1601 off by 1: the sum of its coset of H_5, the
+    # first odd order (1600 = 2^6 * 5^2), is no multiple of p, and the scan stops
+    # before that segment's rows or checkpoint are written
+    table = survey.power_table
+
+    def off_by_one(x, s, p):
+        pows = table(x, s, p)
+        if p == 1601:
+            pows[7] += 1
+        return pows
+
+    monkeypatch.setattr(survey, "power_table", off_by_one)
+    ck, rc = tmp_path / "ck.json", tmp_path / "r.csv"
+    with pytest.raises(ArithmeticError, match=r"integrality audit failed at p=1601, n=5: \(coset sum\) mod p=1"):
+        scan_fixed_n(None, 3000, records=str(rc), checkpoint=str(ck))
+    data = json.loads(ck.read_text())
+    ps = [row[0] for row in _rows(rc.read_text().split("\n", 1)[1])]
+    assert 0 < data["last_p"] < 1601 and data["records_offset"] == rc.stat().st_size
+    assert max(ps) <= data["last_p"]
 
 
 def test_records_csv(tmp_path):
